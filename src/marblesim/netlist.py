@@ -6,13 +6,15 @@ ignored.  Statements:
     circuit <ident>
     input <ident> [, <ident>...]
     output <ident> [, <ident>...]
-    node <ident> : junction | scalpel | hold(<k>) | const1
-                 | sensor_syringe | tap | join | waste
+    node <ident>[.<ident>...] : junction | scalpel | hold(<k>) | const1
+                              | sensor_syringe | tap | join | waste
     gate <ident> : <macro-name>
     connect <endpoint> -> <endpoint>
 
 An endpoint is a circuit input/output name written bare, or
-``<name>.<port>`` for a node or gate instance.  Junction ports are A, B and
+``<name>.<port>`` for a node or gate instance, split at its last dot.
+Dotted node names are what elaboration writes, so an elaborated circuit
+prints and parses back.  Junction ports are A, B and
 O1..O5 (left to right); scalpels expose in/out1/out2; taps in/out/copy;
 sensor_syringes and holds in/out; joins in1..inN/out; waste a single n-ary
 in.  Every declared port must be wired: non-sink output ports carry exactly
@@ -27,7 +29,8 @@ side so both marbles reach the junction on the same phase.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .errors import MarblesimError
 from .primitives import IN_PORTS, JOIN_PORT_PATTERN, OUT_PORTS, NodeKind
@@ -50,7 +53,10 @@ __all__ = [
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_ENDPOINT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?\Z")
+# Node names may be dotted (elaboration writes ``instance.node`` and
+# ``junction.port.sync``); ports never are, so an endpoint splits at its
+# last dot.
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 _HOLD_ARG = re.compile(r"hold\s*\(\s*([0-9]+)\s*\)\Z")
 _JOIN_IN = re.compile(JOIN_PORT_PATTERN + r"\Z")
 
@@ -238,7 +244,8 @@ def parse(text: str) -> CircuitAst:
     declared: dict[str, tuple[str, int]] = {}  # name -> (category, line)
 
     def declare(name: str, category: str, lineno: int, raw: str) -> None:
-        if not _IDENT.fullmatch(name):
+        pattern = _DOTTED if category == "node" else _IDENT
+        if not pattern.fullmatch(name):
             raise ParseError(f"invalid identifier {name!r}", lineno,
                              _col_of(raw, name))
         if name in declared:
@@ -302,11 +309,12 @@ def parse(text: str) -> CircuitAst:
 
     def endpoint(text_ep: str, lineno: int, raw: str,
                  side: str) -> tuple[str, str]:
-        m = _ENDPOINT.fullmatch(text_ep)
-        if not m:
+        if not _DOTTED.fullmatch(text_ep):
             raise ParseError(f"malformed endpoint {text_ep!r}", lineno,
                              _col_of(raw, text_ep))
-        name, port = m.group(1), m.group(2)
+        name, dot, port = text_ep.rpartition(".")
+        if not dot:
+            name, port = port, None
         if name not in declared:
             raise ParseError(f"unknown name {name!r}", lineno,
                              _col_of(raw, name))
@@ -345,12 +353,6 @@ def parse(text: str) -> CircuitAst:
                       tuple(nodes), tuple(gates), tuple(channels))
 
 
-def _render_endpoint(ast: CircuitAst, name: str, port: str) -> str:
-    if name in ast.inputs or name in ast.outputs:
-        return name
-    return f"{name}.{port}"
-
-
 def print_canonical(ast: CircuitAst) -> str:
     """Render an AST in canonical form.
 
@@ -369,9 +371,14 @@ def print_canonical(ast: CircuitAst) -> str:
         out.append(f"node {nd.name} : {kind}")
     for gd in sorted(ast.gates, key=lambda g: g.name):
         out.append(f"gate {gd.name} : {gd.macro}")
+    bare = {*ast.inputs, *ast.outputs}
+
+    def endpoint(name: str, port: str) -> str:
+        return name if name in bare else f"{name}.{port}"
+
     connect_lines = sorted(
-        f"connect {_render_endpoint(ast, ch.src, ch.src_port)} -> "
-        f"{_render_endpoint(ast, ch.dst, ch.dst_port)}"
+        f"connect {endpoint(ch.src, ch.src_port)} -> "
+        f"{endpoint(ch.dst, ch.dst_port)}"
         for ch in ast.channels)
     out.extend(connect_lines)
     return "\n".join(out) + "\n"
@@ -502,6 +509,11 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
         elif n > 1:
             err(f"multiple channels into circuit output {name!r}")
 
+    # Ports fed per node, in first-use order, so a join reads only its own.
+    ports_into: dict[str, list[tuple[str, int]]] = {}
+    for (name, port), n in in_use.items():
+        ports_into.setdefault(name, []).append((port, n))
+
     for nd in ast.nodes:
         for port in OUT_PORTS[nd.kind]:
             need_out(nd.name, port, nd.line)
@@ -509,12 +521,12 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             if in_use.get((nd.name, "in"), 0) == 0:
                 err(f"unconnected port {nd.name}.in", nd.line)
         elif nd.kind is NodeKind.JOIN:
-            numbered = sorted(
-                int(port[2:]) for (name, port), n in in_use.items()
-                if name == nd.name and _JOIN_IN.fullmatch(port))
-            for (name, port), n in in_use.items():
-                if name == nd.name and n > 1:
-                    err(f"multiple channels into {name}.{port}", nd.line)
+            fed = ports_into.get(nd.name, ())
+            numbered = sorted(int(port[2:]) for port, _ in fed
+                              if _JOIN_IN.fullmatch(port))
+            for port, n in fed:
+                if n > 1:
+                    err(f"multiple channels into {nd.name}.{port}", nd.line)
             if len(numbered) < 2:
                 err(f"join {nd.name} needs at least two inputs", nd.line)
             elif numbered != list(range(1, len(numbered) + 1)):
@@ -535,26 +547,11 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             need_out(gd.name, port, gd.line)
 
     # Acyclicity over the name-level graph (gate instances are opaque).
-    successors: dict[str, set[str]] = {name: set() for name in categories}
-    indegree: dict[str, int] = {name: 0 for name in categories}
-    for ch in ast.channels:
-        if ch.src not in successors or ch.dst not in successors:
-            continue
-        if ch.dst not in successors[ch.src]:
-            successors[ch.src].add(ch.dst)
-            indegree[ch.dst] += 1
-    queue = sorted(name for name, deg in indegree.items() if deg == 0)
-    visited = 0
-    while queue:
-        name = queue.pop()
-        visited += 1
-        for succ in successors[name]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                queue.append(succ)
-        queue.sort()
-    if visited != len(categories):
-        stuck = sorted(name for name, deg in indegree.items() if deg > 0)
+    order = _toposort(categories, (
+        ch for ch in ast.channels
+        if ch.src in categories and ch.dst in categories))
+    if len(order) != len(categories):
+        stuck = sorted(set(categories).difference(order))
         err("cycle detected involving: " + ", ".join(stuck))
 
     return diags
@@ -565,6 +562,19 @@ def _expand_once(ast: CircuitAst, lib: dict) -> CircuitAst:
     nodes: list[NodeDecl] = list(ast.nodes)
     next_gates: list[GateDecl] = []
     instance_names = {gd.name for gd in ast.gates}
+    # Inlined names are ``instance.name``; a netlist may declare dotted
+    # nodes too, so every inlined name is checked against all names.
+    taken = {*ast.inputs, *ast.outputs, *instance_names,
+             *(nd.name for nd in ast.nodes)}
+
+    def inline(gd: GateDecl, name: str) -> str:
+        full = gd.name + "." + name
+        if full in taken:
+            raise ElaborationError(
+                f"inlining gate {gd.name} ({gd.macro}) declares {full!r} "
+                "twice")
+        taken.add(full)
+        return full
 
     Real = tuple[str, str]
     # Pseudo endpoints are instance boundary ports awaiting splicing.
@@ -587,9 +597,11 @@ def _expand_once(ast: CircuitAst, lib: dict) -> CircuitAst:
         inner_inputs = set(mast.inputs)
         inner_outputs = set(mast.outputs)
         for nd in mast.nodes:
-            nodes.append(replace(nd, name=prefix + nd.name, line=gd.line))
+            nodes.append(NodeDecl(inline(gd, nd.name), nd.kind,
+                                  nd.hold_phases, gd.line))
         for igd in mast.gates:
-            next_gates.append(GateDecl(prefix + igd.name, igd.macro, gd.line))
+            next_gates.append(GateDecl(inline(gd, igd.name), igd.macro,
+                                       gd.line))
 
         def inner_key(name: str, port: str, gd=gd, prefix=prefix,
                       inner_inputs=inner_inputs,
@@ -632,15 +644,22 @@ def _expand_once(ast: CircuitAst, lib: dict) -> CircuitAst:
                       tuple(next_gates), tuple(channels))
 
 
-def _toposort(names: list[str], channels: tuple[Channel, ...]) -> list[str]:
-    successors: dict[str, set[str]] = {name: set() for name in names}
-    indegree: dict[str, int] = {name: 0 for name in names}
+def _toposort(names: Iterable[str],
+              channels: Iterable[Channel]) -> list[str]:
+    """Kahn's algorithm over the channel graph.
+
+    Returns the names in a topological order.  When the graph has a cycle
+    the order is short: the names left out are those on a cycle or
+    downstream of one.  The visit order is not otherwise defined; callers
+    derive nothing from it but precedence.
+    """
+    successors: dict[str, list[str]] = {name: [] for name in names}
+    indegree = dict.fromkeys(successors, 0)
     for ch in channels:
-        if ch.dst not in successors[ch.src]:
-            successors[ch.src].add(ch.dst)
-            indegree[ch.dst] += 1
+        successors[ch.src].append(ch.dst)
+        indegree[ch.dst] += 1
+    queue = [name for name, deg in indegree.items() if deg == 0]
     order: list[str] = []
-    queue = sorted(name for name, deg in indegree.items() if deg == 0)
     while queue:
         name = queue.pop()
         order.append(name)
@@ -648,9 +667,6 @@ def _toposort(names: list[str], channels: tuple[Channel, ...]) -> list[str]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 queue.append(succ)
-        queue.sort()
-    if len(order) != len(names):
-        raise ElaborationError("cycle detected during levelization")
     return order
 
 
@@ -663,16 +679,22 @@ def _levelize(ast: CircuitAst, *, strict: bool,
         nodes[name] = Node(name, NodeKind.OUTPUT)
     for nd in ast.nodes:
         nodes[nd.name] = Node(nd.name, nd.kind, nd.hold_phases)
-    channels = [replace(ch, line=0) for ch in ast.channels]
+    channels = [Channel(ch.src, ch.src_port, ch.dst, ch.dst_port)
+                for ch in ast.channels]
 
-    into: dict[tuple[str, str], Channel] = {}
+    # Position of the channel into each port.  Validation made the channel
+    # into a junction port unique, so a hold is spliced in place.
+    into: dict[tuple[str, str], int] = {}
     predecessors: dict[str, list[str]] = {name: [] for name in nodes}
-    for ch in channels:
+    for index, ch in enumerate(channels):
         predecessors[ch.dst].append(ch.src)
-        into[(ch.dst, ch.dst_port)] = ch
+        into[(ch.dst, ch.dst_port)] = index
 
+    order = _toposort(nodes, channels)
+    if len(order) != len(nodes):
+        raise ElaborationError("cycle detected during levelization")
     phases: dict[str, int] = {}
-    for name in _toposort(list(nodes), tuple(channels)):
+    for name in order:
         node = nodes[name]
         if node.kind in (NodeKind.INPUT, NodeKind.CONST):
             phases[name] = 0
@@ -685,10 +707,11 @@ def _levelize(ast: CircuitAst, *, strict: bool,
     junctions = sorted(name for name, node in nodes.items()
                        if node.kind is NodeKind.JUNCTION)
     for jname in junctions:
-        cha = into.get((jname, "A"))
-        chb = into.get((jname, "B"))
-        if cha is None or chb is None:
+        slot_a = into.get((jname, "A"))
+        slot_b = into.get((jname, "B"))
+        if slot_a is None or slot_b is None:
             continue
+        cha, chb = channels[slot_a], channels[slot_b]
         pa, pb = phases[cha.src], phases[chb.src]
         if pa == pb:
             continue
@@ -698,7 +721,7 @@ def _levelize(ast: CircuitAst, *, strict: bool,
                 f"{cha.src} fires at {pa}, {chb.src} at {pb}")
         if not insert_holds:
             continue
-        shallow = cha if pa < pb else chb
+        slot, shallow = (slot_a, cha) if pa < pb else (slot_b, chb)
         depth = max(pa, pb)
         hold_name = f"{jname}.{shallow.dst_port}.sync"
         while hold_name in nodes:
@@ -706,9 +729,8 @@ def _levelize(ast: CircuitAst, *, strict: bool,
         k = depth - min(pa, pb)
         nodes[hold_name] = Node(hold_name, NodeKind.HOLD, k)
         phases[hold_name] = depth
-        channels.remove(shallow)
-        channels.append(Channel(shallow.src, shallow.src_port,
-                                hold_name, "in"))
+        channels[slot] = Channel(shallow.src, shallow.src_port,
+                                 hold_name, "in")
         channels.append(Channel(hold_name, "out", jname, shallow.dst_port))
 
     ordered = tuple(sorted(channels, key=Channel.key))

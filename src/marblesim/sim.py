@@ -365,6 +365,11 @@ class _Run:
         if self.arrivals:
             raise SimulationError("marbles still in flight after the final "
                                   "phase")
+        if self.held:
+            parked = ", ".join(f"{node}.{port}"
+                               for node, port in sorted(self.held))
+            raise SimulationError("marbles still parked after the final "
+                                  f"phase at {parked}")
         outputs = tuple(1 if self.output_hits[name] else 0
                         for name in self.circuit.outputs)
         kinds = {name: node.kind

@@ -43,6 +43,22 @@ def compose_source(seed: int) -> str:
     return "\n".join(lines + decls + connects) + "\n"
 
 
+def ripple_adder_source(n: int) -> str:
+    """An n-bit ripple-carry adder of FULL_ADDER gates, bit 0 least
+    significant: inputs a0.., b0.., cin; outputs s0.., cout."""
+    lines = [f"circuit adder{n}",
+             "input " + ", ".join([f"a{k}" for k in range(n)]
+                                  + [f"b{k}" for k in range(n)] + ["cin"]),
+             "output " + ", ".join([f"s{k}" for k in range(n)] + ["cout"])]
+    for k in range(n):
+        carry = "cin" if k == 0 else f"F{k - 1}.cout"
+        lines += [f"gate F{k} : FULL_ADDER", f"connect a{k} -> F{k}.a",
+                  f"connect b{k} -> F{k}.b", f"connect {carry} -> F{k}.cin",
+                  f"connect F{k}.sum -> s{k}"]
+    lines.append(f"connect F{n - 1}.cout -> cout")
+    return "\n".join(lines) + "\n"
+
+
 def compose_circuit(seed: int) -> Circuit:
     return elaborate(parse(compose_source(seed)))
 

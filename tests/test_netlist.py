@@ -1,11 +1,33 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composer
-from marblesim import (Circuit, ElaborationError, GateMacro, NodeKind,
-                       ParseError, circuit_to_ast, elaborate, get_macro,
-                       parse, print_canonical, validate)
+from marblesim import (Circuit, CircuitAst, Diagnostic, ElaborationError,
+                       GateMacro, NodeKind, ParseError, circuit_to_ast,
+                       elaborate, get_macro, library, parse, print_canonical,
+                       validate)
+
+
+def sample_asts():
+    """Every library expansion, the first composer seeds and small
+    ripple-carry adders."""
+    asts = [macro.expansion for macro in library()]
+    asts += [parse(composer.compose_source(seed)) for seed in range(40)]
+    asts += [parse(composer.ripple_adder_source(n)) for n in (4, 16)]
+    return asts
+
+
+def shuffled(ast, seed):
+    rng = random.Random(seed)
+    nodes, gates, channels = (list(ast.nodes), list(ast.gates),
+                              list(ast.channels))
+    for items in (nodes, gates, channels):
+        rng.shuffle(items)
+    return CircuitAst(ast.name, ast.inputs, ast.outputs, tuple(nodes),
+                      tuple(gates), tuple(channels))
 
 class TestParse:
     def test_fixture_structure(self, fixtures):
@@ -39,6 +61,14 @@ class TestParse:
         (gd,) = ast.gates
         assert (gd.name, gd.macro) == ("G", "AND")
 
+    def test_dotted_node_names(self):
+        ast = parse("circuit c\ninput a\noutput y\nnode G.H.J : hold(2)\n"
+                    "connect a -> G.H.J.in\nconnect G.H.J.out -> y\n")
+        (decl,) = ast.nodes
+        assert decl.name == "G.H.J"
+        assert {ch.key() for ch in ast.channels} == {
+            ("a", "out", "G.H.J", "in"), ("G.H.J", "out", "y", "in")}
+
     def test_line_tracking(self):
         ast = parse("circuit c\n\ninput a\noutput y\n\nnode H : hold(1)\n"
                     "connect a -> H.in\nconnect H.out -> y\n")
@@ -64,6 +94,11 @@ class TestParseErrors:
          "unknown name"),
         ("circuit c\nnode J : junction\nconnect J -> J.A\n", 3, "port"),
         ("circuit c\nwobble foo\n", 2, "statement"),
+        ("circuit c.d\n", 1, "invalid circuit name"),
+        ("circuit c\ninput a.b\n", 2, "invalid identifier"),
+        ("circuit c\ngate G.H : AND\n", 2, "invalid identifier"),
+        ("circuit c\nnode J. : junction\n", 2, "invalid identifier"),
+        ("circuit c\ninput a\nconnect a -> J..A\n", 3, "malformed"),
     ])
     def test_position_and_message(self, source, line, fragment):
         with pytest.raises(ParseError) as err:
@@ -86,6 +121,14 @@ class TestCanonicalPrint:
             again = parse(printed)
             assert again == ast
             assert print_canonical(again) == printed
+
+    def test_elaborated_circuits_roundtrip(self):
+        for ast in sample_asts():
+            circuit = elaborate(ast)
+            lowered = circuit_to_ast(circuit)
+            again = parse(print_canonical(lowered))
+            assert again == lowered, ast.name
+            assert elaborate(again) == circuit, ast.name
 
     def test_output_is_sorted_and_terminated(self):
         ast = parse("circuit c\ninput b, a\noutput y\nnode M : join\n"
@@ -156,12 +199,39 @@ class TestValidate:
                    "connect a -> S.mouth\nconnect S.out1 -> y\n"
                    "connect S.out2 -> y\n", "unknown port S.mouth")
 
+    CYCLE = ("circuit c\ninput a\noutput y\n"
+             "node M : join\nnode T : tap\n"
+             "connect a -> M.in1\nconnect M.out -> T.in\n"
+             "connect T.out -> M.in2\nconnect T.copy -> y\n")
+
     def test_cycle_detected(self):
-        self.check("circuit c\ninput a\noutput y\n"
-                   "node M : join\nnode T : tap\n"
-                   "connect a -> M.in1\nconnect M.out -> T.in\n"
-                   "connect T.out -> M.in2\nconnect T.copy -> y\n",
-                   "cycle detected")
+        self.check(self.CYCLE, "cycle detected")
+
+    def test_cycle_lists_the_names_it_blocks(self):
+        # M and T form the cycle and y is fed only through it; the input a
+        # can still be ordered.
+        assert validate(parse(self.CYCLE)) == [
+            Diagnostic("error", "cycle detected involving: M, T, y")]
+
+    def test_double_drive_into_join_port(self):
+        source = ("circuit c\ninput a, b, c\noutput y\nnode M : join\n"
+                  "connect a -> M.in1\nconnect b -> M.in1\n"
+                  "connect c -> M.in2\nconnect M.out -> y\n")
+        assert validate(parse(source)) == [
+            Diagnostic("error", "multiple channels into M.in1", 4)]
+
+    def test_diagnostics_ignore_declaration_order(self):
+        sources = [self.CYCLE,
+                   "circuit c\ninput a, b\noutput y\nnode M : join\n"
+                   "connect a -> M.in1\nconnect b -> M.in3\n"
+                   "connect M.out -> y\n",
+                   "circuit c\ninput a, b, c\noutput y\nnode M : join\n"
+                   "connect a -> M.in1\nconnect b -> M.in1\n"
+                   "connect c -> M.in2\nconnect M.out -> y\n"]
+        asts = [parse(source) for source in sources] + sample_asts()
+        asts.append(parse(composer.ripple_adder_source(32)))
+        for seed, ast in enumerate(asts):
+            assert set(validate(shuffled(ast, seed))) == set(validate(ast))
 
 
 class TestElaborate:
@@ -219,6 +289,32 @@ class TestElaborate:
         assert sync.hold_phases == 2
         assert circuit.phases["J2.A.sync"] + 1 == circuit.phases["J2"]
 
+    def test_declaration_order_does_not_change_the_circuit(self):
+        asts = sample_asts() + [parse(composer.ripple_adder_source(32))]
+        for seed, ast in enumerate(asts):
+            assert elaborate(shuffled(ast, seed)) == elaborate(ast), ast.name
+
+    def test_hold_name_takes_suffix_when_taken(self, fixtures):
+        source = (fixtures / "skew.mnl").read_text()
+        source = source.replace("node W :", "node J2.A.sync :")
+        source = source.replace("W.in", "J2.A.sync.in")
+        circuit = elaborate(parse(source))
+        assert circuit.nodes["J2.A.sync"].kind is NodeKind.WASTE
+        sync = circuit.nodes["J2.A.sync_"]
+        assert sync.kind is NodeKind.HOLD
+        assert sync.hold_phases == 2
+
+    def test_inlined_name_clash_raises(self):
+        ast = parse("circuit c\ninput a, b, x\noutput y, z\n"
+                    "node G.J : hold(1)\ngate G : AND\n"
+                    "connect a -> G.a\nconnect b -> G.b\n"
+                    "connect G.y -> y\nconnect x -> G.J.in\n"
+                    "connect G.J.out -> z\n")
+        assert validate(ast) == []
+        with pytest.raises(ElaborationError) as err:
+            elaborate(ast)
+        assert "'G.J'" in str(err.value)
+
     def test_elaboration_is_idempotent(self, fixtures):
         first = elaborate(parse((fixtures / "full_adder.mnl").read_text()))
         second = elaborate(circuit_to_ast(first))
@@ -246,7 +342,7 @@ class TestElaborate:
         assert "expansion" in str(err.value)
 
     def test_every_library_macro_elaborates_clean(self):
-        from marblesim import library, timing_lint
+        from marblesim import timing_lint
         for macro in library():
             circuit = elaborate(macro.expansion)
             assert circuit.inputs == macro.inputs

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from marblesim import (CollisionMode, NodeKind, SimConfig, SimulationError,
-                       TimingViolationError, elaborate, format_trace,
-                       get_macro, library, parse, run_ledger, simulate)
+from marblesim import (Channel, Circuit, CollisionMode, Node, NodeKind,
+                       SimConfig, SimulationError, TimingViolationError,
+                       elaborate, format_trace, get_macro, library, parse,
+                       run_ledger, simulate)
 
 BOUNCE = SimConfig(mode=CollisionMode.BOUNCE)
 MERGE = SimConfig(mode=CollisionMode.MERGE)
@@ -171,6 +172,25 @@ connect J.O5 -> W.in
         circuit = elaborate(parse(self.SOURCE))
         outputs, _, _ = simulate(circuit, (1, 0, 1), MERGE)
         assert outputs == (1,)
+
+
+class TestEndOfRun:
+    def test_marble_parked_after_release_raises(self):
+        # Hand-built phases: the hold releases at phase 0, before the
+        # input's marble reaches it at phase 1, so the marble stays parked.
+        circuit = Circuit(
+            "late", ("a",), ("y",),
+            {"a": Node("a", NodeKind.INPUT),
+             "H": Node("H", NodeKind.HOLD, 1),
+             "y": Node("y", NodeKind.OUTPUT)},
+            (Channel("a", "out", "H", "in"), Channel("H", "out", "y", "in")),
+            {"a": 0, "H": 0, "y": 1})
+        with pytest.raises(SimulationError) as err:
+            simulate(circuit, (1,), BOUNCE)
+        assert "parked" in str(err.value)
+        assert "H.in" in str(err.value)
+        outputs, _, ledger = simulate(circuit, (0,), BOUNCE)
+        assert outputs == (0,) and ledger.balanced
 
 
 class TestInputValidation:
