@@ -7,6 +7,9 @@ Typical use::
     circuit = elaborate(parse(source))
     outputs, trace, ledger = simulate(
         circuit, (1, 0), SimConfig(mode=CollisionMode.BOUNCE))
+
+Marble tokens and the junction and scalpel rules the simulator applies live
+in :mod:`marblesim.primitives`.
 """
 
 from .analysis import (GateReport, TruthTable, check_conservative,
@@ -23,9 +26,7 @@ from .physics import (AmbiguousRegimeError, CollisionMode, CollisionPolicy,
                       PhysicsParams, PolicyKind, collision_mode,
                       kinetic_energy, load_physics_config,
                       parse_physics_config, surface_energy, weber_number)
-from .primitives import (Marble, MarbleFactory, NodeKind, PortOccupancy,
-                         junction_route, scalpel_split, sensor_syringe_fire,
-                         tap_copy)
+from .primitives import NodeKind
 from .sim import (Event, Hazard, InjectionRecord, Ledger, SimConfig,
                   SimulationError, TimingViolationError, Trace, format_trace,
                   run_ledger, simulate)
@@ -48,8 +49,6 @@ __all__ = [
     "Hazard",
     "InjectionRecord",
     "Ledger",
-    "Marble",
-    "MarbleFactory",
     "MarblesimError",
     "MidbandRule",
     "MidbandWarning",
@@ -60,7 +59,6 @@ __all__ = [
     "PhysicsConfigError",
     "PhysicsParams",
     "PolicyKind",
-    "PortOccupancy",
     "SimConfig",
     "SimulationError",
     "TimingViolationError",
@@ -75,7 +73,6 @@ __all__ = [
     "elaborate",
     "format_trace",
     "get_macro",
-    "junction_route",
     "kinetic_energy",
     "library",
     "load_physics_config",
@@ -84,11 +81,8 @@ __all__ = [
     "physically_conservative",
     "print_canonical",
     "run_ledger",
-    "scalpel_split",
-    "sensor_syringe_fire",
     "simulate",
     "surface_energy",
-    "tap_copy",
     "timing_lint",
     "truth_table",
     "validate",

@@ -390,7 +390,8 @@ def _default_library() -> dict:
 
 
 def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
-    """Structural checks: port names, arity, connectivity, acyclicity.
+    """Structural checks: unique names, port names, arity, connectivity,
+    acyclicity.
 
     Returns an empty list exactly when the netlist is well formed.  Gate
     instance ports are checked against ``library`` (the built-in macro
@@ -402,22 +403,37 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     def err(message: str, line: int | None = None) -> None:
         diags.append(Diagnostic("error", message, line))
 
-    node_decls = {nd.name: nd for nd in ast.nodes}
-    gate_decls = {gd.name: gd for gd in ast.gates}
+    # The first declaration of a name counts; later ones are reported.
     categories: dict[str, str] = {}
+    declared_on: dict[str, int] = {}
+    node_decls: dict[str, NodeDecl] = {}
+    gate_decls: dict[str, GateDecl] = {}
+
+    def declare(name: str, category: str, line: int = 0) -> bool:
+        if name in categories:
+            on = f" on line {declared_on[name]}" if declared_on[name] else ""
+            err(f"duplicate name {name!r} (already declared as "
+                f"{categories[name]}{on})", line or None)
+            return False
+        categories[name] = category
+        declared_on[name] = line
+        return True
+
     for name in ast.inputs:
-        categories[name] = "input"
+        declare(name, "input")
     for name in ast.outputs:
-        categories[name] = "output"
-    for name in node_decls:
-        categories[name] = "node"
-    for name in gate_decls:
-        categories[name] = "gate"
+        declare(name, "output")
+    for nd in ast.nodes:
+        if declare(nd.name, "node", nd.line):
+            node_decls[nd.name] = nd
+    for gd in ast.gates:
+        if declare(gd.name, "gate", gd.line):
+            gate_decls[gd.name] = gd
 
     for name in categories:
         if name in lib:
             err(f"name {name!r} is reserved (gate macro)")
-    for gd in ast.gates:
+    for gd in gate_decls.values():
         if gd.macro not in lib:
             err(f"unknown gate macro {gd.macro!r}", gd.line)
 
@@ -514,7 +530,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     for (name, port), n in in_use.items():
         ports_into.setdefault(name, []).append((port, n))
 
-    for nd in ast.nodes:
+    for nd in node_decls.values():
         for port in OUT_PORTS[nd.kind]:
             need_out(nd.name, port, nd.line)
         if nd.kind is NodeKind.WASTE:
@@ -539,7 +555,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             for port in IN_PORTS[nd.kind]:
                 need_in(nd.name, port, nd.line)
 
-    for gd in ast.gates:
+    for gd in gate_decls.values():
         gins, gouts = gate_ports(gd.name)
         for port in gins:
             need_in(gd.name, port, gd.line)

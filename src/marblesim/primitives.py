@@ -37,11 +37,8 @@ __all__ = [
     "MarbleFactory",
     "NodeKind",
     "OUT_PORTS",
-    "PortOccupancy",
     "junction_route",
     "scalpel_split",
-    "sensor_syringe_fire",
-    "tap_copy",
 ]
 
 
@@ -92,11 +89,10 @@ JOIN_PORT_PATTERN = r"in[1-9][0-9]*"
 
 @dataclass(frozen=True)
 class Marble:
-    """One marble: a run-unique id, an exact mass, and where it came from."""
+    """One marble: a run-unique id and an exact mass."""
 
     ident: int
     mass: Fraction
-    origin: str
 
     def __post_init__(self) -> None:
         if self.mass <= 0:
@@ -109,35 +105,18 @@ class MarbleFactory:
     def __init__(self) -> None:
         self._next = 1
 
-    def fresh(self, mass: Fraction, origin: str) -> Marble:
-        marble = Marble(self._next, Fraction(mass), origin)
+    def fresh(self, mass: Fraction) -> Marble:
+        marble = Marble(self._next, Fraction(mass))
         self._next += 1
         return marble
 
 
-@dataclass(frozen=True)
-class PortOccupancy:
-    """Masses present on the five junction outputs after one firing."""
-
-    o1: Fraction | None = None
-    o2: Fraction | None = None
-    o3: Fraction | None = None
-    o4: Fraction | None = None
-    o5: Fraction | None = None
-
-    def occupied(self) -> tuple[tuple[str, Fraction], ...]:
-        pairs = (("O1", self.o1), ("O2", self.o2), ("O3", self.o3),
-                 ("O4", self.o4), ("O5", self.o5))
-        return tuple((port, mass) for port, mass in pairs if mass is not None)
-
-    def total_mass(self) -> Fraction:
-        return sum((mass for _, mass in self.occupied()), Fraction(0))
-
-
 def junction_route(a_present: bool, b_present: bool, mode: CollisionMode,
                    a_mass: Fraction = Fraction(1),
-                   b_mass: Fraction = Fraction(1)) -> PortOccupancy:
-    """Route one junction firing.
+                   b_mass: Fraction = Fraction(1)
+                   ) -> tuple[tuple[str, Fraction], ...]:
+    """Route one junction firing to its occupied ``(port, mass)`` pairs,
+    ports in O1..O5 order.
 
     Lone marbles cross (A alone exits rightmost on O5, B alone leftmost on
     O1).  A collision either bounces (left marble to O2, right to O4, masses
@@ -149,32 +128,23 @@ def junction_route(a_present: bool, b_present: bool, mode: CollisionMode,
     if b_present and b_mass <= 0:
         raise ValueError(f"present B marble needs positive mass, got {b_mass}")
     if not a_present and not b_present:
-        return PortOccupancy()
+        return ()
     if a_present and not b_present:
-        return PortOccupancy(o5=Fraction(a_mass))
+        return (("O5", Fraction(a_mass)),)
     if b_present and not a_present:
-        return PortOccupancy(o1=Fraction(b_mass))
+        return (("O1", Fraction(b_mass)),)
     if mode is CollisionMode.BOUNCE:
-        return PortOccupancy(o2=Fraction(a_mass), o4=Fraction(b_mass))
-    return PortOccupancy(o3=Fraction(a_mass) + Fraction(b_mass))
+        return (("O2", Fraction(a_mass)), ("O4", Fraction(b_mass)))
+    return (("O3", Fraction(a_mass) + Fraction(b_mass)),)
 
 
-def scalpel_split(marble: Marble, factory: MarbleFactory,
-                  origin: str) -> tuple[Marble, Marble]:
+def scalpel_split(marble: Marble,
+                  factory: MarbleFactory) -> tuple[Marble, Marble]:
     """Cut a marble into two halves with fresh ids.
 
     The input marble is consumed; each half carries exactly half its mass,
     so the sum is conserved and denominators stay powers of two.
     """
     half = marble.mass / 2
-    return factory.fresh(half, origin), factory.fresh(half, origin)
+    return factory.fresh(half), factory.fresh(half)
 
-
-def sensor_syringe_fire(input_present: bool) -> bool:
-    """True exactly when a fresh marble must be injected (input absent)."""
-    return not input_present
-
-
-def tap_copy(input_present: bool) -> tuple[bool, bool]:
-    """(forward original, inject copy): both happen iff the input is present."""
-    return input_present, input_present

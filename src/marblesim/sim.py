@@ -1,23 +1,28 @@
 """Deterministic phase-synchronous simulation of elaborated circuits.
 
-Marbles advance one channel per phase.  Every non-sink node fires at its
-levelized phase; electromagnet capture parks early arrivals at holds, joins,
-scalpels and taps until their scheduled release, which is how paths of
-different depth re-synchronize.  Junctions are the exception: a marble that
-reaches a junction at any phase other than the junction's firing phase rolls
-straight through and is routed on its own (the lone-marble crossing), which
-is exactly the misinterpretation an unbalanced circuit risks.  Such an
-arrival records a hazard diagnostic, or raises under ``strict_timing``.
-Sensor+syringe nodes watch their input during their firing phase only:
-whatever arrives is diverted to an internal waste pocket, and a fresh unit
-marble is injected exactly when nothing arrived on time.
+Marbles advance one channel per phase, and a node fires only when it has
+work.  Inputs carrying a 1, consts and sensor+syringes fire at their
+levelized phase; a node a marble reaches fires at its levelized phase if
+that phase has not yet passed.  Electromagnet capture parks early arrivals
+at holds, joins, scalpels and taps until their scheduled release, which is
+how paths of different depth re-synchronize.  Junctions are the exception:
+a junction fires in the phase a marble reaches it, so a marble that arrives
+at any phase other than the junction's own rolls straight through and is
+routed on its own (the lone-marble crossing), which is exactly the
+misinterpretation an unbalanced circuit risks.  Such an arrival records a
+hazard diagnostic, or raises under ``strict_timing``.  Sensor+syringe nodes
+watch their input during their firing phase only: whatever arrives is
+diverted to an internal waste pocket, and a fresh unit marble is injected
+exactly when nothing arrived on time.  The nodes due in one phase fire in
+name order, which fixes the marble ids.
 
 Traces list every marble placement as ``(phase, node, port, marble)``
 events: a creation event at the out port of the node that produced the
 marble, then one arrival event per hop.  A marble therefore never appears at
-two places in the same phase.  The ledger is derived from the trace and
-balances exactly: input mass plus injected mass equals output mass plus
-waste mass, in exact rationals.
+two places in the same phase.  Events are recorded only when the trace is
+enabled.  The ledger is kept during the run either way, from where each
+marble was created and where it ended, and balances exactly: input mass
+plus injected mass equals output mass plus waste mass, in exact rationals.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import MarblesimError
 from .netlist import Circuit
 from .physics import CollisionMode
 from .primitives import (Marble, MarbleFactory, NodeKind, junction_route,
-                         scalpel_split, sensor_syringe_fire, tap_copy)
+                         scalpel_split)
 
 __all__ = [
     "Event",
@@ -45,7 +50,7 @@ __all__ = [
     "simulate",
 ]
 
-_SINKS = (NodeKind.OUTPUT, NodeKind.WASTE)
+_UNIT = Fraction(1)
 _INJECTOR_KINDS = (NodeKind.CONST, NodeKind.SYRINGE, NodeKind.TAP)
 
 
@@ -87,7 +92,10 @@ class Hazard:
 
 @dataclass(frozen=True)
 class Trace:
-    """Ordered event list plus where every marble ended up."""
+    """Ordered event list plus where every marble ended up.
+
+    The event list is empty when the run was not traced.
+    """
 
     events: tuple[Event, ...]
     final_locations: dict[int, tuple[str, str]]
@@ -148,48 +156,57 @@ def format_trace(trace: Trace) -> str:
         for ev in trace.events)
 
 
-def run_ledger(trace: Trace) -> Ledger:
-    """Derive the conservation ledger from a completed run's trace."""
-    if not trace.events and trace.final_locations:
-        raise ValueError("ledger needs a trace recorded with events")
-    first_seen: dict[int, Event] = {}
-    for ev in trace.events:
-        if ev.marble_id not in first_seen:
-            first_seen[ev.marble_id] = ev
+# Where each marble came into being, by marble id: node, phase and mass.
+_Origins = dict[int, tuple[str, int, Fraction]]
 
+
+def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
+            kinds: dict[str, NodeKind]) -> Ledger:
+    """Account for every marble by the node that created it and the place
+    where it ended."""
     input_marbles = injected = output_marbles = waste_marbles = 0
     input_mass = injected_mass = output_mass = waste_mass = Fraction(0)
     injections: list[InjectionRecord] = []
 
-    for marble_id in sorted(first_seen):
-        ev = first_seen[marble_id]
-        kind = trace.node_kinds[ev.node]
+    for marble_id in sorted(created):
+        node, phase, mass = created[marble_id]
+        kind = kinds[node]
         if kind is NodeKind.INPUT:
             input_marbles += 1
-            input_mass += ev.mass
-        elif kind in _INJECTOR_KINDS and ev.port in ("out", "copy"):
+            input_mass += mass
+        elif kind in _INJECTOR_KINDS:
             injected += 1
-            injected_mass += ev.mass
-            injections.append(InjectionRecord(marble_id, ev.node, kind,
-                                              ev.phase, ev.mass))
+            injected_mass += mass
+            injections.append(InjectionRecord(marble_id, node, kind, phase,
+                                              mass))
 
-    for marble_id in sorted(trace.final_locations):
-        node, port = trace.final_locations[marble_id]
-        kind = trace.node_kinds[node]
-        mass = first_seen[marble_id].mass
+    for marble_id, (node, port) in final.items():
+        kind = kinds[node]
         if kind is NodeKind.OUTPUT:
             output_marbles += 1
-            output_mass += mass
+            output_mass += created[marble_id][2]
         elif kind is NodeKind.WASTE or (kind is NodeKind.SYRINGE
                                         and port == "waste"):
             waste_marbles += 1
-            waste_mass += mass
+            waste_mass += created[marble_id][2]
 
     return Ledger(input_marbles, injected, output_marbles, waste_marbles,
                   input_mass, injected_mass, output_mass, waste_mass,
                   tuple(injections))
 
 
+def run_ledger(trace: Trace) -> Ledger:
+    """Derive the conservation ledger from a completed run's trace."""
+    if not trace.events and trace.final_locations:
+        raise ValueError("ledger needs a trace recorded with events")
+    created: _Origins = {}
+    for ev in trace.events:  # a marble's first event is its creation
+        created.setdefault(ev.marble_id, (ev.node, ev.phase, ev.mass))
+    return _ledger(created, trace.final_locations, trace.node_kinds)
+
+
+# Kinds that fire at their phase whether or not a marble reached them.
+_SELF_STARTING = (NodeKind.CONST, NodeKind.SYRINGE)
 # Ports where two marbles in the same phase cannot coexist.
 _SINGLE_OCCUPANCY = (NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE,
                      NodeKind.TAP, NodeKind.HOLD)
@@ -199,24 +216,38 @@ class _Run:
     def __init__(self, circuit: Circuit, bits: tuple[int, ...],
                  config: SimConfig):
         self.circuit = circuit
-        self.bits = bits
         self.config = config
+        self.kinds = {name: node.kind
+                      for name, node in circuit.nodes.items()}
         self.factory = MarbleFactory()
-        self.events: list[Event] = []
-        self.hazards: list[Hazard] = []
+        self.events: list[Event] | None = (
+            [] if config.trace_enabled else None)
+        self.created: _Origins = {}
         self.final: dict[int, tuple[str, str]] = {}
-        self.held: dict[tuple[str, str], list[tuple[int, Marble]]] = {}
+        self.hazards: list[Hazard] = []
+        # node -> port -> marbles parked there, in arrival order
+        self.held: dict[str, dict[str, list[Marble]]] = {}
+        # phase -> marbles reaching a port then, as (node, port, marble)
         self.arrivals: dict[int, list[tuple[str, str, Marble]]] = {}
+        # phase -> nodes that fire then
+        self.agenda: dict[int, set[str]] = {}
         self.syringe_sensed: set[str] = set()
-        self.extra_fire: dict[int, set[str]] = {}
-        self.output_hits: dict[str, int] = {name: 0 for name in
-                                            circuit.outputs}
+        self.output_hits: set[str] = set()
+        for name, kind in self.kinds.items():
+            if kind in _SELF_STARTING:
+                self.schedule(name, circuit.phases[name])
+        for name, bit in zip(circuit.inputs, bits):
+            if bit:
+                self.schedule(name, circuit.phases[name])
+
+    def schedule(self, node: str, phase: int) -> None:
+        self.agenda.setdefault(phase, set()).add(node)
 
     def record(self, phase: int, node: str, port: str,
                marble: Marble) -> None:
-        self.events.append(Event(phase, node, port, marble.ident,
-                                 marble.mass))
-        self.final[marble.ident] = (node, port)
+        if self.events is not None:
+            self.events.append(Event(phase, node, port, marble.ident,
+                                     marble.mass))
 
     def emit(self, node: str, port: str, marble: Marble, phase: int) -> None:
         channel = self.circuit.out_channel(node, port)
@@ -225,24 +256,27 @@ class _Run:
         self.arrivals.setdefault(phase + 1, []).append(
             (channel.dst, channel.dst_port, marble))
 
-    def create(self, node: str, port: str, mass: Fraction,
-               phase: int) -> Marble:
-        marble = self.factory.fresh(mass, node)
+    def emit_new(self, node: str, port: str, marble: Marble,
+                 phase: int) -> None:
+        """Emit a marble that came into being at ``node.port``."""
+        self.created[marble.ident] = (node, phase, marble.mass)
         self.record(phase, node, port, marble)
-        return marble
+        self.emit(node, port, marble, phase)
 
     def place_arrivals(self, phase: int) -> None:
         batch = self.arrivals.pop(phase, ())
         placed: set[tuple[str, str]] = set()
         for node, port, marble in sorted(
                 batch, key=lambda item: (item[0], item[1], item[2].ident)):
-            kind = self.circuit.nodes[node].kind
-            if kind in _SINGLE_OCCUPANCY and (node, port) in placed:
-                raise SimulationError(
-                    f"two marbles reached {node}.{port} in phase {phase}")
-            placed.add((node, port))
+            kind = self.kinds[node]
+            if kind in _SINGLE_OCCUPANCY:
+                if (node, port) in placed:
+                    raise SimulationError(
+                        f"two marbles reached {node}.{port} in phase {phase}")
+                placed.add((node, port))
             self.record(phase, node, port, marble)
-            if kind in (NodeKind.JUNCTION, NodeKind.SYRINGE):
+            self.final[marble.ident] = (node, port)
+            if kind is NodeKind.JUNCTION or kind is NodeKind.SYRINGE:
                 expected = self.circuit.phases[node]
                 if phase != expected:
                     if self.config.strict_timing:
@@ -257,127 +291,97 @@ class _Run:
                 # phase later; sensed only when it arrived on schedule.
                 if phase == self.circuit.phases[node]:
                     self.syringe_sensed.add(node)
-                self.events.append(Event(phase + 1, node, "waste",
-                                         marble.ident, marble.mass))
+                self.record(phase + 1, node, "waste", marble)
                 self.final[marble.ident] = (node, "waste")
             elif kind is NodeKind.OUTPUT:
-                self.output_hits[node] += 1
-            elif kind is NodeKind.WASTE:
-                pass
-            else:
-                self.held.setdefault((node, port), []).append((phase, marble))
-                if (kind is NodeKind.JUNCTION
-                        and phase != self.circuit.phases[node]):
-                    self.extra_fire.setdefault(phase, set()).add(node)
+                self.output_hits.add(node)
+            elif kind is not NodeKind.WASTE:
+                self.held.setdefault(node, {}).setdefault(port, []).append(
+                    marble)
+                # A marble that arrives after its node's phase stays parked,
+                # and the run fails at its end.
+                if kind is NodeKind.JUNCTION:
+                    self.schedule(node, phase)
+                elif phase <= self.circuit.phases[node]:
+                    self.schedule(node, self.circuit.phases[node])
 
-    def take_held(self, node: str, port: str,
-                  arrived: int | None = None) -> list[Marble]:
-        entries = self.held.get((node, port), [])
-        if arrived is None:
-            taken = [marble for _, marble in entries]
-            kept: list[tuple[int, Marble]] = []
-        else:
-            taken = [marble for when, marble in entries if when == arrived]
-            kept = [(when, marble) for when, marble in entries
-                    if when != arrived]
-        if kept:
-            self.held[(node, port)] = kept
-        else:
-            self.held.pop((node, port), None)
+    def take(self, node: str, port: str) -> list[Marble]:
+        ports = self.held.get(node)
+        if ports is None:
+            return []
+        taken = ports.pop(port, [])
+        if not ports:
+            del self.held[node]
         return taken
 
     def fire(self, node: str, phase: int) -> None:
-        kind = self.circuit.nodes[node].kind
-        if kind is NodeKind.INPUT:
-            index = self.circuit.inputs.index(node)
-            if self.bits[index]:
-                marble = self.create(node, "out", Fraction(1), phase)
-                self.emit(node, "out", marble, phase)
-        elif kind is NodeKind.CONST:
-            marble = self.create(node, "out", Fraction(1), phase)
-            self.emit(node, "out", marble, phase)
+        kind = self.kinds[node]
+        if kind is NodeKind.INPUT or kind is NodeKind.CONST:
+            self.emit_new(node, "out", self.factory.fresh(_UNIT), phase)
         elif kind is NodeKind.JUNCTION:
             self.fire_junction(node, phase)
         elif kind is NodeKind.SCALPEL:
-            for marble in self.take_held(node, "in"):
-                half1, half2 = scalpel_split(marble, self.factory, node)
-                self.record(phase, node, "out1", half1)
-                self.record(phase, node, "out2", half2)
-                self.emit(node, "out1", half1, phase)
-                self.emit(node, "out2", half2, phase)
+            for marble in self.take(node, "in"):
+                half1, half2 = scalpel_split(marble, self.factory)
+                self.emit_new(node, "out1", half1, phase)
+                self.emit_new(node, "out2", half2, phase)
         elif kind is NodeKind.SYRINGE:
-            if sensor_syringe_fire(node in self.syringe_sensed):
-                marble = self.create(node, "out", Fraction(1), phase)
-                self.emit(node, "out", marble, phase)
+            if node not in self.syringe_sensed:
+                self.emit_new(node, "out", self.factory.fresh(_UNIT), phase)
         elif kind is NodeKind.TAP:
-            for marble in self.take_held(node, "in"):
-                forward, inject = tap_copy(True)
-                if forward:
-                    self.emit(node, "out", marble, phase)
-                if inject:
-                    copy = self.create(node, "copy", Fraction(1), phase)
-                    self.emit(node, "copy", copy, phase)
+            for marble in self.take(node, "in"):
+                self.emit(node, "out", marble, phase)
+                self.emit_new(node, "copy", self.factory.fresh(_UNIT), phase)
         elif kind is NodeKind.HOLD:
-            for marble in self.take_held(node, "in"):
+            for marble in self.take(node, "in"):
                 self.emit(node, "out", marble, phase)
         elif kind is NodeKind.JOIN:
-            ports = sorted(
-                (port for (n, port) in self.held if n == node),
-                key=lambda p: int(p[2:]))
-            for port in ports:
-                for marble in self.take_held(node, port):
+            ports = self.held.pop(node, {})
+            for port in sorted(ports, key=lambda p: int(p[2:])):
+                for marble in ports[port]:
                     self.emit(node, "out", marble, phase)
 
     def fire_junction(self, node: str, phase: int) -> None:
-        a_list = self.take_held(node, "A", arrived=phase)
-        b_list = self.take_held(node, "B", arrived=phase)
+        # A junction fires in the phase its marbles arrive, so what is
+        # parked there arrived now, at most one marble per port.
+        a_list = self.take(node, "A")
+        b_list = self.take(node, "B")
         a = a_list[0] if a_list else None
         b = b_list[0] if b_list else None
-        if a is None and b is None:
-            return
-        occupancy = junction_route(
-            a is not None, b is not None, self.config.mode,
-            a.mass if a is not None else Fraction(1),
-            b.mass if b is not None else Fraction(1))
-        for port, mass in occupancy.occupied():
+        for port, mass in junction_route(
+                a is not None, b is not None, self.config.mode,
+                a.mass if a is not None else _UNIT,
+                b.mass if b is not None else _UNIT):
             if port == "O3":
-                marble = self.create(node, "O3", mass, phase)
-            elif port in ("O2", "O5"):
-                marble = a
-            else:  # O1, O4 carry the right-hand marble
-                marble = b
-            assert marble is not None and marble.mass == mass
-            self.emit(node, port, marble, phase)
+                self.emit_new(node, port, self.factory.fresh(mass), phase)
+            else:
+                # O2 and O5 carry the left-hand marble, O1 and O4 the right.
+                marble = a if port in ("O2", "O5") else b
+                assert marble is not None and marble.mass == mass
+                self.emit(node, port, marble, phase)
 
-    def run(self) -> tuple[tuple[int, ...], Trace]:
-        static_fire: dict[int, list[str]] = {}
-        for name, node in self.circuit.nodes.items():
-            if node.kind not in _SINKS:
-                static_fire.setdefault(self.circuit.phases[name],
-                                       []).append(name)
+    def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:
         last_phase = self.circuit.max_phase + 2
         for phase in range(last_phase + 1):
             self.place_arrivals(phase)
-            to_fire = set(static_fire.get(phase, ()))
-            to_fire.update(self.extra_fire.pop(phase, ()))
-            for node in sorted(to_fire):
+            for node in sorted(self.agenda.pop(phase, ())):
                 self.fire(node, phase)
         if self.arrivals:
             raise SimulationError("marbles still in flight after the final "
                                   "phase")
         if self.held:
             parked = ", ".join(f"{node}.{port}"
-                               for node, port in sorted(self.held))
+                               for node, ports in sorted(self.held.items())
+                               for port in sorted(ports))
             raise SimulationError("marbles still parked after the final "
                                   f"phase at {parked}")
-        outputs = tuple(1 if self.output_hits[name] else 0
+        outputs = tuple(1 if name in self.output_hits else 0
                         for name in self.circuit.outputs)
-        kinds = {name: node.kind
-                 for name, node in self.circuit.nodes.items()}
-        trace = Trace(tuple(sorted(self.events, key=Event.sort_key)),
-                      dict(sorted(self.final.items())),
-                      tuple(self.hazards), kinds)
-        return outputs, trace
+        events = (() if self.events is None
+                  else tuple(sorted(self.events, key=Event.sort_key)))
+        trace = Trace(events, dict(sorted(self.final.items())),
+                      tuple(self.hazards), self.kinds)
+        return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 
 def simulate(circuit: Circuit, bits: tuple[int, ...],
@@ -393,9 +397,4 @@ def simulate(circuit: Circuit, bits: tuple[int, ...],
                          f"{len(circuit.inputs)} input bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"inputs must be bits, got {bits!r}")
-    outputs, trace = _Run(circuit, tuple(bits), config).run()
-    ledger = run_ledger(trace)
-    if not config.trace_enabled:
-        trace = Trace((), trace.final_locations, trace.hazards,
-                      trace.node_kinds)
-    return outputs, trace, ledger
+    return _Run(circuit, tuple(bits), config).run()

@@ -1,7 +1,8 @@
-"""Deterministic random compositions of library gates for equivalence and
-conservation checks.  Every wire is used exactly once: gate outputs either
-feed a later gate or become circuit outputs, so the composed netlists are
-always well-formed."""
+"""Deterministic random netlists for equivalence and conservation checks:
+compositions of library gates, and netlists of primitive nodes.  Every wire
+is used exactly once: an output port either feeds a later gate or node or
+becomes a circuit output (primitive netlists may also send it to a waste
+node), so the generated netlists are always well-formed."""
 
 from __future__ import annotations
 
@@ -59,11 +60,82 @@ def ripple_adder_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Input and output ports of each primitive kind; a join may take a third
+# input.
+PRIMITIVE_PORTS = {
+    "junction": (("A", "B"), ("O1", "O2", "O3", "O4", "O5")),
+    "join": (("in1", "in2"), ("out",)),
+    "tap": (("in",), ("out", "copy")),
+    "sensor_syringe": (("in",), ("out",)),
+    "scalpel": (("in",), ("out1", "out2")),
+    "hold": (("in",), ("out",)),
+    "const1": ((), ("out",)),
+}
+MAX_PRIMITIVES = 10
+MAX_OUTPUTS = 4
+
+
+def primitive_source(seed: int) -> str:
+    """A random well-formed netlist of primitive nodes: 1-8 inputs and up
+    to MAX_PRIMITIVES junctions, joins, taps, syringes, scalpels, holds and
+    consts.  Joins can bring two marbles onto one channel in one phase, and
+    junction feeds can differ in depth, so runs may fail with contention or
+    show timing hazards unless elaboration inserts holds."""
+    rng = random.Random(seed)
+    inputs = [f"i{k}" for k in range(rng.randint(1, 8))]
+    signals = list(inputs)  # out endpoints not yet wired
+    decls: list[str] = []
+    connects: list[str] = []
+
+    def offer(endpoint: str) -> None:
+        if rng.random() < 0.75:
+            signals.append(endpoint)
+        else:
+            connects.append(f"connect {endpoint} -> W.in")
+
+    for number in range(rng.randint(1, MAX_PRIMITIVES)):
+        kind = rng.choice([kind for kind, (ins, _) in PRIMITIVE_PORTS.items()
+                           if len(ins) <= len(signals)])
+        in_ports, out_ports = PRIMITIVE_PORTS[kind]
+        if kind == "join" and len(signals) > 2 and rng.random() < 0.5:
+            in_ports += ("in3",)
+        name = f"N{number}"
+        spec = f"hold({rng.randint(1, 3)})" if kind == "hold" else kind
+        decls.append(f"node {name} : {spec}")
+        for port in in_ports:
+            signal = signals.pop(rng.randrange(len(signals)))
+            connects.append(f"connect {signal} -> {name}.{port}")
+        for port in out_ports:
+            offer(f"{name}.{port}")
+
+    if not signals:
+        decls.append("node K : const1")
+        signals.append("K.out")
+    rng.shuffle(signals)
+    outputs = [f"o{k}" for k in range(min(len(signals), MAX_OUTPUTS))]
+    connects.extend(f"connect {signal} -> {sink}"
+                    for signal, sink in zip(signals, outputs))
+    connects.extend(f"connect {signal} -> W.in"
+                    for signal in signals[len(outputs):])
+    if any(line.endswith(" -> W.in") for line in connects):
+        decls.append("node W : waste")
+    lines = [f"circuit prim_{seed}",
+             f"input {', '.join(inputs)}",
+             f"output {', '.join(outputs)}"]
+    return "\n".join(lines + decls + connects) + "\n"
+
+
 def compose_circuit(seed: int) -> Circuit:
     return elaborate(parse(compose_source(seed)))
 
 
-def input_vectors(circuit: Circuit) -> list[tuple[int, ...]]:
+def input_vectors(circuit: Circuit, limit: int | None = None,
+                  seed: int = 0) -> list[tuple[int, ...]]:
+    """Every input vector, first input most significant; with ``limit``, a
+    seeded sample of that many when there are more."""
     n = len(circuit.inputs)
+    values = range(2 ** n)
+    if limit is not None and len(values) > limit:
+        values = sorted(random.Random(seed).sample(values, limit))
     return [tuple((value >> (n - 1 - k)) & 1 for k in range(n))
-            for value in range(2 ** n)]
+            for value in values]

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import composer
 from marblesim import (Circuit, CircuitAst, Diagnostic, ElaborationError,
-                       GateMacro, NodeKind, ParseError, circuit_to_ast,
-                       elaborate, get_macro, library, parse, print_canonical,
-                       validate)
+                       GateMacro, NodeDecl, NodeKind, ParseError,
+                       circuit_to_ast, elaborate, get_macro, library, parse,
+                       print_canonical, validate)
 
 
 def sample_asts():
@@ -219,6 +219,30 @@ class TestValidate:
                   "connect c -> M.in2\nconnect M.out -> y\n")
         assert validate(parse(source)) == [
             Diagnostic("error", "multiple channels into M.in1", 4)]
+
+    def test_duplicate_declarations_are_reported(self):
+        # Built in code, so parse's own duplicate check never sees them.
+        hold = parse("circuit c\ninput a\noutput y\nnode H : hold(1)\n"
+                     "connect a -> H.in\nconnect H.out -> y\n")
+        twice = CircuitAst(hold.name, hold.inputs, hold.outputs,
+                           (NodeDecl("H", NodeKind.HOLD, 1),
+                            NodeDecl("H", NodeKind.HOLD, 3)),
+                           (), hold.channels)
+        assert validate(twice) == [Diagnostic(
+            "error", "duplicate name 'H' (already declared as node)")]
+        with pytest.raises(ElaborationError, match="duplicate name 'H'"):
+            elaborate(twice)
+        clash = CircuitAst(hold.name, hold.inputs, hold.outputs,
+                           hold.nodes + (NodeDecl("a", NodeKind.HOLD, 2, 9),),
+                           (), hold.channels)
+        assert validate(clash) == [Diagnostic(
+            "error", "duplicate name 'a' (already declared as input)", 9)]
+        relined = CircuitAst(hold.name, hold.inputs, hold.outputs,
+                             hold.nodes + (NodeDecl("H", NodeKind.HOLD, 3, 7),),
+                             (), hold.channels)
+        assert validate(relined) == [Diagnostic(
+            "error", "duplicate name 'H' (already declared as node on line 4)",
+            7)]
 
     def test_diagnostics_ignore_declaration_order(self):
         sources = [self.CYCLE,

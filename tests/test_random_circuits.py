@@ -1,12 +1,17 @@
 """Randomized gate compositions: both collision modes must compute the same
-Boolean function, and mass must balance exactly in every run.  Seeds are
-fixed so failures replay."""
+Boolean function, and mass must balance exactly in every run.  Randomized
+primitive netlists: a run either fails with a simulation error or balances,
+and the untraced run agrees with the traced one.  Seeds are fixed so
+failures replay."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composer
-from marblesim import CollisionMode, SimConfig, simulate, validate, parse
+from marblesim import (CollisionMode, SimConfig, SimulationError,
+                       TimingViolationError, elaborate, parse, run_ledger,
+                       simulate, validate)
 
 BOUNCE = SimConfig(mode=CollisionMode.BOUNCE, trace_enabled=False)
 MERGE = SimConfig(mode=CollisionMode.MERGE, trace_enabled=False)
@@ -42,3 +47,34 @@ def test_any_seed_conserves_mass(seed):
             assert ledger.balanced
             assert (ledger.input_mass + ledger.injected_mass
                     == ledger.output_mass + ledger.waste_mass)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_primitive_netlists_run_alike_traced_and_untraced(seed):
+    ast = parse(composer.primitive_source(seed))
+    assert validate(ast) == []
+    for insert_holds in (True, False):
+        circuit = elaborate(ast, insert_holds=insert_holds)
+        for bits in composer.input_vectors(circuit, limit=64, seed=seed):
+            for mode in CollisionMode:
+                for strict in (False, True):
+                    traced = SimConfig(mode, strict)
+                    untraced = SimConfig(mode, strict, trace_enabled=False)
+                    try:
+                        outputs, trace, ledger = simulate(circuit, bits,
+                                                          traced)
+                    except (SimulationError, TimingViolationError) as exc:
+                        with pytest.raises(type(exc)) as again:
+                            simulate(circuit, bits, untraced)
+                        assert type(again.value) is type(exc)
+                        assert str(again.value) == str(exc)
+                        continue
+                    assert run_ledger(trace) == ledger
+                    assert ledger.balanced
+                    u_outputs, u_trace, u_ledger = simulate(circuit, bits,
+                                                            untraced)
+                    assert u_trace.events == ()
+                    assert (u_outputs, u_trace.final_locations,
+                            u_trace.hazards, u_ledger) == (
+                        outputs, trace.final_locations, trace.hazards,
+                        ledger)

@@ -6,6 +6,7 @@ from marblesim import (Channel, Circuit, CollisionMode, Node, NodeKind,
                        SimConfig, SimulationError, TimingViolationError,
                        elaborate, format_trace, get_macro, library, parse,
                        run_ledger, simulate)
+from marblesim import sim
 
 BOUNCE = SimConfig(mode=CollisionMode.BOUNCE)
 MERGE = SimConfig(mode=CollisionMode.MERGE)
@@ -236,14 +237,26 @@ class TestTraceContract:
         outputs, _, _ = simulate(circuit, (1, 1, 0), BOUNCE)
         assert outputs == (1, 1, 0)
 
-    def test_trace_can_be_disabled(self):
-        circuit = circuit_for("AND")
-        config = SimConfig(mode=CollisionMode.MERGE, trace_enabled=False)
-        outputs, trace, ledger = simulate(circuit, (1, 1), config)
-        assert outputs == (1,)
-        assert trace.events == ()
-        assert trace.final_locations
-        assert ledger.output_marbles == 1
+    def test_trace_can_be_disabled(self, monkeypatch):
+        runs = [(circuit_for(macro.name), bits, mode)
+                for macro in library() for mode in CollisionMode
+                for bits in all_vectors(len(macro.inputs))]
+        traced = [simulate(circuit, bits, SimConfig(mode=mode))
+                  for circuit, bits, mode in runs]
+
+        class NoEvent(sim.Event):
+            def __init__(self, *args):
+                raise AssertionError("an untraced run built an Event")
+
+        monkeypatch.setattr(sim, "Event", NoEvent)
+        for (circuit, bits, mode), (outputs, trace, ledger) in zip(runs,
+                                                                   traced):
+            config = SimConfig(mode=mode, trace_enabled=False)
+            u_outputs, u_trace, u_ledger = simulate(circuit, bits, config)
+            assert u_trace.events == ()
+            assert (u_outputs, u_trace.final_locations, u_trace.hazards,
+                    u_ledger) == (outputs, trace.final_locations,
+                                  trace.hazards, ledger)
 
     def test_format_trace_is_stable(self, fixtures):
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
