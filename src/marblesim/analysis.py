@@ -134,7 +134,7 @@ def verify_gate(name: str) -> GateReport:
         tables.append(table)
         table_ok.append(all(boolean_spec(name, bits) == outputs
                             for bits, outputs in table.rows))
-        config = SimConfig(mode=mode)
+        config = SimConfig(mode=mode, trace_enabled=False)
         physical.append(all(
             physically_conservative(simulate(circuit, bits, config)[2])
             for bits, _ in table.rows))

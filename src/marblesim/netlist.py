@@ -20,10 +20,11 @@ sensor_syringes and holds in/out; joins in1..inN/out; waste a single n-ary
 in.  Every declared port must be wired: non-sink output ports carry exactly
 one channel, input ports receive exactly one (waste accepts any number).
 
-Elaboration inlines gate macros to a fixed point, assigns each node a firing
-phase by longest-path levelization from the inputs, and repairs junctions
-whose two feed paths differ in depth by inserting a hold on the shallower
-side so both marbles reach the junction on the same phase.
+Elaboration validates and flattens each macro body once, inlines it at
+every instance, assigns each node a firing phase by longest-path
+levelization from the inputs, and repairs junctions whose two feed paths
+differ in depth by inserting a hold on the shallower side so both marbles
+reach the junction on the same phase.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ _KIND_KEYWORDS = {
     "join": NodeKind.JOIN,
     "waste": NodeKind.WASTE,
 }
-
-_MACRO_EXPANSION_LIMIT = 32
-
 
 class ParseError(MarblesimError):
     """Netlist text that does not parse; carries the source position."""
@@ -437,10 +435,12 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
         if gd.macro not in lib:
             err(f"unknown gate macro {gd.macro!r}", gd.line)
 
-    def gate_ports(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    def gate_ports(name: str) -> tuple[tuple[str, ...], ...] | None:
+        """A gate instance's (inputs, outputs); None if its macro is
+        unknown."""
         macro = lib.get(gate_decls[name].macro)
         if macro is None:
-            return (), ()
+            return None
         return tuple(macro.inputs), tuple(macro.outputs)
 
     out_use: dict[tuple[str, str], int] = {}
@@ -470,10 +470,11 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                     f"({kind.value} outputs: "
                     f"{', '.join(OUT_PORTS[kind]) or 'none'})", ch.line)
         elif src_cat == "gate":
-            _, gouts = gate_ports(ch.src)
-            if gouts and ch.src_port not in gouts:
+            ports = gate_ports(ch.src)
+            if ports is not None and ch.src_port not in ports[1]:
                 err(f"unknown port {ch.src}.{ch.src_port} "
-                    f"(macro outputs: {', '.join(gouts)})", ch.line)
+                    f"(macro outputs: {', '.join(ports[1]) or 'none'})",
+                    ch.line)
         out_use[(ch.src, ch.src_port)] = out_use.get(
             (ch.src, ch.src_port), 0) + 1
 
@@ -491,10 +492,11 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                     f"({kind.value} inputs: "
                     f"{', '.join(IN_PORTS[kind]) or 'none'})", ch.line)
         elif dst_cat == "gate":
-            gins, _ = gate_ports(ch.dst)
-            if gins and ch.dst_port not in gins:
+            ports = gate_ports(ch.dst)
+            if ports is not None and ch.dst_port not in ports[0]:
                 err(f"unknown port {ch.dst}.{ch.dst_port} "
-                    f"(macro inputs: {', '.join(gins)})", ch.line)
+                    f"(macro inputs: {', '.join(ports[0]) or 'none'})",
+                    ch.line)
         in_use[(ch.dst, ch.dst_port)] = in_use.get(
             (ch.dst, ch.dst_port), 0) + 1
 
@@ -556,7 +558,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                 need_in(nd.name, port, nd.line)
 
     for gd in gate_decls.values():
-        gins, gouts = gate_ports(gd.name)
+        gins, gouts = gate_ports(gd.name) or ((), ())
         for port in gins:
             need_in(gd.name, port, gd.line)
         for port in gouts:
@@ -573,91 +575,83 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     return diags
 
 
-def _expand_once(ast: CircuitAst, lib: dict) -> CircuitAst:
-    """Inline every gate instance one level; inner gates survive renamed."""
-    nodes: list[NodeDecl] = list(ast.nodes)
-    next_gates: list[GateDecl] = []
-    instance_names = {gd.name for gd in ast.gates}
+def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, CircuitAst],
+             active: list[str]) -> CircuitAst:
+    """Inline every gate instance of a validated ``ast``.
+
+    The first use of a macro validates its expansion, checks the macro's
+    ports against it and flattens it into ``bodies``; every instance then
+    stamps that flat body under its ``instance.`` prefix.  ``active`` is
+    the chain of macros being flattened, so a macro that reaches itself is
+    reported by its chain.
+    """
+    instances = {gd.name for gd in ast.gates}
     # Inlined names are ``instance.name``; a netlist may declare dotted
     # nodes too, so every inlined name is checked against all names.
-    taken = {*ast.inputs, *ast.outputs, *instance_names,
+    taken = {*ast.inputs, *ast.outputs, *instances,
              *(nd.name for nd in ast.nodes)}
-
-    def inline(gd: GateDecl, name: str) -> str:
-        full = gd.name + "." + name
-        if full in taken:
-            raise ElaborationError(
-                f"inlining gate {gd.name} ({gd.macro}) declares {full!r} "
-                "twice")
-        taken.add(full)
-        return full
-
-    Real = tuple[str, str]
-    # Pseudo endpoints are instance boundary ports awaiting splicing.
-    pseudo_out: dict[Real, tuple] = {}
-    work: list[tuple[tuple, tuple, int]] = []  # (src_key, dst_key, line)
-
-    def top_key(name: str, port: str) -> tuple:
-        if name in instance_names:
-            return ("P", name, port)
-        return ("R", name, port)
-
-    for ch in ast.channels:
-        work.append((top_key(ch.src, ch.src_port),
-                     top_key(ch.dst, ch.dst_port), ch.line))
-
+    nodes = list(ast.nodes)
+    # An endpoint named after an instance is one of its boundary ports.
+    channels = list(ast.channels)
     for gd in ast.gates:
-        macro = lib[gd.macro]
-        mast: CircuitAst = macro.expansion
+        body = bodies.get(gd.macro)
+        if body is None:
+            if gd.macro in active:
+                chain = active[active.index(gd.macro):] + [gd.macro]
+                raise ElaborationError("recursive macro expansion: "
+                                       + " -> ".join(chain))
+            macro = lib[gd.macro]
+            expansion = macro.expansion
+            diags = [d for d in validate(expansion, lib)
+                     if d.severity == "error"]
+            if diags:
+                raise ElaborationError(f"invalid macro {gd.macro}",
+                                       tuple(diags))
+            if ((tuple(macro.inputs), tuple(macro.outputs))
+                    != (tuple(expansion.inputs), tuple(expansion.outputs))):
+                raise ElaborationError(
+                    f"invalid macro {gd.macro}: its ports "
+                    f"({', '.join(macro.inputs)}) -> "
+                    f"({', '.join(macro.outputs)}) differ from its "
+                    f"expansion's ({', '.join(expansion.inputs)}) -> "
+                    f"({', '.join(expansion.outputs)})")
+            active.append(gd.macro)
+            body = bodies[gd.macro] = _flatten(expansion, lib, bodies, active)
+            active.pop()
         prefix = gd.name + "."
-        inner_inputs = set(mast.inputs)
-        inner_outputs = set(mast.outputs)
-        for nd in mast.nodes:
-            nodes.append(NodeDecl(inline(gd, nd.name), nd.kind,
-                                  nd.hold_phases, gd.line))
-        for igd in mast.gates:
-            next_gates.append(GateDecl(inline(gd, igd.name), igd.macro,
-                                       gd.line))
-
-        def inner_key(name: str, port: str, gd=gd, prefix=prefix,
-                      inner_inputs=inner_inputs,
-                      inner_outputs=inner_outputs) -> tuple:
-            if name in inner_inputs or name in inner_outputs:
-                return ("P", gd.name, name)
-            return ("R", prefix + name, port)
-
-        for ch in mast.channels:
-            work.append((inner_key(ch.src, ch.src_port),
-                         inner_key(ch.dst, ch.dst_port), gd.line))
-
-    for src_key, dst_key, line in work:
-        if src_key[0] == "P":
-            if src_key in pseudo_out:
+        for nd in body.nodes:
+            full = prefix + nd.name
+            if full in taken:
+                where = f"invalid macro {active[-1]}: " if active else ""
                 raise ElaborationError(
-                    f"instance port {src_key[1]}.{src_key[2]} drives "
-                    "multiple channels")
-            pseudo_out[src_key] = (dst_key, line)
+                    f"{where}inlining gate {gd.name} ({gd.macro}) declares "
+                    f"{full!r} twice")
+            taken.add(full)
+            nodes.append(NodeDecl(full, nd.kind, nd.hold_phases, gd.line))
+        ports = {*body.inputs, *body.outputs}
+        for ch in body.channels:
+            src, src_port = ((gd.name, ch.src) if ch.src in ports
+                             else (prefix + ch.src, ch.src_port))
+            dst, dst_port = ((gd.name, ch.dst) if ch.dst in ports
+                             else (prefix + ch.dst, ch.dst_port))
+            channels.append(Channel(src, src_port, dst, dst_port, gd.line))
 
-    channels: list[Channel] = []
-    for src_key, dst_key, line in work:
-        if src_key[0] != "R":
+    # Validation wired every boundary port exactly once on each side, so a
+    # channel into one continues along the single channel leaving it.
+    onward = {(ch.src, ch.src_port): ch for ch in channels
+              if ch.src in instances}
+    flat: list[Channel] = []
+    for ch in channels:
+        if ch.src in instances:
             continue
-        seen: set[tuple] = set()
-        while dst_key[0] == "P":
-            if dst_key in seen:
-                raise ElaborationError(
-                    f"cycle through instance port {dst_key[1]}.{dst_key[2]}")
-            seen.add(dst_key)
-            nxt = pseudo_out.get(dst_key)
-            if nxt is None:
-                raise ElaborationError(
-                    f"dangling instance port {dst_key[1]}.{dst_key[2]}")
-            dst_key = nxt[0]
-        channels.append(Channel(src_key[1], src_key[2],
-                                dst_key[1], dst_key[2], line))
-
-    return CircuitAst(ast.name, ast.inputs, ast.outputs, tuple(nodes),
-                      tuple(next_gates), tuple(channels))
+        end = ch
+        while end.dst in instances:
+            end = onward[(end.dst, end.dst_port)]
+        flat.append(ch if end is ch else
+                    Channel(ch.src, ch.src_port, end.dst, end.dst_port,
+                            ch.line))
+    return CircuitAst(ast.name, ast.inputs, ast.outputs, tuple(nodes), (),
+                      tuple(flat))
 
 
 def _toposort(names: Iterable[str],
@@ -769,19 +763,8 @@ def elaborate(ast: CircuitAst, library: dict | None = None, *,
     diags = [d for d in validate(ast, lib) if d.severity == "error"]
     if diags:
         raise ElaborationError("invalid netlist", tuple(diags))
-    flat = ast
-    for _ in range(_MACRO_EXPANSION_LIMIT):
-        if not flat.gates:
-            break
-        flat = _expand_once(flat, lib)
-    else:
-        raise ElaborationError("macro expansion did not converge "
-                               f"after {_MACRO_EXPANSION_LIMIT} rounds")
-    diags = [d for d in validate(flat, {}) if d.severity == "error"]
-    if diags:
-        raise ElaborationError("elaboration produced an invalid circuit",
-                               tuple(diags))
-    return _levelize(flat, strict=strict, insert_holds=insert_holds)
+    return _levelize(_flatten(ast, lib, {}, []), strict=strict,
+                     insert_holds=insert_holds)
 
 
 def circuit_to_ast(circuit: Circuit) -> CircuitAst:

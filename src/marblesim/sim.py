@@ -94,23 +94,19 @@ class Hazard:
 class Trace:
     """Ordered event list plus where every marble ended up.
 
-    The event list is empty when the run was not traced.
+    The event list is empty when the run was not traced; the rest is kept
+    either way.
     """
 
     events: tuple[Event, ...]
     final_locations: dict[int, tuple[str, str]]
     hazards: tuple[Hazard, ...]
     node_kinds: dict[str, NodeKind]
+    met: tuple[tuple[int, str], ...]
 
     def collisions(self) -> tuple[tuple[int, str], ...]:
         """(phase, junction) pairs where two marbles actually met."""
-        seen: dict[tuple[int, str], set[str]] = {}
-        for ev in self.events:
-            if (self.node_kinds.get(ev.node) is NodeKind.JUNCTION
-                    and ev.port in ("A", "B")):
-                seen.setdefault((ev.phase, ev.node), set()).add(ev.port)
-        return tuple(sorted(key for key, ports in seen.items()
-                            if ports == {"A", "B"}))
+        return tuple(sorted(self.met))
 
 
 @dataclass(frozen=True)
@@ -225,6 +221,7 @@ class _Run:
         self.created: _Origins = {}
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
+        self.met: list[tuple[int, str]] = []
         # node -> port -> marbles parked there, in arrival order
         self.held: dict[str, dict[str, list[Marble]]] = {}
         # phase -> marbles reaching a port then, as (node, port, marble)
@@ -348,6 +345,8 @@ class _Run:
         b_list = self.take(node, "B")
         a = a_list[0] if a_list else None
         b = b_list[0] if b_list else None
+        if a is not None and b is not None:
+            self.met.append((phase, node))
         for port, mass in junction_route(
                 a is not None, b is not None, self.config.mode,
                 a.mass if a is not None else _UNIT,
@@ -380,7 +379,7 @@ class _Run:
         events = (() if self.events is None
                   else tuple(sorted(self.events, key=Event.sort_key)))
         trace = Trace(events, dict(sorted(self.final.items())),
-                      tuple(self.hazards), self.kinds)
+                      tuple(self.hazards), self.kinds, tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 

@@ -9,6 +9,7 @@ from marblesim import (Circuit, CircuitAst, Diagnostic, ElaborationError,
                        GateMacro, NodeDecl, NodeKind, ParseError,
                        circuit_to_ast, elaborate, get_macro, library, parse,
                        print_canonical, validate)
+from marblesim.gates import library_map
 
 
 def sample_asts():
@@ -18,6 +19,13 @@ def sample_asts():
     asts += [parse(composer.compose_source(seed)) for seed in range(40)]
     asts += [parse(composer.ripple_adder_source(n)) for n in (4, 16)]
     return asts
+
+
+def user_macro(name, source):
+    """A library entry for a netlist written as a macro body."""
+    ast = parse(source)
+    return GateMacro(name, ast.inputs, ast.outputs, ast, lambda bits: bits,
+                     False, False)
 
 
 def shuffled(ast, seed):
@@ -199,6 +207,29 @@ class TestValidate:
                    "connect a -> S.mouth\nconnect S.out1 -> y\n"
                    "connect S.out2 -> y\n", "unknown port S.mouth")
 
+    def test_unknown_port_on_macro_without_inputs_or_outputs(self):
+        lib = {"ONE": user_macro("ONE", "circuit one\noutput y\n"
+                                        "node C : const1\n"
+                                        "connect C.out -> y\n"),
+               "DROP": user_macro("DROP", "circuit drop\ninput a\n"
+                                          "node W : waste\n"
+                                          "connect a -> W.in\n")}
+        ast = parse("circuit c\ninput x\noutput y, z\n"
+                    "gate G : ONE\ngate D : DROP\n"
+                    "connect x -> G.bogus\nconnect G.y -> y\n"
+                    "connect D.bogus -> z\n")
+        assert validate(ast, lib) == [
+            Diagnostic("error", "unknown port G.bogus (macro inputs: none)",
+                       6),
+            Diagnostic("error", "unknown port D.bogus (macro outputs: none)",
+                       8),
+            Diagnostic("error", "unconnected port D.a", 5)]
+        # An unknown macro is one error, not one per port it is wired by.
+        unknown = parse("circuit c\ninput a\noutput y\ngate G : NOPE\n"
+                        "connect a -> G.a\nconnect G.y -> y\n")
+        assert validate(unknown, lib) == [
+            Diagnostic("error", "unknown gate macro 'NOPE'", 4)]
+
     CYCLE = ("circuit c\ninput a\noutput y\n"
              "node M : join\nnode T : tap\n"
              "connect a -> M.in1\nconnect M.out -> T.in\n"
@@ -364,6 +395,65 @@ class TestElaborate:
         with pytest.raises(ElaborationError) as err:
             elaborate(user, library={"LOOP": loop})
         assert "expansion" in str(err.value)
+
+    def test_mutual_recursion_is_reported_with_its_chain(self):
+        lib = {"PA": user_macro("PA", "circuit pa\ninput a\noutput y\n"
+                                      "gate B : PB\nconnect a -> B.a\n"
+                                      "connect B.y -> y\n"),
+               "PB": user_macro("PB", "circuit pb\ninput a\noutput y\n"
+                                      "gate A : PA\nconnect a -> A.a\n"
+                                      "connect A.y -> y\n")}
+        user = parse("circuit c\ninput a\noutput y\ngate G : PA\n"
+                     "connect a -> G.a\nconnect G.y -> y\n")
+        with pytest.raises(ElaborationError,
+                           match="recursive macro expansion: PA -> PB -> PA"):
+            elaborate(user, library=lib)
+
+    def test_invalid_macro_body_names_macro_and_port(self):
+        lib = {"BAD": user_macro("BAD", "circuit bad\ninput a\noutput y\n"
+                                        "node T : tap\nnode H : hold(1)\n"
+                                        "connect a -> T.in\n"
+                                        "connect T.out -> H.in\n"
+                                        "connect T.copy -> y\n")}
+        user = parse("circuit c\ninput a\noutput y\ngate G : BAD\n"
+                     "connect a -> G.a\nconnect G.y -> y\n")
+        assert validate(user, lib) == []
+        with pytest.raises(ElaborationError) as err:
+            elaborate(user, library=lib)
+        assert str(err.value) == ("invalid macro BAD: unconnected port H.out")
+
+    def test_macro_ports_must_match_its_expansion(self):
+        body = parse("circuit h\ninput a\noutput y\nnode H : hold(1)\n"
+                     "connect a -> H.in\nconnect H.out -> y\n")
+        lib = {"HB": GateMacro("HB", ("b",), ("y",), body, lambda bits: bits,
+                               False, False)}
+        user = parse("circuit c\ninput a\noutput y\ngate G : HB\n"
+                     "connect a -> G.b\nconnect G.y -> y\n")
+        assert validate(user, lib) == []
+        with pytest.raises(ElaborationError) as err:
+            elaborate(user, library=lib)
+        assert str(err.value) == ("invalid macro HB: its ports (b) -> (y) "
+                                  "differ from its expansion's (a) -> (y)")
+
+    def test_pass_through_macros_splice_across_instances(self):
+        lib = dict(library_map())
+        lib["PASS"] = user_macro("PASS", "circuit pass\ninput a\noutput y\n"
+                                         "connect a -> y\n")
+        lib["PASS2"] = user_macro("PASS2", "circuit pass2\ninput a\n"
+                                           "output y\ngate P : PASS\n"
+                                           "gate Q : PASS\n"
+                                           "connect a -> P.a\n"
+                                           "connect P.y -> Q.a\n"
+                                           "connect Q.y -> y\n")
+        chained = parse("circuit c\ninput a, b\noutput y\n"
+                        "gate P1 : PASS\ngate P2 : PASS2\ngate X : XOR\n"
+                        "connect a -> P1.a\nconnect P1.y -> P2.a\n"
+                        "connect P2.y -> X.a\nconnect b -> X.b\n"
+                        "connect X.y -> y\n")
+        direct = parse("circuit c\ninput a, b\noutput y\ngate X : XOR\n"
+                       "connect a -> X.a\nconnect b -> X.b\n"
+                       "connect X.y -> y\n")
+        assert elaborate(chained, library=lib) == elaborate(direct)
 
     def test_every_library_macro_elaborates_clean(self):
         from marblesim import timing_lint

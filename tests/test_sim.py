@@ -255,8 +255,9 @@ class TestTraceContract:
             u_outputs, u_trace, u_ledger = simulate(circuit, bits, config)
             assert u_trace.events == ()
             assert (u_outputs, u_trace.final_locations, u_trace.hazards,
-                    u_ledger) == (outputs, trace.final_locations,
-                                  trace.hazards, ledger)
+                    u_trace.collisions(), u_ledger) == (
+                        outputs, trace.final_locations, trace.hazards,
+                        trace.collisions(), ledger)
 
     def test_format_trace_is_stable(self, fixtures):
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
