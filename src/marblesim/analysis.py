@@ -11,9 +11,10 @@ marbles left as entered (const sources count as entering).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .gates import GateMacro, boolean_spec, get_macro
+from .gates import boolean_spec, get_macro
 from .netlist import Circuit, Diagnostic, elaborate
 from .physics import CollisionMode
 from .primitives import NodeKind
@@ -49,22 +50,29 @@ class TruthTable:
         return dict(self.rows)
 
 
-def truth_table(circuit: Circuit, mode: CollisionMode,
-                max_inputs: int = 16) -> TruthTable:
-    """Simulate every input vector, counting up with the first input as
-    the most significant bit."""
+def _runs(circuit: Circuit, mode: CollisionMode, max_inputs: int = 16
+          ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Ledger]]:
+    """Simulate every input vector untraced, counting up with the first
+    input as the most significant bit; yield its bits, outputs and
+    ledger."""
     n = len(circuit.inputs)
     if n > max_inputs:
         raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
                          f"refusing to enumerate more than {max_inputs}")
     config = SimConfig(mode=mode, trace_enabled=False)
-    rows = []
     for value in range(2 ** n):
         bits = tuple((value >> (n - 1 - k)) & 1 for k in range(n))
-        outputs, _, _ = simulate(circuit, bits, config)
-        rows.append((bits, outputs))
+        outputs, _, ledger = simulate(circuit, bits, config)
+        yield bits, outputs, ledger
+
+
+def truth_table(circuit: Circuit, mode: CollisionMode,
+                max_inputs: int = 16) -> TruthTable:
+    """Simulate every input vector, counting up with the first input as
+    the most significant bit."""
+    runs = _runs(circuit, mode, max_inputs)
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
-                      tuple(rows))
+                      tuple(run[:2] for run in runs))
 
 
 def check_reversible(table: TruthTable) -> bool:
@@ -118,26 +126,22 @@ class GateReport:
         return all(self.table_ok) and self.modes_agree and self.claims_ok
 
 
-def _macro_circuit(macro: GateMacro) -> Circuit:
-    return elaborate(macro.expansion)
-
-
 def verify_gate(name: str) -> GateReport:
     """Check one library gate in both collision modes."""
     macro = get_macro(name)
-    circuit = _macro_circuit(macro)
+    circuit = elaborate(macro.expansion)
     tables = []
     table_ok = []
     physical = []
     for mode in _MODES:
-        table = truth_table(circuit, mode)
+        runs = list(_runs(circuit, mode))
+        table = TruthTable(circuit.name, mode, circuit.inputs,
+                           circuit.outputs, tuple(run[:2] for run in runs))
         tables.append(table)
         table_ok.append(all(boolean_spec(name, bits) == outputs
                             for bits, outputs in table.rows))
-        config = SimConfig(mode=mode, trace_enabled=False)
-        physical.append(all(
-            physically_conservative(simulate(circuit, bits, config)[2])
-            for bits, _ in table.rows))
+        physical.append(all(physically_conservative(ledger)
+                            for _, _, ledger in runs))
     modes_agree = tables[0].rows == tables[1].rows
     return GateReport(
         name=name,
@@ -159,26 +163,22 @@ def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
     insert on that channel.
     """
     diagnostics = []
-    for name in sorted(circuit.nodes):
-        node = circuit.nodes[name]
-        if node.kind is not NodeKind.JUNCTION:
-            continue
-        fire = circuit.phases[name]
-        for port in ("A", "B"):
-            channels = circuit.channels_into(name, port)
-            if not channels:
-                continue
-            (channel,) = channels
-            arrival = circuit.phases[channel.src] + 1
-            if arrival != fire:
-                lag = fire - arrival
-                diagnostics.append(Diagnostic(
-                    "error",
-                    f"junction {name} fires at phase {fire} but input "
-                    f"{channel.dst_port} arrives at phase {arrival}; "
-                    f"insert hold({lag}) on {channel.src}.{channel.src_port}"
-                    f" -> {name}.{channel.dst_port}",
-                    channel.line or None))
+    into_junctions = sorted(
+        (ch for ch in circuit.channels
+         if circuit.nodes[ch.dst].kind is NodeKind.JUNCTION),
+        key=lambda ch: (ch.dst, ch.dst_port))
+    for channel in into_junctions:
+        fire = circuit.phases[channel.dst]
+        arrival = circuit.phases[channel.src] + 1
+        if arrival != fire:
+            diagnostics.append(Diagnostic(
+                "error",
+                f"junction {channel.dst} fires at phase {fire} but input "
+                f"{channel.dst_port} arrives at phase {arrival}; "
+                f"insert hold({fire - arrival}) on "
+                f"{channel.src}.{channel.src_port} -> "
+                f"{channel.dst}.{channel.dst_port}",
+                channel.line or None))
     return tuple(diagnostics)
 
 

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import MarblesimError
-from .primitives import IN_PORTS, JOIN_PORT_PATTERN, OUT_PORTS, NodeKind
+from .primitives import JOIN_PORT_PATTERN, NodeKind
 
 __all__ = [
     "Channel",
@@ -61,15 +61,11 @@ _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 _HOLD_ARG = re.compile(r"hold\s*\(\s*([0-9]+)\s*\)\Z")
 _JOIN_IN = re.compile(JOIN_PORT_PATTERN + r"\Z")
 
-_KIND_KEYWORDS = {
-    "junction": NodeKind.JUNCTION,
-    "scalpel": NodeKind.SCALPEL,
-    "const1": NodeKind.CONST,
-    "sensor_syringe": NodeKind.SYRINGE,
-    "tap": NodeKind.TAP,
-    "join": NodeKind.JOIN,
-    "waste": NodeKind.WASTE,
-}
+# Kinds a node statement names by keyword alone: inputs and outputs are
+# declared by their own statements, and a hold needs its phase count.
+_KIND_KEYWORDS = {kind.value: kind for kind in NodeKind if kind not in
+                  (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD)}
+
 
 class ParseError(MarblesimError):
     """Netlist text that does not parse; carries the source position."""
@@ -179,14 +175,10 @@ class Circuit:
     channels: tuple[Channel, ...]
     phases: dict[str, int]
     _out: dict[tuple[str, str], Channel] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _into: dict[tuple[str, str], list[Channel]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for ch in self.channels:
-            self._out[(ch.src, ch.src_port)] = ch
-            self._into.setdefault((ch.dst, ch.dst_port), []).append(ch)
+        self._out = {(ch.src, ch.src_port): ch for ch in self.channels}
 
     @property
     def max_phase(self) -> int:
@@ -194,9 +186,6 @@ class Circuit:
 
     def out_channel(self, node: str, port: str) -> Channel | None:
         return self._out.get((node, port))
-
-    def channels_into(self, node: str, port: str) -> tuple[Channel, ...]:
-        return tuple(self._into.get((node, port), ()))
 
 
 def _split_statement(raw: str) -> str:
@@ -465,10 +454,10 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             err(f"cannot connect from circuit output {ch.src!r}", ch.line)
         elif src_cat == "node":
             kind = node_decls[ch.src].kind
-            if ch.src_port not in OUT_PORTS[kind]:
+            if ch.src_port not in kind.outs:
                 err(f"unknown port {ch.src}.{ch.src_port} "
                     f"({kind.value} outputs: "
-                    f"{', '.join(OUT_PORTS[kind]) or 'none'})", ch.line)
+                    f"{', '.join(kind.outs) or 'none'})", ch.line)
         elif src_cat == "gate":
             ports = gate_ports(ch.src)
             if ports is not None and ch.src_port not in ports[1]:
@@ -487,10 +476,10 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                 if not _JOIN_IN.fullmatch(ch.dst_port):
                     err(f"unknown port {ch.dst}.{ch.dst_port} "
                         f"(join inputs are in1..inN)", ch.line)
-            elif ch.dst_port not in IN_PORTS[kind]:
+            elif ch.dst_port not in kind.ins:
                 err(f"unknown port {ch.dst}.{ch.dst_port} "
                     f"({kind.value} inputs: "
-                    f"{', '.join(IN_PORTS[kind]) or 'none'})", ch.line)
+                    f"{', '.join(kind.ins) or 'none'})", ch.line)
         elif dst_cat == "gate":
             ports = gate_ports(ch.dst)
             if ports is not None and ch.dst_port not in ports[0]:
@@ -533,7 +522,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
         ports_into.setdefault(name, []).append((port, n))
 
     for nd in node_decls.values():
-        for port in OUT_PORTS[nd.kind]:
+        for port in nd.kind.outs:
             need_out(nd.name, port, nd.line)
         if nd.kind is NodeKind.WASTE:
             if in_use.get((nd.name, "in"), 0) == 0:
@@ -554,7 +543,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                     f"in1..in{len(numbered)} (missing "
                     f"{', '.join('in%d' % i for i in missing)})", nd.line)
         else:
-            for port in IN_PORTS[nd.kind]:
+            for port in nd.kind.ins:
                 need_in(nd.name, port, nd.line)
 
     for gd in gate_decls.values():
@@ -565,12 +554,12 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             need_out(gd.name, port, gd.line)
 
     # Acyclicity over the name-level graph (gate instances are opaque).
-    order = _toposort(categories, (
-        ch for ch in ast.channels
-        if ch.src in categories and ch.dst in categories))
+    edges = [ch for ch in ast.channels
+             if ch.src in categories and ch.dst in categories]
+    order = _toposort(categories, edges)
     if len(order) != len(categories):
-        stuck = sorted(set(categories).difference(order))
-        err("cycle detected involving: " + ", ".join(stuck))
+        err("cycle detected involving: " + ", ".join(
+            _cycle(set(categories).difference(order), edges)))
 
     return diags
 
@@ -680,6 +669,22 @@ def _toposort(names: Iterable[str],
     return order
 
 
+def _cycle(stuck: set[str], channels: Iterable[Channel]) -> list[str]:
+    """One cycle among the names ``_toposort`` left out, sorted: each has
+    a left-out predecessor, so walking back from the smallest through the
+    smallest such predecessors repeats a name, which closes the cycle."""
+    back: dict[str, str] = {}
+    for ch in channels:
+        if ch.src in stuck and ch.dst in stuck:
+            back[ch.dst] = min(back.get(ch.dst, ch.src), ch.src)
+    visited: dict[str, int] = {}  # name -> step of its first visit
+    name = min(stuck)
+    while name not in visited:
+        visited[name] = len(visited)
+        name = back[name]
+    return sorted(n for n, step in visited.items() if step >= visited[name])
+
+
 def _levelize(ast: CircuitAst, *, strict: bool,
               insert_holds: bool) -> Circuit:
     nodes: dict[str, Node] = {}
@@ -706,9 +711,7 @@ def _levelize(ast: CircuitAst, *, strict: bool,
     phases: dict[str, int] = {}
     for name in order:
         node = nodes[name]
-        if node.kind in (NodeKind.INPUT, NodeKind.CONST):
-            phases[name] = 0
-        elif not predecessors[name]:
+        if not predecessors[name]:
             phases[name] = 0
         else:
             step = node.hold_phases if node.kind is NodeKind.HOLD else 1

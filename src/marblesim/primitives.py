@@ -31,58 +31,54 @@ from fractions import Fraction
 from .physics import CollisionMode
 
 __all__ = [
-    "IN_PORTS",
     "JOIN_PORT_PATTERN",
     "Marble",
     "MarbleFactory",
     "NodeKind",
-    "OUT_PORTS",
     "junction_route",
     "scalpel_split",
 ]
 
 
 class NodeKind(enum.Enum):
-    INPUT = "input"
-    CONST = "const1"
-    HOLD = "hold"
-    JUNCTION = "junction"
-    SCALPEL = "scalpel"
-    SYRINGE = "sensor_syringe"
-    TAP = "tap"
-    JOIN = "join"
-    OUTPUT = "output"
-    WASTE = "waste"
+    """A primitive kind; its value is the netlist keyword.
 
+    Each member carries its record: ``ins`` and ``outs``, its fixed ports
+    (join inputs are in1..inN, N >= 2, matched by JOIN_PORT_PATTERN, and
+    waste takes any number of channels on its one ``in``); ``single``, at
+    most one marble per in port per phase; ``starts``, fires at its phase
+    with no marble; ``role``, how the ledger counts it: the marbles it
+    creates are ``"input"`` or ``"injected"``, those that end there
+    ``"output"`` or ``"waste"``, and ``""`` is neither.
+    """
 
-# Fixed port names per kind. Join input ports are in1..inN (N >= 2) and are
-# validated against JOIN_PORT_PATTERN instead; waste accepts any number of
-# channels on its single "in".
-IN_PORTS: dict[NodeKind, tuple[str, ...]] = {
-    NodeKind.INPUT: (),
-    NodeKind.CONST: (),
-    NodeKind.HOLD: ("in",),
-    NodeKind.JUNCTION: ("A", "B"),
-    NodeKind.SCALPEL: ("in",),
-    NodeKind.SYRINGE: ("in",),
-    NodeKind.TAP: ("in",),
-    NodeKind.JOIN: (),
-    NodeKind.OUTPUT: ("in",),
-    NodeKind.WASTE: ("in",),
-}
+    ins: tuple[str, ...]
+    outs: tuple[str, ...]
+    single: bool
+    starts: bool
+    role: str
 
-OUT_PORTS: dict[NodeKind, tuple[str, ...]] = {
-    NodeKind.INPUT: ("out",),
-    NodeKind.CONST: ("out",),
-    NodeKind.HOLD: ("out",),
-    NodeKind.JUNCTION: ("O1", "O2", "O3", "O4", "O5"),
-    NodeKind.SCALPEL: ("out1", "out2"),
-    NodeKind.SYRINGE: ("out",),
-    NodeKind.TAP: ("out", "copy"),
-    NodeKind.JOIN: ("out",),
-    NodeKind.OUTPUT: (),
-    NodeKind.WASTE: (),
-}
+    def __new__(cls, keyword: str, ins: tuple[str, ...],
+                outs: tuple[str, ...], single: bool, starts: bool,
+                role: str) -> NodeKind:
+        member = object.__new__(cls)
+        member._value_ = keyword
+        member.ins, member.outs, member.single = ins, outs, single
+        member.starts, member.role = starts, role
+        return member
+
+    INPUT = "input", (), ("out",), False, False, "input"
+    CONST = "const1", (), ("out",), False, True, "injected"
+    HOLD = "hold", ("in",), ("out",), True, False, ""
+    JUNCTION = ("junction", ("A", "B"), ("O1", "O2", "O3", "O4", "O5"),
+                True, False, "")
+    SCALPEL = "scalpel", ("in",), ("out1", "out2"), True, False, ""
+    SYRINGE = "sensor_syringe", ("in",), ("out",), True, True, "injected"
+    TAP = "tap", ("in",), ("out", "copy"), True, False, "injected"
+    JOIN = "join", (), ("out",), False, False, ""
+    OUTPUT = "output", ("in",), (), False, False, "output"
+    WASTE = "waste", ("in",), (), False, False, "waste"
+
 
 JOIN_PORT_PATTERN = r"in[1-9][0-9]*"
 

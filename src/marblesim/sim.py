@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _UNIT = Fraction(1)
-_INJECTOR_KINDS = (NodeKind.CONST, NodeKind.SYRINGE, NodeKind.TAP)
 
 
 class SimulationError(MarblesimError):
@@ -158,8 +157,9 @@ _Origins = dict[int, tuple[str, int, Fraction]]
 
 def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
             kinds: dict[str, NodeKind]) -> Ledger:
-    """Account for every marble by the node that created it and the place
-    where it ended."""
+    """Account for every marble by the role of the node that created it
+    and of the place where it ended.  A syringe's internal waste pocket is
+    the port ``"waste"``, which no kind has as a real port."""
     input_marbles = injected = output_marbles = waste_marbles = 0
     input_mass = injected_mass = output_mass = waste_mass = Fraction(0)
     injections: list[InjectionRecord] = []
@@ -167,22 +167,21 @@ def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
     for marble_id in sorted(created):
         node, phase, mass = created[marble_id]
         kind = kinds[node]
-        if kind is NodeKind.INPUT:
+        if kind.role == "input":
             input_marbles += 1
             input_mass += mass
-        elif kind in _INJECTOR_KINDS:
+        elif kind.role == "injected":
             injected += 1
             injected_mass += mass
             injections.append(InjectionRecord(marble_id, node, kind, phase,
                                               mass))
 
     for marble_id, (node, port) in final.items():
-        kind = kinds[node]
-        if kind is NodeKind.OUTPUT:
+        role = kinds[node].role
+        if role == "output":
             output_marbles += 1
             output_mass += created[marble_id][2]
-        elif kind is NodeKind.WASTE or (kind is NodeKind.SYRINGE
-                                        and port == "waste"):
+        elif role == "waste" or port == "waste":
             waste_marbles += 1
             waste_mass += created[marble_id][2]
 
@@ -199,13 +198,6 @@ def run_ledger(trace: Trace) -> Ledger:
     for ev in trace.events:  # a marble's first event is its creation
         created.setdefault(ev.marble_id, (ev.node, ev.phase, ev.mass))
     return _ledger(created, trace.final_locations, trace.node_kinds)
-
-
-# Kinds that fire at their phase whether or not a marble reached them.
-_SELF_STARTING = (NodeKind.CONST, NodeKind.SYRINGE)
-# Ports where two marbles in the same phase cannot coexist.
-_SINGLE_OCCUPANCY = (NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE,
-                     NodeKind.TAP, NodeKind.HOLD)
 
 
 class _Run:
@@ -231,7 +223,7 @@ class _Run:
         self.syringe_sensed: set[str] = set()
         self.output_hits: set[str] = set()
         for name, kind in self.kinds.items():
-            if kind in _SELF_STARTING:
+            if kind.starts:
                 self.schedule(name, circuit.phases[name])
         for name, bit in zip(circuit.inputs, bits):
             if bit:
@@ -266,7 +258,7 @@ class _Run:
         for node, port, marble in sorted(
                 batch, key=lambda item: (item[0], item[1], item[2].ident)):
             kind = self.kinds[node]
-            if kind in _SINGLE_OCCUPANCY:
+            if kind.single:
                 if (node, port) in placed:
                     raise SimulationError(
                         f"two marbles reached {node}.{port} in phase {phase}")
@@ -290,9 +282,9 @@ class _Run:
                     self.syringe_sensed.add(node)
                 self.record(phase + 1, node, "waste", marble)
                 self.final[marble.ident] = (node, "waste")
-            elif kind is NodeKind.OUTPUT:
+            elif kind.role == "output":
                 self.output_hits.add(node)
-            elif kind is not NodeKind.WASTE:
+            elif kind.role != "waste":
                 self.held.setdefault(node, {}).setdefault(port, []).append(
                     marble)
                 # A marble that arrives after its node's phase stays parked,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from marblesim import Circuit, elaborate, get_macro, library, parse
+from marblesim import Circuit, NodeKind, elaborate, get_macro, library, parse
 
 MACRO_NAMES = tuple(macro.name for macro in library())
 MAX_DEPTH = 4
@@ -60,17 +60,11 @@ def ripple_adder_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Input and output ports of each primitive kind; a join may take a third
-# input.
-PRIMITIVE_PORTS = {
-    "junction": (("A", "B"), ("O1", "O2", "O3", "O4", "O5")),
-    "join": (("in1", "in2"), ("out",)),
-    "tap": (("in",), ("out", "copy")),
-    "sensor_syringe": (("in",), ("out",)),
-    "scalpel": (("in",), ("out1", "out2")),
-    "hold": (("in",), ("out",)),
-    "const1": ((), ("out",)),
-}
+# The kinds a primitive netlist draws from; their order fixes what each
+# seed generates.
+PRIMITIVE_KINDS = (NodeKind.JUNCTION, NodeKind.JOIN, NodeKind.TAP,
+                   NodeKind.SYRINGE, NodeKind.SCALPEL, NodeKind.HOLD,
+                   NodeKind.CONST)
 MAX_PRIMITIVES = 10
 MAX_OUTPUTS = 4
 
@@ -93,19 +87,24 @@ def primitive_source(seed: int) -> str:
         else:
             connects.append(f"connect {endpoint} -> W.in")
 
+    def in_ports(kind: NodeKind) -> tuple[str, ...]:
+        # A join takes two inputs, or sometimes a third.
+        return ("in1", "in2") if kind is NodeKind.JOIN else kind.ins
+
     for number in range(rng.randint(1, MAX_PRIMITIVES)):
-        kind = rng.choice([kind for kind, (ins, _) in PRIMITIVE_PORTS.items()
-                           if len(ins) <= len(signals)])
-        in_ports, out_ports = PRIMITIVE_PORTS[kind]
-        if kind == "join" and len(signals) > 2 and rng.random() < 0.5:
-            in_ports += ("in3",)
+        kind = rng.choice([kind for kind in PRIMITIVE_KINDS
+                           if len(in_ports(kind)) <= len(signals)])
+        ports = in_ports(kind)
+        if kind is NodeKind.JOIN and len(signals) > 2 and rng.random() < 0.5:
+            ports += ("in3",)
         name = f"N{number}"
-        spec = f"hold({rng.randint(1, 3)})" if kind == "hold" else kind
+        spec = (f"hold({rng.randint(1, 3)})" if kind is NodeKind.HOLD
+                else kind.value)
         decls.append(f"node {name} : {spec}")
-        for port in in_ports:
+        for port in ports:
             signal = signals.pop(rng.randrange(len(signals)))
             connects.append(f"connect {signal} -> {name}.{port}")
-        for port in out_ports:
+        for port in kind.outs:
             offer(f"{name}.{port}")
 
     if not signals:

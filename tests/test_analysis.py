@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+import composer
 from marblesim import (CollisionMode, TruthTable, check_conservative,
                        check_reversible, elaborate, get_macro, parse,
                        timing_lint, truth_table, verify_gate)
@@ -115,6 +118,18 @@ class TestTimingLint:
     def test_repair_silences_the_linter(self, fixtures):
         circuit = elaborate(parse((fixtures / "skew.mnl").read_text()))
         assert timing_lint(circuit) == ()
+
+    def test_diagnostics_follow_junction_then_port(self):
+        several = 0
+        for seed in range(60):
+            circuit = elaborate(parse(composer.primitive_source(seed)),
+                                insert_holds=False)
+            where = [re.match(r"junction (\S+) .* input (\S+) ",
+                              diag.message).groups()
+                     for diag in timing_lint(circuit)]
+            assert where == sorted(where)
+            several += len(where) > 1
+        assert several
 
 
 class TestFormatting:

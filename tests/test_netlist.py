@@ -84,6 +84,19 @@ class TestParse:
         assert decl.line == 6
         assert {ch.line for ch in ast.channels} == {7, 8}
 
+    @pytest.mark.parametrize("kind", list(NodeKind))
+    def test_node_keyword_of_every_kind(self, kind):
+        # Inputs and outputs have their own statements, so their keywords
+        # are no node kinds; every other kind is declared by its value.
+        spec = "hold(2)" if kind is NodeKind.HOLD else kind.value
+        source = f"circuit c\nnode X : {spec}\n"
+        if kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+            with pytest.raises(ParseError, match="unknown node kind"):
+                parse(source)
+        else:
+            (decl,) = parse(source).nodes
+            assert decl.kind is kind
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("source,line,fragment", [
@@ -239,10 +252,19 @@ class TestValidate:
         self.check(self.CYCLE, "cycle detected")
 
     def test_cycle_lists_the_names_it_blocks(self):
-        # M and T form the cycle and y is fed only through it; the input a
-        # can still be ordered.
+        # M and T form the cycle; y, fed only through it, is on no cycle.
         assert validate(parse(self.CYCLE)) == [
-            Diagnostic("error", "cycle detected involving: M, T, y")]
+            Diagnostic("error", "cycle detected involving: M, T")]
+
+    def test_cycle_skips_names_it_only_feeds(self):
+        # D sorts before the cycle it hangs off; the report leaves it out.
+        source = ("circuit c\ninput a\noutput y\nnode M : join\n"
+                  "node T : tap\nnode D : hold(1)\n"
+                  "connect a -> M.in1\nconnect M.out -> T.in\n"
+                  "connect T.out -> M.in2\nconnect T.copy -> D.in\n"
+                  "connect D.out -> y\n")
+        assert validate(parse(source)) == [
+            Diagnostic("error", "cycle detected involving: M, T")]
 
     def test_double_drive_into_join_port(self):
         source = ("circuit c\ninput a, b, c\noutput y\nnode M : join\n"

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from marblesim import CollisionMode
-from marblesim.primitives import (IN_PORTS, OUT_PORTS, Marble, MarbleFactory,
-                                  NodeKind, junction_route, scalpel_split)
+from marblesim.primitives import (Marble, MarbleFactory, NodeKind,
+                                  junction_route, scalpel_split)
 
 masses = st.fractions(min_value=Fraction(1, 1024), max_value=Fraction(64))
 
@@ -34,16 +34,27 @@ class TestMarble:
 class TestPortTables:
     def test_every_kind_has_port_entries(self):
         for kind in NodeKind:
-            assert kind in IN_PORTS
-            assert kind in OUT_PORTS
+            assert isinstance(kind.ins, tuple)
+            assert isinstance(kind.outs, tuple)
 
     def test_junction_ports(self):
-        assert IN_PORTS[NodeKind.JUNCTION] == ("A", "B")
-        assert OUT_PORTS[NodeKind.JUNCTION] == ("O1", "O2", "O3", "O4", "O5")
+        assert NodeKind.JUNCTION.ins == ("A", "B")
+        assert NodeKind.JUNCTION.outs == ("O1", "O2", "O3", "O4", "O5")
 
     def test_sinks_have_no_outputs(self):
-        assert OUT_PORTS[NodeKind.OUTPUT] == ()
-        assert OUT_PORTS[NodeKind.WASTE] == ()
+        assert NodeKind.OUTPUT.outs == ()
+        assert NodeKind.WASTE.outs == ()
+
+    def test_occupancy_starting_and_ledger_roles(self):
+        assert {kind for kind in NodeKind if kind.single} == {
+            NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE,
+            NodeKind.TAP, NodeKind.HOLD}
+        assert {kind for kind in NodeKind if kind.starts} == {
+            NodeKind.CONST, NodeKind.SYRINGE}
+        assert {kind: kind.role for kind in NodeKind if kind.role} == {
+            NodeKind.INPUT: "input", NodeKind.CONST: "injected",
+            NodeKind.SYRINGE: "injected", NodeKind.TAP: "injected",
+            NodeKind.OUTPUT: "output", NodeKind.WASTE: "waste"}
 
 
 class TestJunctionRoute:
