@@ -131,10 +131,17 @@ def compose_circuit(seed: int) -> Circuit:
 def input_vectors(circuit: Circuit, limit: int | None = None,
                   seed: int = 0) -> list[tuple[int, ...]]:
     """Every input vector, first input most significant; with ``limit``, a
-    seeded sample of that many when there are more."""
+    seeded sample of that many distinct vectors when there are more."""
     n = len(circuit.inputs)
-    values = range(2 ** n)
-    if limit is not None and len(values) > limit:
-        values = sorted(random.Random(seed).sample(values, limit))
+    values: range | list[int] = range(2 ** n)
+    if limit is not None and 2 ** n > limit:
+        rng = random.Random(seed)
+        if n <= 62:  # a range longer than 2 ** 62 has no len() to sample
+            values = sorted(rng.sample(values, limit))
+        else:
+            drawn: set[int] = set()
+            while len(drawn) < limit:
+                drawn.add(rng.getrandbits(n))
+            values = sorted(drawn)
     return [tuple((value >> (n - 1 - k)) & 1 for k in range(n))
             for value in values]
