@@ -8,7 +8,7 @@ Typical use::
     outputs, trace, ledger = simulate(
         circuit, (1, 0), SimConfig(mode=CollisionMode.BOUNCE))
 
-Marble tokens and the junction and scalpel rules the simulator applies live
+The per-kind node records and the junction rule the simulator applies live
 in :mod:`marblesim.primitives`.
 """
 
@@ -18,7 +18,7 @@ from .analysis import (GateReport, TruthTable, check_conservative,
 from .errors import MarblesimError
 from .gates import GateMacro, UnknownGateError, boolean_spec, get_macro, library
 from .netlist import (Channel, Circuit, CircuitAst, Diagnostic,
-                      ElaborationError, GateDecl, Node, NodeDecl, ParseError,
+                      ElaborationError, GateDecl, NodeDecl, ParseError,
                       circuit_to_ast, elaborate, parse, print_canonical,
                       validate)
 from .physics import (AmbiguousRegimeError, CollisionMode, CollisionPolicy,
@@ -52,7 +52,6 @@ __all__ = [
     "MarblesimError",
     "MidbandRule",
     "MidbandWarning",
-    "Node",
     "NodeDecl",
     "NodeKind",
     "ParseError",

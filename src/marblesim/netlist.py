@@ -43,7 +43,6 @@ __all__ = [
     "Diagnostic",
     "ElaborationError",
     "GateDecl",
-    "Node",
     "NodeDecl",
     "ParseError",
     "circuit_to_ast",
@@ -99,19 +98,22 @@ class Diagnostic:
         return f"{self.severity}: {prefix}{self.message}"
 
 
+# A declaration's source line says where it came from, not what it is, so
+# it takes no part in equality or hashing.
+
 @dataclass(frozen=True)
 class NodeDecl:
     name: str
     kind: NodeKind
     hold_phases: int = 0
-    line: int = 0
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class GateDecl:
     name: str
     macro: str
-    line: int = 0
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class Channel:
     src_port: str
     dst: str
     dst_port: str
-    line: int = 0
+    line: int = field(default=0, compare=False)
 
     def key(self) -> tuple[str, str, str, str]:
         return (self.src, self.src_port, self.dst, self.dst_port)
@@ -143,9 +145,8 @@ class CircuitAst:
     def canonical_key(self):
         return (
             self.name, self.inputs, self.outputs,
-            frozenset((n.name, n.kind, n.hold_phases) for n in self.nodes),
-            frozenset((g.name, g.macro) for g in self.gates),
-            frozenset(ch.key() for ch in self.channels),
+            frozenset(self.nodes), frozenset(self.gates),
+            frozenset(self.channels),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -157,21 +158,19 @@ class CircuitAst:
         return hash(self.canonical_key())
 
 
-@dataclass(frozen=True)
-class Node:
-    name: str
-    kind: NodeKind
-    hold_phases: int = 0
-
-
 @dataclass(eq=True)
 class Circuit:
-    """Elaborated, primitive-only circuit with a firing phase per node."""
+    """Elaborated, primitive-only circuit with a firing phase per node.
+
+    ``nodes`` holds every node by name, circuit inputs and outputs included
+    as nodes of kind INPUT and OUTPUT.  Nodes and channels keep the source
+    line of the statement they came from (0 for none).
+    """
 
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    nodes: dict[str, Node]
+    nodes: dict[str, NodeDecl]
     channels: tuple[Channel, ...]
     phases: dict[str, int]
     _out: dict[tuple[str, str], Channel] = field(
@@ -685,17 +684,12 @@ def _cycle(stuck: set[str], channels: Iterable[Channel]) -> list[str]:
     return sorted(n for n, step in visited.items() if step >= visited[name])
 
 
-def _levelize(ast: CircuitAst, *, strict: bool,
-              insert_holds: bool) -> Circuit:
-    nodes: dict[str, Node] = {}
-    for name in ast.inputs:
-        nodes[name] = Node(name, NodeKind.INPUT)
-    for name in ast.outputs:
-        nodes[name] = Node(name, NodeKind.OUTPUT)
-    for nd in ast.nodes:
-        nodes[nd.name] = Node(nd.name, nd.kind, nd.hold_phases)
-    channels = [Channel(ch.src, ch.src_port, ch.dst, ch.dst_port)
-                for ch in ast.channels]
+def _levelize(ast: CircuitAst, insert_holds: bool) -> Circuit:
+    nodes = {name: NodeDecl(name, NodeKind.INPUT) for name in ast.inputs}
+    nodes.update((name, NodeDecl(name, NodeKind.OUTPUT))
+                 for name in ast.outputs)
+    nodes.update((nd.name, nd) for nd in ast.nodes)
+    channels = list(ast.channels)
 
     # Position of the channel into each port.  Validation made the channel
     # into a junction port unique, so a hold is spliced in place.
@@ -726,13 +720,7 @@ def _levelize(ast: CircuitAst, *, strict: bool,
             continue
         cha, chb = channels[slot_a], channels[slot_b]
         pa, pb = phases[cha.src], phases[chb.src]
-        if pa == pb:
-            continue
-        if strict:
-            raise ElaborationError(
-                f"junction {jname} inputs out of phase: "
-                f"{cha.src} fires at {pa}, {chb.src} at {pb}")
-        if not insert_holds:
+        if pa == pb or not insert_holds:
             continue
         slot, shallow = (slot_a, cha) if pa < pb else (slot_b, chb)
         depth = max(pa, pb)
@@ -740,11 +728,13 @@ def _levelize(ast: CircuitAst, *, strict: bool,
         while hold_name in nodes:
             hold_name += "_"
         k = depth - min(pa, pb)
-        nodes[hold_name] = Node(hold_name, NodeKind.HOLD, k)
+        line = shallow.line
+        nodes[hold_name] = NodeDecl(hold_name, NodeKind.HOLD, k, line)
         phases[hold_name] = depth
         channels[slot] = Channel(shallow.src, shallow.src_port,
-                                 hold_name, "in")
-        channels.append(Channel(hold_name, "out", jname, shallow.dst_port))
+                                 hold_name, "in", line)
+        channels.append(Channel(hold_name, "out", jname, shallow.dst_port,
+                                line))
 
     ordered = tuple(sorted(channels, key=Channel.key))
     return Circuit(ast.name, ast.inputs, ast.outputs,
@@ -753,28 +743,25 @@ def _levelize(ast: CircuitAst, *, strict: bool,
 
 
 def elaborate(ast: CircuitAst, library: dict | None = None, *,
-              strict: bool = False, insert_holds: bool = True) -> Circuit:
+              insert_holds: bool = True) -> Circuit:
     """Expand macros, levelize, and repair junction synchronization.
 
-    ``strict`` turns a junction phase imbalance into an error instead of
-    repairing it; ``insert_holds=False`` keeps the imbalance in the result
-    (useful for exercising the timing lint and runtime hazard paths).
-    Elaboration is idempotent on primitive circuits: re-elaborating an
-    already balanced circuit changes nothing.
+    ``insert_holds=False`` keeps a junction phase imbalance in the result
+    (useful for exercising the timing lint and runtime hazard paths).  A
+    hold inserted to repair one, and its two channels, carry the line of
+    the channel they replace.  Elaboration is idempotent on primitive
+    circuits: re-elaborating an already balanced circuit changes nothing.
     """
     lib = _default_library() if library is None else library
     diags = [d for d in validate(ast, lib) if d.severity == "error"]
     if diags:
         raise ElaborationError("invalid netlist", tuple(diags))
-    return _levelize(_flatten(ast, lib, {}, []), strict=strict,
-                     insert_holds=insert_holds)
+    return _levelize(_flatten(ast, lib, {}, []), insert_holds)
 
 
 def circuit_to_ast(circuit: Circuit) -> CircuitAst:
     """Lower an elaborated circuit back to an AST (no gate instances)."""
-    decls = tuple(
-        NodeDecl(node.name, node.kind, node.hold_phases)
-        for node in circuit.nodes.values()
-        if node.kind not in (NodeKind.INPUT, NodeKind.OUTPUT))
+    decls = tuple(nd for nd in circuit.nodes.values()
+                  if nd.kind not in (NodeKind.INPUT, NodeKind.OUTPUT))
     return CircuitAst(circuit.name, circuit.inputs, circuit.outputs,
                       decls, (), circuit.channels)

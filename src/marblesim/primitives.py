@@ -1,4 +1,4 @@
-"""Marble tokens and the primitive trackside devices.
+"""The primitive trackside devices and the junction rule.
 
 A bit is the presence or absence of a marble on a channel at a given phase.
 Masses are exact rationals in units of one reference marble; merging adds
@@ -25,18 +25,14 @@ of phases.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .physics import CollisionMode
 
 __all__ = [
     "JOIN_PORT_PATTERN",
-    "Marble",
-    "MarbleFactory",
     "NodeKind",
     "junction_route",
-    "scalpel_split",
 ]
 
 
@@ -83,30 +79,6 @@ class NodeKind(enum.Enum):
 JOIN_PORT_PATTERN = r"in[1-9][0-9]*"
 
 
-@dataclass(frozen=True)
-class Marble:
-    """One marble: a run-unique id and an exact mass."""
-
-    ident: int
-    mass: Fraction
-
-    def __post_init__(self) -> None:
-        if self.mass <= 0:
-            raise ValueError(f"marble mass must be positive, got {self.mass}")
-
-
-class MarbleFactory:
-    """Allocates run-unique marble ids in creation order."""
-
-    def __init__(self) -> None:
-        self._next = 1
-
-    def fresh(self, mass: Fraction) -> Marble:
-        marble = Marble(self._next, Fraction(mass))
-        self._next += 1
-        return marble
-
-
 def junction_route(a_present: bool, b_present: bool, mode: CollisionMode,
                    a_mass: Fraction = Fraction(1),
                    b_mass: Fraction = Fraction(1)
@@ -132,15 +104,4 @@ def junction_route(a_present: bool, b_present: bool, mode: CollisionMode,
     if mode is CollisionMode.BOUNCE:
         return (("O2", Fraction(a_mass)), ("O4", Fraction(b_mass)))
     return (("O3", Fraction(a_mass) + Fraction(b_mass)),)
-
-
-def scalpel_split(marble: Marble,
-                  factory: MarbleFactory) -> tuple[Marble, Marble]:
-    """Cut a marble into two halves with fresh ids.
-
-    The input marble is consumed; each half carries exactly half its mass,
-    so the sum is conserved and denominators stay powers of two.
-    """
-    half = marble.mass / 2
-    return factory.fresh(half), factory.fresh(half)
 

@@ -27,14 +27,13 @@ plus injected mass equals output mass plus waste mass, in exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MarblesimError
 from .netlist import Circuit
 from .physics import CollisionMode
-from .primitives import (Marble, MarbleFactory, NodeKind, junction_route,
-                         scalpel_split)
+from .primitives import NodeKind, junction_route
 
 __all__ = [
     "Event",
@@ -207,17 +206,18 @@ class _Run:
         self.config = config
         self.kinds = {name: node.kind
                       for name, node in circuit.nodes.items()}
-        self.factory = MarbleFactory()
         self.events: list[Event] | None = (
             [] if config.trace_enabled else None)
+        # A marble is its id, numbered from 1 in creation order; its mass
+        # is kept here only.
         self.created: _Origins = {}
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
         self.met: list[tuple[int, str]] = []
         # node -> port -> marbles parked there, in arrival order
-        self.held: dict[str, dict[str, list[Marble]]] = {}
+        self.held: dict[str, dict[str, list[int]]] = {}
         # phase -> marbles reaching a port then, as (node, port, marble)
-        self.arrivals: dict[int, list[tuple[str, str, Marble]]] = {}
+        self.arrivals: dict[int, list[tuple[str, str, int]]] = {}
         # phase -> nodes that fire then
         self.agenda: dict[int, set[str]] = {}
         self.syringe_sensed: set[str] = set()
@@ -232,31 +232,34 @@ class _Run:
     def schedule(self, node: str, phase: int) -> None:
         self.agenda.setdefault(phase, set()).add(node)
 
-    def record(self, phase: int, node: str, port: str,
-               marble: Marble) -> None:
-        if self.events is not None:
-            self.events.append(Event(phase, node, port, marble.ident,
-                                     marble.mass))
+    def mass(self, marble: int) -> Fraction:
+        return self.created[marble][2]
 
-    def emit(self, node: str, port: str, marble: Marble, phase: int) -> None:
+    def record(self, phase: int, node: str, port: str, marble: int) -> None:
+        if self.events is not None:
+            self.events.append(Event(phase, node, port, marble,
+                                     self.mass(marble)))
+
+    def emit(self, node: str, port: str, marble: int, phase: int) -> None:
         channel = self.circuit.out_channel(node, port)
         if channel is None:
             raise SimulationError(f"no channel leaves {node}.{port}")
         self.arrivals.setdefault(phase + 1, []).append(
             (channel.dst, channel.dst_port, marble))
 
-    def emit_new(self, node: str, port: str, marble: Marble,
+    def emit_new(self, node: str, port: str, mass: Fraction,
                  phase: int) -> None:
-        """Emit a marble that came into being at ``node.port``."""
-        self.created[marble.ident] = (node, phase, marble.mass)
+        """Emit a new marble of ``mass`` that came into being at
+        ``node.port``."""
+        marble = len(self.created) + 1
+        self.created[marble] = (node, phase, mass)
         self.record(phase, node, port, marble)
         self.emit(node, port, marble, phase)
 
     def place_arrivals(self, phase: int) -> None:
         batch = self.arrivals.pop(phase, ())
         placed: set[tuple[str, str]] = set()
-        for node, port, marble in sorted(
-                batch, key=lambda item: (item[0], item[1], item[2].ident)):
+        for node, port, marble in sorted(batch):
             kind = self.kinds[node]
             if kind.single:
                 if (node, port) in placed:
@@ -264,24 +267,24 @@ class _Run:
                         f"two marbles reached {node}.{port} in phase {phase}")
                 placed.add((node, port))
             self.record(phase, node, port, marble)
-            self.final[marble.ident] = (node, port)
+            self.final[marble] = (node, port)
             if kind is NodeKind.JUNCTION or kind is NodeKind.SYRINGE:
                 expected = self.circuit.phases[node]
                 if phase != expected:
                     if self.config.strict_timing:
                         raise TimingViolationError(
-                            f"marble {marble.ident} reached {node}.{port} "
+                            f"marble {marble} reached {node}.{port} "
                             f"at phase {phase}; scheduled firing is phase "
                             f"{expected}")
                     self.hazards.append(Hazard(phase, node, port,
-                                               marble.ident, expected))
+                                               marble, expected))
             if kind is NodeKind.SYRINGE:
                 # Diverted into the syringe's internal waste pocket one
                 # phase later; sensed only when it arrived on schedule.
                 if phase == self.circuit.phases[node]:
                     self.syringe_sensed.add(node)
                 self.record(phase + 1, node, "waste", marble)
-                self.final[marble.ident] = (node, "waste")
+                self.final[marble] = (node, "waste")
             elif kind.role == "output":
                 self.output_hits.add(node)
             elif kind.role != "waste":
@@ -294,7 +297,7 @@ class _Run:
                 elif phase <= self.circuit.phases[node]:
                     self.schedule(node, self.circuit.phases[node])
 
-    def take(self, node: str, port: str) -> list[Marble]:
+    def take(self, node: str, port: str) -> list[int]:
         ports = self.held.get(node)
         if ports is None:
             return []
@@ -306,21 +309,21 @@ class _Run:
     def fire(self, node: str, phase: int) -> None:
         kind = self.kinds[node]
         if kind is NodeKind.INPUT or kind is NodeKind.CONST:
-            self.emit_new(node, "out", self.factory.fresh(_UNIT), phase)
+            self.emit_new(node, "out", _UNIT, phase)
         elif kind is NodeKind.JUNCTION:
             self.fire_junction(node, phase)
         elif kind is NodeKind.SCALPEL:
             for marble in self.take(node, "in"):
-                half1, half2 = scalpel_split(marble, self.factory)
-                self.emit_new(node, "out1", half1, phase)
-                self.emit_new(node, "out2", half2, phase)
+                half = self.mass(marble) / 2
+                self.emit_new(node, "out1", half, phase)
+                self.emit_new(node, "out2", half, phase)
         elif kind is NodeKind.SYRINGE:
             if node not in self.syringe_sensed:
-                self.emit_new(node, "out", self.factory.fresh(_UNIT), phase)
+                self.emit_new(node, "out", _UNIT, phase)
         elif kind is NodeKind.TAP:
             for marble in self.take(node, "in"):
                 self.emit(node, "out", marble, phase)
-                self.emit_new(node, "copy", self.factory.fresh(_UNIT), phase)
+                self.emit_new(node, "copy", _UNIT, phase)
         elif kind is NodeKind.HOLD:
             for marble in self.take(node, "in"):
                 self.emit(node, "out", marble, phase)
@@ -341,14 +344,14 @@ class _Run:
             self.met.append((phase, node))
         for port, mass in junction_route(
                 a is not None, b is not None, self.config.mode,
-                a.mass if a is not None else _UNIT,
-                b.mass if b is not None else _UNIT):
+                self.mass(a) if a is not None else _UNIT,
+                self.mass(b) if b is not None else _UNIT):
             if port == "O3":
-                self.emit_new(node, port, self.factory.fresh(mass), phase)
+                self.emit_new(node, port, mass, phase)
             else:
                 # O2 and O5 carry the left-hand marble, O1 and O4 the right.
                 marble = a if port in ("O2", "O5") else b
-                assert marble is not None and marble.mass == mass
+                assert marble is not None and self.mass(marble) == mass
                 self.emit(node, port, marble, phase)
 
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:

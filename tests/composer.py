@@ -136,7 +136,7 @@ def input_vectors(circuit: Circuit, limit: int | None = None,
     values: range | list[int] = range(2 ** n)
     if limit is not None and 2 ** n > limit:
         rng = random.Random(seed)
-        if n <= 62:  # a range longer than 2 ** 62 has no len() to sample
+        if n <= 62:  # sample() needs len(), which 2 ** 63 values overflow
             values = sorted(rng.sample(values, limit))
         else:
             drawn: set[int] = set()

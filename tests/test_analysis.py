@@ -115,6 +115,15 @@ class TestTimingLint:
         assert "hold(2)" in diag.message
         assert "J1.O2 -> J2.A" in diag.message
 
+    def test_imbalance_inside_a_gate_is_reported_on_its_line(self):
+        # NAND's own constant path reaches its second junction early.
+        source = ("circuit wrap\ninput a, b\noutput y\ngate G : NAND\n"
+                  "connect a -> G.a\nconnect b -> G.b\nconnect G.y -> y\n")
+        circuit = elaborate(parse(source), insert_holds=False)
+        (diag,) = timing_lint(circuit)
+        assert "on G.G2.C.out -> G.G2.J.B" in diag.message
+        assert str(diag).startswith("error: line 4: junction G.G2.J ")
+
     def test_repair_silences_the_linter(self, fixtures):
         circuit = elaborate(parse((fixtures / "skew.mnl").read_text()))
         assert timing_lint(circuit) == ()

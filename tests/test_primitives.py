@@ -5,30 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from marblesim import CollisionMode
-from marblesim.primitives import (Marble, MarbleFactory, NodeKind,
-                                  junction_route, scalpel_split)
+from marblesim.primitives import NodeKind, junction_route
 
 masses = st.fractions(min_value=Fraction(1, 1024), max_value=Fraction(64))
-
-
-class TestMarble:
-    def test_factory_issues_sequential_ids(self):
-        factory = MarbleFactory()
-        a = factory.fresh(Fraction(1))
-        b = factory.fresh(Fraction(2))
-        assert (a.ident, b.ident) == (1, 2)
-        assert a.mass == Fraction(1)
-
-    def test_mass_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Marble(1, Fraction(0))
-        with pytest.raises(ValueError):
-            Marble(1, Fraction(-1, 2))
-
-    def test_frozen(self):
-        marble = Marble(1, Fraction(1))
-        with pytest.raises(AttributeError):
-            marble.mass = Fraction(2)
 
 
 class TestPortTables:
@@ -99,21 +78,3 @@ class TestJunctionRoute:
             assert n_out == 1
         else:
             assert n_out == n_in
-
-
-class TestScalpel:
-    def test_split_halves_mass_with_fresh_ids(self):
-        factory = MarbleFactory()
-        whole = factory.fresh(Fraction(2))
-        left, right = scalpel_split(whole, factory)
-        assert left.mass == right.mass == Fraction(1)
-        assert {left.ident, right.ident} == {2, 3}
-
-    @given(mass=masses)
-    def test_split_is_exact_for_any_mass(self, mass):
-        factory = MarbleFactory()
-        whole = factory.fresh(mass)
-        left, right = scalpel_split(whole, factory)
-        assert left.mass + right.mass == mass
-        assert left.mass == right.mass
-

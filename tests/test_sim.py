@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from marblesim import (Channel, Circuit, CollisionMode, Node, NodeKind,
+from marblesim import (Channel, Circuit, CollisionMode, NodeDecl, NodeKind,
                        SimConfig, SimulationError, TimingViolationError,
                        elaborate, format_trace, get_macro, library, parse,
                        run_ledger, simulate)
@@ -181,9 +181,9 @@ class TestEndOfRun:
         # input's marble reaches it at phase 1, so the marble stays parked.
         circuit = Circuit(
             "late", ("a",), ("y",),
-            {"a": Node("a", NodeKind.INPUT),
-             "H": Node("H", NodeKind.HOLD, 1),
-             "y": Node("y", NodeKind.OUTPUT)},
+            {"a": NodeDecl("a", NodeKind.INPUT),
+             "H": NodeDecl("H", NodeKind.HOLD, 1),
+             "y": NodeDecl("y", NodeKind.OUTPUT)},
             (Channel("a", "out", "H", "in"), Channel("H", "out", "y", "in")),
             {"a": 0, "H": 0, "y": 1})
         with pytest.raises(SimulationError) as err:
