@@ -1,23 +1,36 @@
 """Exhaustive circuit analysis: truth tables, gate verification, lint.
 
-Everything here runs the simulator over full input spaces, so it is meant
-for gate-sized circuits (the input count is capped).  Verification compares
-a macro's simulated tables in both collision modes against its reference
-Boolean function and checks the reversibility and conservativeness claims,
-plus physical conservativity: a run is physically conservative when no
-syringe or tap added a marble, nothing landed in waste, and exactly as many
-marbles left as entered (const sources count as entering).
+A truth table is evaluated bit-parallel: each channel carries presence
+masks over every input vector at once (bit v is set when a marble is there
+under vector v, and a second mask says two or more), and the nodes fire in
+phase order by the per-kind rule in :mod:`marblesim.primitives`.  That is
+parallel-pattern logic simulation (Waicukauski et al., "Fault Simulation
+for Structured VLSI", 1985).  The simulator stays the oracle: a circuit
+whose marbles do not all arrive on schedule is tabulated one simulated
+vector at a time, and where two marbles can reach a single-occupancy port
+the lowest such vector is simulated, so the error raised is the
+simulator's own.  The input count is capped, so this is meant for
+gate-sized circuits.
+
+Verification compares a macro's tables in both collision modes against its
+reference Boolean function and checks the reversibility and
+conservativeness claims, plus physical conservativity: a run is physically
+conservative when no syringe or tap added a marble, nothing landed in
+waste, and exactly as many marbles left as entered (const sources count as
+entering).  That needs the exact ledger of every row, so verification
+simulates each row and takes its tables from the same runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product, repeat
 
 from .gates import boolean_spec, get_macro
 from .netlist import Circuit, Diagnostic, elaborate
 from .physics import CollisionMode
-from .primitives import NodeKind
+from .primitives import NodeKind, _presence_route
 from .sim import Ledger, SimConfig, simulate
 
 __all__ = [
@@ -50,29 +63,134 @@ class TruthTable:
         return dict(self.rows)
 
 
+def _check_width(circuit: Circuit, max_inputs: int) -> int:
+    n = len(circuit.inputs)
+    if n > max_inputs:
+        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
+                         f"refusing to enumerate more than {max_inputs}")
+    return n
+
+
+def _bits(value: int, n: int) -> tuple[int, ...]:
+    """Input vector ``value``, first input as the most significant bit."""
+    return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
+
+
 def _runs(circuit: Circuit, mode: CollisionMode, max_inputs: int = 16
           ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Ledger]]:
     """Simulate every input vector untraced, counting up with the first
     input as the most significant bit; yield its bits, outputs and
     ledger."""
-    n = len(circuit.inputs)
-    if n > max_inputs:
-        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
-                         f"refusing to enumerate more than {max_inputs}")
+    n = _check_width(circuit, max_inputs)
     config = SimConfig(mode=mode, trace_enabled=False)
     for value in range(2 ** n):
-        bits = tuple((value >> (n - 1 - k)) & 1 for k in range(n))
+        bits = _bits(value, n)
         outputs, _, ledger = simulate(circuit, bits, config)
         yield bits, outputs, ledger
 
 
+def _on_schedule(circuit: Circuit) -> bool:
+    """Whether every node fires at its own phase whatever the inputs, so
+    that each channel carries all its marbles in one phase: marbles reach
+    a junction or syringe in its phase and any other non-sink no later,
+    and each in port but a waste node's has one channel."""
+    phases = circuit.phases
+    fed = set()
+    for ch in circuit.channels:
+        kind = circuit.nodes[ch.dst].kind
+        arrival, fire = phases[ch.src] + 1, phases[ch.dst]
+        if kind is NodeKind.JUNCTION or kind is NodeKind.SYRINGE:
+            if arrival != fire:
+                return False
+        elif kind.role not in ("output", "waste") and arrival > fire:
+            return False
+        if kind is not NodeKind.WASTE:
+            if (ch.dst, ch.dst_port) in fed:
+                return False
+            fed.add((ch.dst, ch.dst_port))
+    return True
+
+
+# Byte values of the digits "0" and "1" mapped to 0 and 1.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
+                   ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
+                              ] | None:
+    """Every row of the table from one pass over presence masks, or None
+    when the simulator has to tabulate the circuit vector by vector.
+
+    Bit v of a mask stands for input vector v.  If a vector puts two
+    marbles on a single-occupancy port, or a marble on an out port with
+    no channel, the lowest such vector is simulated, which raises the
+    simulator's error for it.
+    """
+    if not _on_schedule(circuit):
+        return None
+    count = 1 << n
+    full = (1 << count) - 1
+    vectors = {}
+    for k, name in enumerate(circuit.inputs):
+        # Runs of ``span`` vectors without the input, then ``span`` with.
+        span = 1 << (n - 1 - k)
+        run = ((1 << span) - 1) << span
+        vectors[name] = run * (full // ((1 << 2 * span) - 1))
+    arriving: dict[str, dict[str, tuple[int, int]]] = {}
+    flagged = 0
+    for name in sorted(circuit.nodes, key=circuit.phases.__getitem__):
+        kind = circuit.nodes[name].kind
+        if not kind.outs:
+            continue
+        if kind is NodeKind.INPUT:
+            outs: tuple[tuple[int, int], ...] = ((vectors.get(name, 0), 0),)
+        else:
+            got = arriving.get(name, {})
+            ins = ([got.get(port, (0, 0)) for port in kind.ins] if kind.ins
+                   else list(got.values()))
+            if kind.single:
+                for _, two in ins:
+                    flagged |= two
+            outs = _presence_route(kind, ins, mode, full)
+        for port, mask in zip(kind.outs, outs):
+            channel = circuit.out_channel(name, port)
+            if channel is None:
+                flagged |= mask[0]
+            else:
+                arriving.setdefault(channel.dst, {})[channel.dst_port] = mask
+    if flagged:
+        first = (flagged & -flagged).bit_length() - 1
+        simulate(circuit, _bits(first, n),
+                 SimConfig(mode=mode, trace_enabled=False))
+        # It raises unless the mask rule and the simulator disagree, in
+        # which case the simulator tabulates.
+        return None
+    # One byte per vector for each output, vector 0 first.
+    columns = [format(arriving.get(name, {}).get("in", (0, 0))[0],
+                      f"0{count}b")[::-1].encode().translate(_DIGITS)
+               for name in circuit.outputs]
+    outputs = zip(*columns) if columns else repeat((), count)
+    return tuple(zip(product((0, 1), repeat=n), outputs))
+
+
 def truth_table(circuit: Circuit, mode: CollisionMode,
                 max_inputs: int = 16) -> TruthTable:
-    """Simulate every input vector, counting up with the first input as
-    the most significant bit."""
-    runs = _runs(circuit, mode, max_inputs)
+    """Tabulate every input vector, counting up with the first input as
+    the most significant bit.
+
+    One bit-parallel pass over presence masks gives every row when all
+    marbles arrive on schedule, which balanced elaboration ensures.
+    Otherwise (``insert_holds=False`` can leave a junction input early)
+    every vector is simulated.  Where two marbles can reach a
+    single-occupancy port, the lowest such vector is simulated and raises
+    the simulator's ``SimulationError``.
+    """
+    n = _check_width(circuit, max_inputs)
+    rows = _presence_rows(circuit, mode, n)
+    if rows is None:
+        rows = tuple(run[:2] for run in _runs(circuit, mode, max_inputs))
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
-                      tuple(run[:2] for run in runs))
+                      rows)
 
 
 def check_reversible(table: TruthTable) -> bool:

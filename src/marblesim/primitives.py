@@ -20,6 +20,10 @@ onto two channels, the sensor+syringe emits a fresh marble exactly when its
 input stays empty, the tap forwards its input and injects a copy, joins
 funnel several channels into one, and holds park a marble for a set number
 of phases.
+
+``_presence_route`` states what every kind does to presence masks, bit v
+of which stands for input vector v, so that truth tables can evaluate all
+vectors at once.
 """
 
 from __future__ import annotations
@@ -104,4 +108,46 @@ def junction_route(a_present: bool, b_present: bool, mode: CollisionMode,
     if mode is CollisionMode.BOUNCE:
         return (("O2", Fraction(a_mass)), ("O4", Fraction(b_mass)))
     return (("O3", Fraction(a_mass) + Fraction(b_mass)),)
+
+
+# What a channel holds over many input vectors at once: bit v of ``one``
+# is set when at least one marble is on it under vector v, bit v of
+# ``two`` when at least two are.
+_Presence = tuple[int, int]
+
+
+def _presence_route(kind: NodeKind, ins: list[_Presence],
+                    mode: CollisionMode, full: int) -> tuple[_Presence, ...]:
+    """Route one firing of ``kind`` over presence masks: one pair per port
+    of ``kind.outs``, from one pair per in port (``kind.ins`` order; a
+    join's in ports in any order).  ``full`` has every vector's bit set.
+
+    This is the simulator's node behaviour for a circuit whose marbles
+    all arrive on schedule.  A junction crosses lone marbles and sends a
+    collision to O2 and O4 (bounce) or O3 (merge); a syringe injects where
+    nothing arrived; a const always injects; scalpel, tap and hold copy
+    their input to every out port; a join funnels its inputs, so it is the
+    one kind that can put two marbles on a channel.  Inputs are set from
+    the vectors and sinks route nothing.  Two marbles on a single-occupancy
+    port are contention, which the caller checks.
+    """
+    if kind is NodeKind.JUNCTION:
+        (a, _), (b, _) = ins
+        both = a & b
+        bounce = both if mode is CollisionMode.BOUNCE else 0
+        return ((b & ~a, 0), (bounce, 0), (both ^ bounce, 0), (bounce, 0),
+                (a & ~b, 0))
+    if kind is NodeKind.SYRINGE:
+        return ((full ^ ins[0][0], 0),)
+    if kind is NodeKind.CONST:
+        return ((full, 0),)
+    if kind is NodeKind.JOIN:
+        one = two = 0
+        for in_one, in_two in ins:
+            two |= in_two | (one & in_one)
+            one |= in_one
+        return ((one, two),)
+    if kind in (NodeKind.SCALPEL, NodeKind.TAP, NodeKind.HOLD):
+        return (ins[0],) * len(kind.outs)
+    return ()
 

@@ -51,6 +51,12 @@ __all__ = [
 
 _UNIT = Fraction(1)
 
+# The kinds the per-arrival and per-fire paths compare, bound once: a
+# ``NodeKind.X`` lookup costs about ten times a module-level name.
+_INPUT, _CONST, _HOLD, _JUNCTION, _SCALPEL, _SYRINGE, _TAP, _JOIN = (
+    NodeKind.INPUT, NodeKind.CONST, NodeKind.HOLD, NodeKind.JUNCTION,
+    NodeKind.SCALPEL, NodeKind.SYRINGE, NodeKind.TAP, NodeKind.JOIN)
+
 
 class SimulationError(MarblesimError):
     """The circuit drove the simulator into an unsupported state."""
@@ -268,7 +274,7 @@ class _Run:
                 placed.add((node, port))
             self.record(phase, node, port, marble)
             self.final[marble] = (node, port)
-            if kind is NodeKind.JUNCTION or kind is NodeKind.SYRINGE:
+            if kind is _JUNCTION or kind is _SYRINGE:
                 expected = self.circuit.phases[node]
                 if phase != expected:
                     if self.config.strict_timing:
@@ -278,7 +284,7 @@ class _Run:
                             f"{expected}")
                     self.hazards.append(Hazard(phase, node, port,
                                                marble, expected))
-            if kind is NodeKind.SYRINGE:
+            if kind is _SYRINGE:
                 # Diverted into the syringe's internal waste pocket one
                 # phase later; sensed only when it arrived on schedule.
                 if phase == self.circuit.phases[node]:
@@ -292,7 +298,7 @@ class _Run:
                     marble)
                 # A marble that arrives after its node's phase stays parked,
                 # and the run fails at its end.
-                if kind is NodeKind.JUNCTION:
+                if kind is _JUNCTION:
                     self.schedule(node, phase)
                 elif phase <= self.circuit.phases[node]:
                     self.schedule(node, self.circuit.phases[node])
@@ -308,26 +314,26 @@ class _Run:
 
     def fire(self, node: str, phase: int) -> None:
         kind = self.kinds[node]
-        if kind is NodeKind.INPUT or kind is NodeKind.CONST:
+        if kind is _INPUT or kind is _CONST:
             self.emit_new(node, "out", _UNIT, phase)
-        elif kind is NodeKind.JUNCTION:
+        elif kind is _JUNCTION:
             self.fire_junction(node, phase)
-        elif kind is NodeKind.SCALPEL:
+        elif kind is _SCALPEL:
             for marble in self.take(node, "in"):
                 half = self.mass(marble) / 2
                 self.emit_new(node, "out1", half, phase)
                 self.emit_new(node, "out2", half, phase)
-        elif kind is NodeKind.SYRINGE:
+        elif kind is _SYRINGE:
             if node not in self.syringe_sensed:
                 self.emit_new(node, "out", _UNIT, phase)
-        elif kind is NodeKind.TAP:
+        elif kind is _TAP:
             for marble in self.take(node, "in"):
                 self.emit(node, "out", marble, phase)
                 self.emit_new(node, "copy", _UNIT, phase)
-        elif kind is NodeKind.HOLD:
+        elif kind is _HOLD:
             for marble in self.take(node, "in"):
                 self.emit(node, "out", marble, phase)
-        elif kind is NodeKind.JOIN:
+        elif kind is _JOIN:
             ports = self.held.pop(node, {})
             for port in sorted(ports, key=lambda p: int(p[2:])):
                 for marble in ports[port]:

@@ -3,9 +3,12 @@ import re
 import pytest
 
 import composer
-from marblesim import (CollisionMode, TruthTable, check_conservative,
-                       check_reversible, elaborate, get_macro, parse,
+from marblesim import (Channel, Circuit, CollisionMode, MarblesimError,
+                       NodeDecl, NodeKind, SimConfig, TruthTable,
+                       boolean_spec, check_conservative, check_reversible,
+                       elaborate, get_macro, library, parse, simulate,
                        timing_lint, truth_table, verify_gate)
+from marblesim import analysis
 from marblesim.analysis import format_report, format_table
 
 
@@ -36,6 +39,130 @@ class TestTruthTable:
         circuit = elaborate(parse("\n".join(lines) + "\n"))
         with pytest.raises(ValueError):
             truth_table(circuit, CollisionMode.BOUNCE, max_inputs=4)
+
+
+def simulated_table(circuit, mode):
+    """The oracle: one untraced simulation per input vector."""
+    config = SimConfig(mode=mode, trace_enabled=False)
+    rows = tuple((bits, simulate(circuit, bits, config)[0])
+                 for bits in composer.input_vectors(circuit))
+    return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
+                      rows)
+
+
+def outcome(tabulate, circuit, mode):
+    """The table, or the class and message of the error raised instead."""
+    try:
+        return tabulate(circuit, mode)
+    except MarblesimError as err:
+        return type(err), str(err)
+
+
+def differential_circuits():
+    for macro in library():
+        for holds in (True, False):
+            yield elaborate(macro.expansion, insert_holds=holds)
+    for seed in range(60):
+        yield elaborate(parse(composer.compose_source(seed)))
+    for seed in range(60):
+        for holds in (True, False):
+            yield elaborate(parse(composer.primitive_source(seed)),
+                            insert_holds=holds)
+
+
+class TestBitParallelTable:
+    """``truth_table`` evaluates all vectors at once over presence masks;
+    the simulator, one vector at a time, is what it must agree with."""
+
+    def test_agrees_with_simulation_vector_by_vector(self):
+        skewed = contended = 0
+        for circuit in differential_circuits():
+            skewed += bool(timing_lint(circuit))
+            for mode in CollisionMode:
+                expected = outcome(simulated_table, circuit, mode)
+                assert outcome(truth_table, circuit, mode) == expected, (
+                    circuit.name, mode)
+                contended += (isinstance(expected, tuple)
+                              and "two marbles reached" in expected[1])
+        assert skewed and contended
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        """The vectors ``truth_table`` hands to the simulator."""
+        calls = []
+
+        def counted(circuit, bits, config):
+            calls.append(bits)
+            return simulate(circuit, bits, config)
+        monkeypatch.setattr(analysis, "simulate", counted)
+        return calls
+
+    def test_balanced_circuits_are_not_simulated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("truth_table ran the simulator")
+        monkeypatch.setattr(analysis, "simulate", refuse)
+        for macro in library():
+            circuit = elaborate(macro.expansion)
+            for mode in CollisionMode:
+                assert all(boolean_spec(macro.name, bits) == outputs
+                           for bits, outputs
+                           in truth_table(circuit, mode).rows)
+        adder = elaborate(parse(composer.ripple_adder_source(6)))
+        assert len(adder.inputs) == 13
+        for mode in CollisionMode:
+            table = truth_table(adder, mode)
+            assert len(table.rows) == 2 ** 13
+            for bits, outputs in table.rows:
+                a = sum(bit << k for k, bit in enumerate(bits[:6]))
+                b = sum(bit << k for k, bit in enumerate(bits[6:12]))
+                total = sum(bit << k for k, bit in enumerate(outputs))
+                assert total == a + b + bits[12]
+
+    def test_skewed_circuit_is_simulated_vector_by_vector(
+            self, fixtures, simulations):
+        circuit = elaborate(parse((fixtures / "skew.mnl").read_text()),
+                            insert_holds=False)
+        for mode in CollisionMode:
+            assert truth_table(circuit, mode) == simulated_table(circuit,
+                                                                 mode)
+        assert simulations == composer.input_vectors(circuit) * 2
+
+    def test_contention_raises_the_simulators_error(self, simulations):
+        # Several vectors contend here, and the lowest one's error differs
+        # from the highest one's.
+        circuit = elaborate(parse(composer.primitive_source(107)))
+        for mode in CollisionMode:
+            expected = outcome(simulated_table, circuit, mode)
+            assert re.fullmatch(r"two marbles reached \S+\.\S+ in phase \d+",
+                                expected[1])
+            assert outcome(truth_table, circuit, mode) == expected
+        # Only the lowest contending vector, once per mode.
+        assert len(simulations) == 2
+
+    @pytest.mark.parametrize("channels, phases", [
+        # The hold releases at phase 0, before a's marble reaches it.
+        ((("a", "out", "H", "in"), ("H", "out", "y", "in")),
+         {"a": 0, "H": 0, "y": 1}),
+        # Two channels into one port.
+        ((("a", "out", "H", "in"), ("b", "out", "H", "in"),
+          ("H", "out", "y", "in")),
+         {"a": 0, "b": 0, "H": 1, "y": 2}),
+        # A tap's copy has no channel to leave on.
+        ((("a", "out", "T", "in"), ("T", "out", "y", "in")),
+         {"a": 0, "T": 1, "y": 2}),
+    ])
+    def test_hand_built_circuits_agree_with_simulation(self, channels,
+                                                       phases):
+        kinds = {"a": NodeKind.INPUT, "b": NodeKind.INPUT,
+                 "H": NodeKind.HOLD, "T": NodeKind.TAP,
+                 "y": NodeKind.OUTPUT}
+        circuit = Circuit(
+            "hand", tuple(name for name in "ab" if name in phases), ("y",),
+            {name: NodeDecl(name, kinds[name]) for name in phases},
+            tuple(Channel(*ends) for ends in channels), phases)
+        for mode in CollisionMode:
+            assert (outcome(truth_table, circuit, mode)
+                    == outcome(simulated_table, circuit, mode))
 
 
 class TestTableProperties:

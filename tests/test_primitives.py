@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from marblesim import CollisionMode
-from marblesim.primitives import NodeKind, junction_route
+from marblesim.primitives import NodeKind, _presence_route, junction_route
 
 masses = st.fractions(min_value=Fraction(1, 1024), max_value=Fraction(64))
 
@@ -78,3 +78,34 @@ class TestJunctionRoute:
             assert n_out == 1
         else:
             assert n_out == n_in
+
+
+class TestPresenceRoute:
+    """The rule over presence masks, where bit v of a mask is row v."""
+
+    @pytest.mark.parametrize("mode", list(CollisionMode))
+    def test_junction_agrees_with_junction_route(self, mode):
+        a_rows, b_rows = 0b1100, 0b1010  # rows (a, b) = 00, 01, 10, 11
+        outs = _presence_route(NodeKind.JUNCTION, [(a_rows, 0), (b_rows, 0)],
+                               mode, 0b1111)
+        assert len(outs) == len(NodeKind.JUNCTION.outs)
+        for row in range(4):
+            routed = junction_route(bool(a_rows >> row & 1),
+                                    bool(b_rows >> row & 1), mode)
+            assert {port for port, (one, _) in zip(NodeKind.JUNCTION.outs,
+                                                  outs)
+                    if one >> row & 1} == {port for port, _ in routed}
+        assert all(two == 0 for _, two in outs)
+
+    def test_join_marks_two_or_more_inputs(self):
+        # Input k is present in row v when bit k of v is set.
+        ins = [(sum(1 << v for v in range(8) if v >> k & 1), 0)
+               for k in range(3)]
+        ((one, two),) = _presence_route(NodeKind.JOIN, ins,
+                                        CollisionMode.MERGE, 0xFF)
+        for row in range(8):
+            present = bin(row).count("1")
+            assert one >> row & 1 == (present >= 1)
+            assert two >> row & 1 == (present >= 2)
+        assert _presence_route(NodeKind.JOIN, [(1, 1), (0, 0)],
+                               CollisionMode.BOUNCE, 1) == ((1, 1),)
