@@ -8,8 +8,8 @@ Typical use::
     outputs, trace, ledger = simulate(
         circuit, (1, 0), SimConfig(mode=CollisionMode.BOUNCE))
 
-The per-kind node records and the junction rule the simulator applies live
-in :mod:`marblesim.primitives`.
+The per-kind node records live in :mod:`marblesim.primitives`; what each
+kind does to marbles is stated in :mod:`marblesim.sim`.
 """
 
 from .analysis import (GateReport, TruthTable, check_conservative,

@@ -9,7 +9,7 @@ for Structured VLSI", 1985).  The simulator stays the oracle: a circuit
 whose marbles do not all arrive on schedule is tabulated one simulated
 vector at a time, and where two marbles can reach a single-occupancy port
 the lowest such vector is simulated, so the error raised is the
-simulator's own.  The input count is capped, so this is meant for
+simulator's own.  The input count is capped at 16, so this is meant for
 gate-sized circuits.
 
 Verification compares a macro's tables in both collision modes against its
@@ -48,6 +48,9 @@ __all__ = [
 
 _MODES = (CollisionMode.BOUNCE, CollisionMode.MERGE)
 
+# The most inputs a table enumerates: 2**16 rows.
+_MAX_INPUTS = 16
+
 
 @dataclass(frozen=True)
 class TruthTable:
@@ -63,11 +66,11 @@ class TruthTable:
         return dict(self.rows)
 
 
-def _check_width(circuit: Circuit, max_inputs: int) -> int:
+def _check_width(circuit: Circuit) -> int:
     n = len(circuit.inputs)
-    if n > max_inputs:
+    if n > _MAX_INPUTS:
         raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
-                         f"refusing to enumerate more than {max_inputs}")
+                         f"refusing to enumerate more than {_MAX_INPUTS}")
     return n
 
 
@@ -76,12 +79,12 @@ def _bits(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
 
-def _runs(circuit: Circuit, mode: CollisionMode, max_inputs: int = 16
+def _runs(circuit: Circuit, mode: CollisionMode
           ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Ledger]]:
     """Simulate every input vector untraced, counting up with the first
     input as the most significant bit; yield its bits, outputs and
     ledger."""
-    n = _check_width(circuit, max_inputs)
+    n = _check_width(circuit)
     config = SimConfig(mode=mode, trace_enabled=False)
     for value in range(2 ** n):
         bits = _bits(value, n)
@@ -173,8 +176,7 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     return tuple(zip(product((0, 1), repeat=n), outputs))
 
 
-def truth_table(circuit: Circuit, mode: CollisionMode,
-                max_inputs: int = 16) -> TruthTable:
+def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     """Tabulate every input vector, counting up with the first input as
     the most significant bit.
 
@@ -185,10 +187,10 @@ def truth_table(circuit: Circuit, mode: CollisionMode,
     single-occupancy port, the lowest such vector is simulated and raises
     the simulator's ``SimulationError``.
     """
-    n = _check_width(circuit, max_inputs)
+    n = _check_width(circuit)
     rows = _presence_rows(circuit, mode, n)
     if rows is None:
-        rows = tuple(run[:2] for run in _runs(circuit, mode, max_inputs))
+        rows = tuple(run[:2] for run in _runs(circuit, mode))
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
                       rows)
 

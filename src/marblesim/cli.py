@@ -91,6 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_mode(name: str, physics_path: str | None) -> CollisionMode:
     if name != "auto":
+        if physics_path is not None:
+            raise MarblesimError("--physics needs --mode auto")
         return CollisionMode(name)
     path = physics_path or os.environ.get(_PHYSICS_ENV)
     if not path:

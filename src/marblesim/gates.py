@@ -49,15 +49,22 @@ class UnknownGateError(MarblesimError):
 
 @dataclass(frozen=True)
 class GateMacro:
-    """One library gate: its expansion plus verification metadata."""
+    """One library gate: its expansion plus verification metadata.  Its
+    ports are its expansion's circuit inputs and outputs."""
 
     name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
     expansion: CircuitAst
     spec_fn: Callable[[tuple[int, ...]], tuple[int, ...]]
     reversible_claim: bool
     conservative_claim: bool
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        return self.expansion.inputs
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        return self.expansion.outputs
 
 
 _AND = """
@@ -409,9 +416,7 @@ def library_map() -> dict[str, GateMacro]:
     if _LIBRARY is None:
         built: dict[str, GateMacro] = {}
         for name, (source, spec_fn, rev, cons) in _DEFS.items():
-            ast = parse(source)
-            built[name] = GateMacro(name, ast.inputs, ast.outputs, ast,
-                                    spec_fn, rev, cons)
+            built[name] = GateMacro(name, parse(source), spec_fn, rev, cons)
         _LIBRARY = built
     return _LIBRARY
 

@@ -429,7 +429,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
         macro = lib.get(gate_decls[name].macro)
         if macro is None:
             return None
-        return tuple(macro.inputs), tuple(macro.outputs)
+        return macro.inputs, macro.outputs
 
     out_use: dict[tuple[str, str], int] = {}
     in_use: dict[tuple[str, str], int] = {}
@@ -567,11 +567,10 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, CircuitAst],
              active: list[str]) -> CircuitAst:
     """Inline every gate instance of a validated ``ast``.
 
-    The first use of a macro validates its expansion, checks the macro's
-    ports against it and flattens it into ``bodies``; every instance then
-    stamps that flat body under its ``instance.`` prefix.  ``active`` is
-    the chain of macros being flattened, so a macro that reaches itself is
-    reported by its chain.
+    The first use of a macro validates its expansion and flattens it into
+    ``bodies``; every instance then stamps that flat body under its
+    ``instance.`` prefix.  ``active`` is the chain of macros being
+    flattened, so a macro that reaches itself is reported by its chain.
     """
     instances = {gd.name for gd in ast.gates}
     # Inlined names are ``instance.name``; a netlist may declare dotted
@@ -588,21 +587,12 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, CircuitAst],
                 chain = active[active.index(gd.macro):] + [gd.macro]
                 raise ElaborationError("recursive macro expansion: "
                                        + " -> ".join(chain))
-            macro = lib[gd.macro]
-            expansion = macro.expansion
+            expansion = lib[gd.macro].expansion
             diags = [d for d in validate(expansion, lib)
                      if d.severity == "error"]
             if diags:
                 raise ElaborationError(f"invalid macro {gd.macro}",
                                        tuple(diags))
-            if ((tuple(macro.inputs), tuple(macro.outputs))
-                    != (tuple(expansion.inputs), tuple(expansion.outputs))):
-                raise ElaborationError(
-                    f"invalid macro {gd.macro}: its ports "
-                    f"({', '.join(macro.inputs)}) -> "
-                    f"({', '.join(macro.outputs)}) differ from its "
-                    f"expansion's ({', '.join(expansion.inputs)}) -> "
-                    f"({', '.join(expansion.outputs)})")
             active.append(gd.macro)
             body = bodies[gd.macro] = _flatten(expansion, lib, bodies, active)
             active.pop()

@@ -1,4 +1,4 @@
-"""The primitive trackside devices and the junction rule.
+"""The primitive trackside devices: their records and their presence rule.
 
 A bit is the presence or absence of a marble on a channel at a given phase.
 Masses are exact rationals in units of one reference marble; merging adds
@@ -21,22 +21,22 @@ input stays empty, the tap forwards its input and injects a copy, joins
 funnel several channels into one, and holds park a marble for a set number
 of phases.
 
-``_presence_route`` states what every kind does to presence masks, bit v
-of which stands for input vector v, so that truth tables can evaluate all
-vectors at once.
+Each evaluator states the devices' behaviour once, in its own terms:
+``marblesim.sim`` moves marbles with their masses, one input vector at a
+time, and ``_presence_route`` here says what every kind does to presence
+masks, bit v of which stands for input vector v, so that truth tables can
+evaluate all vectors at once.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .physics import CollisionMode
 
 __all__ = [
     "JOIN_PORT_PATTERN",
     "NodeKind",
-    "junction_route",
 ]
 
 
@@ -81,33 +81,6 @@ class NodeKind(enum.Enum):
 
 
 JOIN_PORT_PATTERN = r"in[1-9][0-9]*"
-
-
-def junction_route(a_present: bool, b_present: bool, mode: CollisionMode,
-                   a_mass: Fraction = Fraction(1),
-                   b_mass: Fraction = Fraction(1)
-                   ) -> tuple[tuple[str, Fraction], ...]:
-    """Route one junction firing to its occupied ``(port, mass)`` pairs,
-    ports in O1..O5 order.
-
-    Lone marbles cross (A alone exits rightmost on O5, B alone leftmost on
-    O1).  A collision either bounces (left marble to O2, right to O4, masses
-    kept) or merges into a single marble on O3 with the summed mass.  Total
-    mass out always equals total mass in.
-    """
-    if a_present and a_mass <= 0:
-        raise ValueError(f"present A marble needs positive mass, got {a_mass}")
-    if b_present and b_mass <= 0:
-        raise ValueError(f"present B marble needs positive mass, got {b_mass}")
-    if not a_present and not b_present:
-        return ()
-    if a_present and not b_present:
-        return (("O5", Fraction(a_mass)),)
-    if b_present and not a_present:
-        return (("O1", Fraction(b_mass)),)
-    if mode is CollisionMode.BOUNCE:
-        return (("O2", Fraction(a_mass)), ("O4", Fraction(b_mass)))
-    return (("O3", Fraction(a_mass) + Fraction(b_mass)),)
 
 
 # What a channel holds over many input vectors at once: bit v of ``one``

@@ -14,7 +14,11 @@ hazard diagnostic, or raises under ``strict_timing``.  Sensor+syringe nodes
 watch their input during their firing phase only: whatever arrives is
 diverted to an internal waste pocket, and a fresh unit marble is injected
 exactly when nothing arrived on time.  The nodes due in one phase fire in
-name order, which fixes the marble ids.
+name order, which fixes the marble ids.  ``_Run.fire`` is the one place
+that says what each kind does to marbles; for the junction that is the
+table in :mod:`marblesim.primitives`: a lone A leaves on O5, a lone B on
+O1, and two marbles that meet bounce to O2 (A) and O4 (B) or merge into
+one new marble on O3 that carries both masses.
 
 Traces list every marble placement as ``(phase, node, port, marble)``
 events: a creation event at the out port of the node that produced the
@@ -33,7 +37,7 @@ from fractions import Fraction
 from .errors import MarblesimError
 from .netlist import Circuit
 from .physics import CollisionMode
-from .primitives import NodeKind, junction_route
+from .primitives import NodeKind
 
 __all__ = [
     "Event",
@@ -227,7 +231,6 @@ class _Run:
         # phase -> nodes that fire then
         self.agenda: dict[int, set[str]] = {}
         self.syringe_sensed: set[str] = set()
-        self.output_hits: set[str] = set()
         for name, kind in self.kinds.items():
             if kind.starts:
                 self.schedule(name, circuit.phases[name])
@@ -291,19 +294,21 @@ class _Run:
                     self.syringe_sensed.add(node)
                 self.record(phase + 1, node, "waste", marble)
                 self.final[marble] = (node, "waste")
-            elif kind.role == "output":
-                self.output_hits.add(node)
-            elif kind.role != "waste":
+            elif kind.outs:
+                # A sink keeps what reaches it; any other node parks the
+                # marble until it fires.  A marble that arrives after its
+                # node's phase stays parked, and the run fails at its end.
                 self.held.setdefault(node, {}).setdefault(port, []).append(
                     marble)
-                # A marble that arrives after its node's phase stays parked,
-                # and the run fails at its end.
                 if kind is _JUNCTION:
                     self.schedule(node, phase)
                 elif phase <= self.circuit.phases[node]:
                     self.schedule(node, self.circuit.phases[node])
 
     def take(self, node: str, port: str) -> list[int]:
+        """Unpark the marbles at ``node.port``.  A marble on a port its
+        kind never reads (possible only in a hand-built ``Circuit``) stays
+        parked, so the run fails at its end."""
         ports = self.held.get(node)
         if ports is None:
             return []
@@ -317,7 +322,22 @@ class _Run:
         if kind is _INPUT or kind is _CONST:
             self.emit_new(node, "out", _UNIT, phase)
         elif kind is _JUNCTION:
-            self.fire_junction(node, phase)
+            # A junction fires in the phase its marbles arrive, so what is
+            # parked there arrived now, at most one marble per port.
+            a = self.take(node, "A")
+            b = self.take(node, "B")
+            if a and b:
+                self.met.append((phase, node))
+                if self.config.mode is CollisionMode.BOUNCE:
+                    self.emit(node, "O2", a[0], phase)
+                    self.emit(node, "O4", b[0], phase)
+                else:
+                    self.emit_new(node, "O3",
+                                  self.mass(a[0]) + self.mass(b[0]), phase)
+            elif a:
+                self.emit(node, "O5", a[0], phase)
+            elif b:
+                self.emit(node, "O1", b[0], phase)
         elif kind is _SCALPEL:
             for marble in self.take(node, "in"):
                 half = self.mass(marble) / 2
@@ -339,27 +359,6 @@ class _Run:
                 for marble in ports[port]:
                     self.emit(node, "out", marble, phase)
 
-    def fire_junction(self, node: str, phase: int) -> None:
-        # A junction fires in the phase its marbles arrive, so what is
-        # parked there arrived now, at most one marble per port.
-        a_list = self.take(node, "A")
-        b_list = self.take(node, "B")
-        a = a_list[0] if a_list else None
-        b = b_list[0] if b_list else None
-        if a is not None and b is not None:
-            self.met.append((phase, node))
-        for port, mass in junction_route(
-                a is not None, b is not None, self.config.mode,
-                self.mass(a) if a is not None else _UNIT,
-                self.mass(b) if b is not None else _UNIT):
-            if port == "O3":
-                self.emit_new(node, port, mass, phase)
-            else:
-                # O2 and O5 carry the left-hand marble, O1 and O4 the right.
-                marble = a if port in ("O2", "O5") else b
-                assert marble is not None and self.mass(marble) == mass
-                self.emit(node, port, marble, phase)
-
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:
         last_phase = self.circuit.max_phase + 2
         for phase in range(last_phase + 1):
@@ -375,7 +374,8 @@ class _Run:
                                for port in sorted(ports))
             raise SimulationError("marbles still parked after the final "
                                   f"phase at {parked}")
-        outputs = tuple(1 if name in self.output_hits else 0
+        reached = {node for node, _ in self.final.values()}
+        outputs = tuple(1 if name in reached else 0
                         for name in self.circuit.outputs)
         events = (() if self.events is None
                   else tuple(sorted(self.events, key=Event.sort_key)))

@@ -31,14 +31,16 @@ class TestTruthTable:
         assert table.as_map()[(1, 0)] == (1,)
 
     def test_input_count_is_capped(self):
-        names = ", ".join(f"i{k}" for k in range(5))
-        lines = [f"circuit wide", f"input {names}", "output y",
+        names = ", ".join(f"i{k}" for k in range(17))
+        lines = ["circuit wide", f"input {names}", "output y",
                  "node M : join"]
-        lines += [f"connect i{k} -> M.in{k + 1}" for k in range(5)]
+        lines += [f"connect i{k} -> M.in{k + 1}" for k in range(17)]
         lines += ["connect M.out -> y"]
         circuit = elaborate(parse("\n".join(lines) + "\n"))
-        with pytest.raises(ValueError):
-            truth_table(circuit, CollisionMode.BOUNCE, max_inputs=4)
+        with pytest.raises(ValueError, match=(
+                "^circuit 'wide' has 17 inputs; refusing to enumerate more "
+                "than 16$")):
+            truth_table(circuit, CollisionMode.BOUNCE)
 
 
 def simulated_table(circuit, mode):

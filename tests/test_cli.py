@@ -134,6 +134,24 @@ class TestPhysicsSelection:
         assert err.startswith("warning:")
         assert "ambiguous" in err
 
+    @pytest.mark.parametrize("command", [
+        ("run", "and_gate.mnl", "--inputs", "11"),
+        ("table", "and_gate.mnl")])
+    @pytest.mark.parametrize("mode", [(), ("--mode", "bounce"),
+                                      ("--mode", "merge")])
+    def test_physics_needs_auto_mode(self, capsys, fixtures, tmp_path,
+                                     monkeypatch, command, mode):
+        name, netlist, *rest = command
+        args = (name, str(fixtures / netlist), *rest, *mode)
+        for physics in (tmp_path / "missing.phys", fixtures / "and_gate.mnl"):
+            assert run_cli(capsys, *args, "--physics", str(physics)) == (
+                1, "", "error: --physics needs --mode auto\n")
+        # A fixed mode ignores $MARBLE_PHYSICS, which only --mode auto reads.
+        monkeypatch.setenv("MARBLE_PHYSICS", str(tmp_path / "missing.phys"))
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        assert out
+
 
 class TestTable:
     def test_library_gate_by_name(self, capsys, golden):

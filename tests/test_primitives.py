@@ -1,13 +1,7 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from marblesim import CollisionMode
-from marblesim.primitives import NodeKind, _presence_route, junction_route
-
-masses = st.fractions(min_value=Fraction(1, 1024), max_value=Fraction(64))
+from marblesim import CollisionMode, SimConfig, elaborate, parse, simulate
+from marblesim.primitives import NodeKind, _presence_route
 
 
 class TestPortTables:
@@ -36,65 +30,21 @@ class TestPortTables:
             NodeKind.OUTPUT: "output", NodeKind.WASTE: "waste"}
 
 
-class TestJunctionRoute:
-    @pytest.mark.parametrize("mode", list(CollisionMode))
-    def test_empty_junction_routes_nothing(self, mode):
-        assert junction_route(False, False, mode) == ()
-
-    @pytest.mark.parametrize("mode", list(CollisionMode))
-    def test_lone_left_marble_crosses_to_far_right(self, mode):
-        occ = junction_route(True, False, mode, a_mass=Fraction(3, 2))
-        assert occ == (("O5", Fraction(3, 2)),)
-
-    @pytest.mark.parametrize("mode", list(CollisionMode))
-    def test_lone_right_marble_crosses_to_far_left(self, mode):
-        occ = junction_route(False, True, mode, b_mass=Fraction(1, 4))
-        assert occ == (("O1", Fraction(1, 4)),)
-
-    def test_bounce_reflects_both(self):
-        occ = junction_route(True, True, CollisionMode.BOUNCE,
-                             Fraction(1), Fraction(2))
-        assert occ == (("O2", Fraction(1)), ("O4", Fraction(2)))
-
-    def test_merge_fuses_to_centre(self):
-        occ = junction_route(True, True, CollisionMode.MERGE,
-                             Fraction(1, 2), Fraction(1, 4))
-        assert occ == (("O3", Fraction(3, 4)),)
-
-    @given(a=st.booleans(), b=st.booleans(), a_mass=masses, b_mass=masses,
-           mode=st.sampled_from(list(CollisionMode)))
-    def test_mass_is_conserved_exactly(self, a, b, a_mass, b_mass, mode):
-        occ = junction_route(a, b, mode, a_mass, b_mass)
-        expected = (a_mass if a else 0) + (b_mass if b else 0)
-        assert sum(mass for _, mass in occ) == expected
-
-    @given(a=st.booleans(), b=st.booleans(),
-           mode=st.sampled_from(list(CollisionMode)))
-    def test_marble_count_only_drops_on_merge(self, a, b, mode):
-        occ = junction_route(a, b, mode)
-        n_in = int(a) + int(b)
-        n_out = len(occ)
-        if mode is CollisionMode.MERGE and a and b:
-            assert n_out == 1
-        else:
-            assert n_out == n_in
-
-
 class TestPresenceRoute:
     """The rule over presence masks, where bit v of a mask is row v."""
 
     @pytest.mark.parametrize("mode", list(CollisionMode))
-    def test_junction_agrees_with_junction_route(self, mode):
+    def test_junction_agrees_with_junction_route(self, fixtures, mode):
+        # The simulator's junction, whose O1..O5 each reach an output.
+        circuit = elaborate(parse((fixtures / "junction.mnl").read_text()))
         a_rows, b_rows = 0b1100, 0b1010  # rows (a, b) = 00, 01, 10, 11
         outs = _presence_route(NodeKind.JUNCTION, [(a_rows, 0), (b_rows, 0)],
                                mode, 0b1111)
         assert len(outs) == len(NodeKind.JUNCTION.outs)
         for row in range(4):
-            routed = junction_route(bool(a_rows >> row & 1),
-                                    bool(b_rows >> row & 1), mode)
-            assert {port for port, (one, _) in zip(NodeKind.JUNCTION.outs,
-                                                  outs)
-                    if one >> row & 1} == {port for port, _ in routed}
+            bits = (a_rows >> row & 1, b_rows >> row & 1)
+            simulated, _, _ = simulate(circuit, bits, SimConfig(mode=mode))
+            assert tuple(one >> row & 1 for one, _ in outs) == simulated
         assert all(two == 0 for _, two in outs)
 
     def test_join_marks_two_or_more_inputs(self):

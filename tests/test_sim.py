@@ -68,6 +68,41 @@ class TestAndGate:
             assert trace.collisions() == ()
 
 
+class TestJunction:
+    """The junction's four rows, with A's marble halved by a scalpel so
+    that every marble's mass tells which input it came from."""
+
+    HALF = Fraction(1, 2)
+    # (a, b) -> (bounce, merge): output reached -> mass of the marble there
+    ROWS = {
+        (0, 0): ({}, {}),
+        (0, 1): ({"o1": 1}, {"o1": 1}),
+        (1, 0): ({"o5": HALF}, {"o5": HALF}),
+        (1, 1): ({"o2": HALF, "o4": 1}, {"o3": 1 + HALF}),
+    }
+
+    @pytest.mark.parametrize("bits", sorted(ROWS))
+    @pytest.mark.parametrize("mode", list(CollisionMode))
+    def test_routes_every_row(self, fixtures, bits, mode):
+        circuit = elaborate(parse((fixtures / "junction.mnl").read_text()))
+        outputs, trace, ledger = simulate(circuit, bits, SimConfig(mode=mode))
+        reached = self.ROWS[bits][mode is CollisionMode.MERGE]
+        assert outputs == tuple(int(name in reached)
+                                for name in circuit.outputs)
+        mass = {e.marble_id: e.mass for e in trace.events}
+        assert {node: mass[marble]
+                for marble, (node, port) in trace.final_locations.items()
+                if node in circuit.outputs and port == "in"} == reached
+        # Merged marbles end on the junction's in ports, the new one on O3.
+        at_junction = sorted(port for node, port
+                             in trace.final_locations.values() if node == "J")
+        assert at_junction == (["A", "B"] if reached.keys() == {"o3"}
+                               else [])
+        assert ledger.output_mass == sum(reached.values())
+        assert ledger.balanced
+        assert trace.collisions() == (((2, "J"),) if bits == (1, 1) else ())
+
+
 class TestJoinSynchronization:
     def test_or_output_phase_is_mode_and_row_independent(self):
         circuit = circuit_for("OR")
@@ -192,6 +227,36 @@ class TestEndOfRun:
         assert "H.in" in str(err.value)
         outputs, _, ledger = simulate(circuit, (0,), BOUNCE)
         assert outputs == (0,) and ledger.balanced
+
+    def test_marble_on_a_port_its_node_never_reads_raises(self):
+        # Hand-built channels into a port the kind has no use for: a
+        # const1 has no in port and a hold reads only ``in``.  Each marble
+        # arrives in its node's phase, before the node fires.
+        const = Circuit(
+            "const_fed", ("a",), ("y",),
+            {"a": NodeDecl("a", NodeKind.INPUT),
+             "C": NodeDecl("C", NodeKind.CONST),
+             "y": NodeDecl("y", NodeKind.OUTPUT)},
+            (Channel("a", "out", "C", "in"), Channel("C", "out", "y", "in")),
+            {"a": 0, "C": 1, "y": 2})
+        with pytest.raises(SimulationError, match=(
+                "^marbles still parked after the final phase at C.in$")):
+            simulate(const, (1,), BOUNCE)
+        hold = Circuit(
+            "bogus_port", ("a", "b"), ("y",),
+            {"a": NodeDecl("a", NodeKind.INPUT),
+             "b": NodeDecl("b", NodeKind.INPUT),
+             "H": NodeDecl("H", NodeKind.HOLD, 1),
+             "y": NodeDecl("y", NodeKind.OUTPUT)},
+            (Channel("a", "out", "H", "in"), Channel("b", "out", "H", "bogus"),
+             Channel("H", "out", "y", "in")),
+            {"a": 0, "b": 0, "H": 1, "y": 2})
+        with pytest.raises(SimulationError, match=(
+                "^marbles still parked after the final phase at H.bogus$")):
+            simulate(hold, (1, 1), BOUNCE)
+        for circuit, bits in ((const, (0,)), (hold, (1, 0))):
+            outputs, _, ledger = simulate(circuit, bits, BOUNCE)
+            assert outputs == (1,) and ledger.balanced
 
 
 class TestInputValidation:
