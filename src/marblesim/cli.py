@@ -8,10 +8,10 @@ Subcommands:
     lint    report junction inputs that would arrive off-schedule
     print   parse a netlist and reprint it in canonical form
 
-``--format records`` switches any subcommand to a line-oriented,
-tab-separated output meant for scripting; the default text format is for
-people.  Both are byte-deterministic for a given invocation.  The exit code
-is 0 exactly when the command produced no error diagnostics.
+``--format records`` switches every subcommand but ``print`` to a
+line-oriented, tab-separated output meant for scripting; the default text
+format is for people.  Both are byte-deterministic for a given invocation.
+The exit code is 0 exactly when the command produced no error diagnostics.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     show = sub.add_parser("print", help="reprint a netlist canonically")
     show.add_argument("file", help="netlist file")
-    add_common(show)
 
     return parser
 

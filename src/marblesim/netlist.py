@@ -64,6 +64,10 @@ _JOIN_IN = re.compile(JOIN_PORT_PATTERN + r"\Z")
 # declared by their own statements, and a hold needs its phase count.
 _KIND_KEYWORDS = {kind.value: kind for kind in NodeKind if kind not in
                   (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD)}
+# The kinds validate compares per channel and per name, bound once: a
+# ``NodeKind.X`` lookup costs about ten times a module-level name.
+_INPUT, _OUTPUT, _JOIN, _WASTE = (NodeKind.INPUT, NodeKind.OUTPUT,
+                                  NodeKind.JOIN, NodeKind.WASTE)
 
 
 class ParseError(MarblesimError):
@@ -379,9 +383,9 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     """Structural checks: unique names, port names, arity, connectivity,
     acyclicity.
 
-    Returns an empty list exactly when the netlist is well formed.  Gate
-    instance ports are checked against ``library`` (the built-in macro
-    library by default).
+    Returns an empty list exactly when the netlist is well formed, and
+    reports each wiring mistake once.  Gate instance ports are checked
+    against ``library`` (the built-in macro library by default).
     """
     lib = _default_library() if library is None else library
     diags: list[Diagnostic] = []
@@ -389,176 +393,136 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     def err(message: str, line: int | None = None) -> None:
         diags.append(Diagnostic("error", message, line))
 
+    # Each name's kind (None for a gate instance), line, in ports and out
+    # ports (None for an unknown macro's instance).  Circuit inputs and
+    # outputs are INPUT and OUTPUT nodes without a line, as in a Circuit.
     # The first declaration of a name counts; later ones are reported.
-    categories: dict[str, str] = {}
-    declared_on: dict[str, int] = {}
-    node_decls: dict[str, NodeDecl] = {}
-    gate_decls: dict[str, GateDecl] = {}
+    decls: dict[str, tuple[NodeKind | None, int | None,
+                           tuple[str, ...] | None,
+                           tuple[str, ...] | None]] = {}
 
-    def declare(name: str, category: str, line: int = 0) -> bool:
-        if name in categories:
-            on = f" on line {declared_on[name]}" if declared_on[name] else ""
-            err(f"duplicate name {name!r} (already declared as "
-                f"{categories[name]}{on})", line or None)
+    def declare(name: str, kind: NodeKind | None, line: int | None,
+                ports: tuple = (None, None)) -> bool:
+        if name in decls:
+            prev, on = decls[name][:2]
+            what = ("gate" if prev is None else
+                    prev.value if prev in (_INPUT, _OUTPUT) else "node")
+            err(f"duplicate name {name!r} (already declared as {what}"
+                f"{f' on line {on}' if on else ''})", line or None)
             return False
-        categories[name] = category
-        declared_on[name] = line
+        if kind is not None:
+            ports = kind.ins, kind.outs
+        decls[name] = (kind, line, *ports)
         return True
 
     for name in ast.inputs:
-        declare(name, "input")
+        declare(name, _INPUT, None)
     for name in ast.outputs:
-        declare(name, "output")
+        declare(name, _OUTPUT, None)
     for nd in ast.nodes:
-        if declare(nd.name, "node", nd.line):
-            node_decls[nd.name] = nd
+        declare(nd.name, nd.kind, nd.line)
+    gates = []
     for gd in ast.gates:
-        if declare(gd.name, "gate", gd.line):
-            gate_decls[gd.name] = gd
+        macro = lib.get(gd.macro)
+        ports = (macro.inputs, macro.outputs) if macro else (None, None)
+        if declare(gd.name, None, gd.line, ports):
+            gates.append(gd)
 
-    for name in categories:
+    for name in decls:
         if name in lib:
             err(f"name {name!r} is reserved (gate macro)")
-    for gd in gate_decls.values():
+    for gd in gates:
         if gd.macro not in lib:
             err(f"unknown gate macro {gd.macro!r}", gd.line)
 
-    def gate_ports(name: str) -> tuple[tuple[str, ...], ...] | None:
-        """A gate instance's (inputs, outputs); None if its macro is
-        unknown."""
-        macro = lib.get(gate_decls[name].macro)
-        if macro is None:
-            return None
-        return macro.inputs, macro.outputs
+    def unknown_port(name: str, port: str, kind: NodeKind | None,
+                     side: str, ports: tuple[str, ...], line: int) -> None:
+        err(f"unknown port {name}.{port} "
+            f"({'macro' if kind is None else kind.value} {side}: "
+            f"{', '.join(ports) or 'none'})", line)
 
-    out_use: dict[tuple[str, str], int] = {}
-    in_use: dict[tuple[str, str], int] = {}
-    seen_channels: dict[tuple[str, str, str, str], int] = {}
-
+    # Channels into and out of each port, by name, then port.
+    fed: dict[str, dict[str, int]] = {name: {} for name in decls}
+    left: dict[str, dict[str, int]] = {name: {} for name in decls}
+    # The first channel of each (src, src_port, dst, dst_port).
+    seen: dict[tuple[str, str, str, str], Channel] = {}
     for ch in ast.channels:
-        if ch.src not in categories or ch.dst not in categories:
-            missing = ch.src if ch.src not in categories else ch.dst
+        if ch.src not in decls or ch.dst not in decls:
+            missing = ch.src if ch.src not in decls else ch.dst
             err(f"unknown name {missing!r}", ch.line)
             continue
         key = ch.key()
-        if key in seen_channels:
+        if key in seen:
             err(f"duplicate channel {ch.src}.{ch.src_port} -> "
-                f"{ch.dst}.{ch.dst_port} (first on line "
-                f"{seen_channels[key]})", ch.line)
-        else:
-            seen_channels[key] = ch.line
-
-        src_cat = categories[ch.src]
-        if src_cat == "output":
+                f"{ch.dst}.{ch.dst_port} (first on line {seen[key].line})",
+                ch.line)
+            continue
+        seen[key] = ch
+        # A bare circuit input or output stands for its one port.
+        kind, _, _, outs = decls[ch.src]
+        if kind is _OUTPUT:
             err(f"cannot connect from circuit output {ch.src!r}", ch.line)
-        elif src_cat == "node":
-            kind = node_decls[ch.src].kind
-            if ch.src_port not in kind.outs:
-                err(f"unknown port {ch.src}.{ch.src_port} "
-                    f"({kind.value} outputs: "
-                    f"{', '.join(kind.outs) or 'none'})", ch.line)
-        elif src_cat == "gate":
-            ports = gate_ports(ch.src)
-            if ports is not None and ch.src_port not in ports[1]:
-                err(f"unknown port {ch.src}.{ch.src_port} "
-                    f"(macro outputs: {', '.join(ports[1]) or 'none'})",
-                    ch.line)
-        out_use[(ch.src, ch.src_port)] = out_use.get(
-            (ch.src, ch.src_port), 0) + 1
-
-        dst_cat = categories[ch.dst]
-        if dst_cat == "input":
+        elif (kind is not _INPUT and outs is not None
+              and ch.src_port not in outs):
+            unknown_port(ch.src, ch.src_port, kind, "outputs", outs, ch.line)
+        uses = left[ch.src]
+        uses[ch.src_port] = uses.get(ch.src_port, 0) + 1
+        kind, _, ins, _ = decls[ch.dst]
+        if kind is _INPUT:
             err(f"cannot connect into circuit input {ch.dst!r}", ch.line)
-        elif dst_cat == "node":
-            kind = node_decls[ch.dst].kind
-            if kind is NodeKind.JOIN:
-                if not _JOIN_IN.fullmatch(ch.dst_port):
-                    err(f"unknown port {ch.dst}.{ch.dst_port} "
-                        f"(join inputs are in1..inN)", ch.line)
-            elif ch.dst_port not in kind.ins:
+        elif kind is _JOIN:
+            if not _JOIN_IN.fullmatch(ch.dst_port):
                 err(f"unknown port {ch.dst}.{ch.dst_port} "
-                    f"({kind.value} inputs: "
-                    f"{', '.join(kind.ins) or 'none'})", ch.line)
-        elif dst_cat == "gate":
-            ports = gate_ports(ch.dst)
-            if ports is not None and ch.dst_port not in ports[0]:
-                err(f"unknown port {ch.dst}.{ch.dst_port} "
-                    f"(macro inputs: {', '.join(ports[0]) or 'none'})",
-                    ch.line)
-        in_use[(ch.dst, ch.dst_port)] = in_use.get(
-            (ch.dst, ch.dst_port), 0) + 1
+                    f"(join inputs are in1..inN)", ch.line)
+        elif (kind is not _OUTPUT and ins is not None
+              and ch.dst_port not in ins):
+            unknown_port(ch.dst, ch.dst_port, kind, "inputs", ins, ch.line)
+        uses = fed[ch.dst]
+        uses[ch.dst_port] = uses.get(ch.dst_port, 0) + 1
 
-    def need_out(name: str, port: str, line: int | None) -> None:
-        n = out_use.get((name, port), 0)
-        if n == 0:
-            err(f"unconnected port {name}.{port}", line)
-        elif n > 1:
-            err(f"multiple channels leave {name}.{port}", line)
+    def need_one(name: str, kind: NodeKind | None, line: int | None,
+                 ports: Iterable[str], uses: dict[str, int],
+                 verb: str) -> None:
+        """Exactly one channel must ``verb`` each of ``ports``."""
+        for port in ports:
+            n = uses.get(port, 0)
+            if n == 1:
+                continue
+            bare = kind in (_INPUT, _OUTPUT)
+            what = (f"circuit {kind.value} {name!r}" if bare
+                    else f"{name}.{port}")
+            err(f"multiple channels {verb} {what}" if n else
+                f"unconnected {'' if bare else 'port '}{what}", line)
 
-    def need_in(name: str, port: str, line: int | None) -> None:
-        n = in_use.get((name, port), 0)
-        if n == 0:
-            err(f"unconnected port {name}.{port}", line)
-        elif n > 1:
-            err(f"multiple channels into {name}.{port}", line)
-
-    for name in ast.inputs:
-        n = out_use.get((name, "out"), 0)
-        if n == 0:
-            err(f"unconnected circuit input {name!r}")
-        elif n > 1:
-            err(f"multiple channels leave circuit input {name!r}")
-    for name in ast.outputs:
-        n = in_use.get((name, "in"), 0)
-        if n == 0:
-            err(f"unconnected circuit output {name!r}")
-        elif n > 1:
-            err(f"multiple channels into circuit output {name!r}")
-
-    # Ports fed per node, in first-use order, so a join reads only its own.
-    ports_into: dict[str, list[tuple[str, int]]] = {}
-    for (name, port), n in in_use.items():
-        ports_into.setdefault(name, []).append((port, n))
-
-    for nd in node_decls.values():
-        for port in nd.kind.outs:
-            need_out(nd.name, port, nd.line)
-        if nd.kind is NodeKind.WASTE:
-            if in_use.get((nd.name, "in"), 0) == 0:
-                err(f"unconnected port {nd.name}.in", nd.line)
-        elif nd.kind is NodeKind.JOIN:
-            fed = ports_into.get(nd.name, ())
-            numbered = sorted(int(port[2:]) for port, _ in fed
+    for name, (kind, line, ins, outs) in decls.items():
+        if kind is None:  # a gate instance reports its inputs first
+            need_one(name, kind, line, ins or (), fed[name], "into")
+        need_one(name, kind, line, outs or (), left[name], "leave")
+        if kind is _WASTE:
+            if "in" not in fed[name]:
+                err(f"unconnected port {name}.in", line)
+        elif kind is _JOIN:
+            # Each fed port counts as an input; one that is not inN was
+            # reported above and takes no part in the contiguity check.
+            ports = fed[name]
+            need_one(name, kind, line, ports, ports, "into")
+            numbered = sorted(int(port[2:]) for port in ports
                               if _JOIN_IN.fullmatch(port))
-            for port, n in fed:
-                if n > 1:
-                    err(f"multiple channels into {nd.name}.{port}", nd.line)
-            if len(numbered) < 2:
-                err(f"join {nd.name} needs at least two inputs", nd.line)
-            elif numbered != list(range(1, len(numbered) + 1)):
-                expect = list(range(1, len(numbered) + 1))
-                missing = sorted(set(expect) - set(numbered))
-                err(f"join {nd.name} input ports must be contiguous "
+            if len(ports) < 2:
+                err(f"join {name} needs at least two inputs", line)
+            elif len(numbered) > 1 and numbered[-1] != len(numbered):
+                missing = set(range(1, len(numbered) + 1)).difference(numbered)
+                err(f"join {name} input ports must be contiguous "
                     f"in1..in{len(numbered)} (missing "
-                    f"{', '.join('in%d' % i for i in missing)})", nd.line)
-        else:
-            for port in nd.kind.ins:
-                need_in(nd.name, port, nd.line)
-
-    for gd in gate_decls.values():
-        gins, gouts = gate_ports(gd.name) or ((), ())
-        for port in gins:
-            need_in(gd.name, port, gd.line)
-        for port in gouts:
-            need_out(gd.name, port, gd.line)
+                    f"{', '.join('in%d' % i for i in sorted(missing))})", line)
+        elif kind is not None:
+            need_one(name, kind, line, ins, fed[name], "into")
 
     # Acyclicity over the name-level graph (gate instances are opaque).
-    edges = [ch for ch in ast.channels
-             if ch.src in categories and ch.dst in categories]
-    order = _toposort(categories, edges)
-    if len(order) != len(categories):
+    order = _toposort(decls, seen.values())
+    if len(order) != len(decls):
         err("cycle detected involving: " + ", ".join(
-            _cycle(set(categories).difference(order), edges)))
+            _cycle(set(decls).difference(order), seen.values())))
 
     return diags
 
@@ -588,8 +552,7 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, CircuitAst],
                 raise ElaborationError("recursive macro expansion: "
                                        + " -> ".join(chain))
             expansion = lib[gd.macro].expansion
-            diags = [d for d in validate(expansion, lib)
-                     if d.severity == "error"]
+            diags = validate(expansion, lib)
             if diags:
                 raise ElaborationError(f"invalid macro {gd.macro}",
                                        tuple(diags))
@@ -704,10 +667,7 @@ def _levelize(ast: CircuitAst, insert_holds: bool) -> Circuit:
     junctions = sorted(name for name, node in nodes.items()
                        if node.kind is NodeKind.JUNCTION)
     for jname in junctions:
-        slot_a = into.get((jname, "A"))
-        slot_b = into.get((jname, "B"))
-        if slot_a is None or slot_b is None:
-            continue
+        slot_a, slot_b = into[(jname, "A")], into[(jname, "B")]
         cha, chb = channels[slot_a], channels[slot_b]
         pa, pb = phases[cha.src], phases[chb.src]
         if pa == pb or not insert_holds:
@@ -743,7 +703,7 @@ def elaborate(ast: CircuitAst, library: dict | None = None, *,
     circuits: re-elaborating an already balanced circuit changes nothing.
     """
     lib = _default_library() if library is None else library
-    diags = [d for d in validate(ast, lib) if d.severity == "error"]
+    diags = validate(ast, lib)
     if diags:
         raise ElaborationError("invalid netlist", tuple(diags))
     return _levelize(_flatten(ast, lib, {}, []), insert_holds)

@@ -236,3 +236,10 @@ class TestPrint:
         rewritten.write_text(once)
         _, twice, _ = run_cli(capsys, "print", str(rewritten))
         assert twice == once
+
+    def test_format_flag_is_rejected(self, capsys, fixtures):
+        with pytest.raises(SystemExit) as exc:
+            main(["print", str(fixtures / "and_gate.mnl"),
+                  "--format", "records"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err

@@ -266,9 +266,7 @@ class TestValidate:
         pytest.param("circuit c\ninput a\noutput y\nnode H : hold(1)\n"
                      "connect a -> H.in\nconnect a -> H.in\n"
                      "connect H.out -> y\n",
-                     [(6, "duplicate channel a.out -> H.in (first on line 5)"),
-                      (None, "multiple channels leave circuit input 'a'"),
-                      (4, "multiple channels into H.in")],
+                     [(6, "duplicate channel a.out -> H.in (first on line 5)")],
                      id="duplicate-channel"),
         pytest.param("circuit c\ninput a\noutput y\nnode W : waste\n"
                      "connect a -> y\nconnect y -> W.in\n",
@@ -288,6 +286,16 @@ class TestValidate:
                      "connect c -> M.x\nconnect M.out -> y\n",
                      [(7, "unknown port M.x (join inputs are in1..inN)")],
                      id="join-port-not-inN"),
+        pytest.param("circuit c\ninput a, b\noutput y\nnode M : join\n"
+                     "connect a -> M.in1\nconnect b -> M.x\n"
+                     "connect M.out -> y\n",
+                     [(6, "unknown port M.x (join inputs are in1..inN)")],
+                     id="join-fed-in1-and-x"),
+        pytest.param("circuit c\ninput a\noutput y\ngate G : NOT_SYRINGE\n"
+                     "connect a -> G.a\nconnect a -> G.a\n"
+                     "connect G.y -> y\n",
+                     [(6, "duplicate channel a.out -> G.a (first on line 5)")],
+                     id="gate-input-fed-twice-by-one-line"),
         pytest.param("circuit c\ninput a\noutput y\nnode T : tap\n"
                      "node W : waste\nconnect a -> T.in\n"
                      "connect T.out -> y\nconnect T.out -> W.in\n"
