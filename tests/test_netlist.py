@@ -291,6 +291,11 @@ class TestValidate:
                      "connect M.out -> y\n",
                      [(6, "unknown port M.x (join inputs are in1..inN)")],
                      id="join-fed-in1-and-x"),
+        pytest.param("circuit c\ninput a, b\noutput y\nnode M : join\n"
+                     "connect a -> M.in2\nconnect b -> M.x\n"
+                     "connect M.out -> y\n",
+                     [(6, "unknown port M.x (join inputs are in1..inN)")],
+                     id="join-fed-in2-and-x"),
         pytest.param("circuit c\ninput a\noutput y\ngate G : NOT_SYRINGE\n"
                      "connect a -> G.a\nconnect a -> G.a\n"
                      "connect G.y -> y\n",
@@ -317,11 +322,30 @@ class TestValidate:
                      "connect a -> y\n",
                      [(4, "unconnected port W.in")],
                      id="waste-without-input"),
+        pytest.param("circuit c\ninput a\noutput y\nnode H : hold(1)\n"
+                     "gate G : NOT_SYRINGE\nconnect a -> y\n",
+                     [(4, "unconnected port H.out"),
+                      (4, "unconnected port H.in"),
+                      (5, "unconnected port G.a"),
+                      (5, "unconnected port G.y")],
+                     id="node-outputs-first-gate-inputs-first"),
     ])
     def test_each_diagnostic(self, source, expected):
         ast = self.channel_to_nowhere() if source is None else parse(source)
         assert validate(ast) == [Diagnostic("error", message, line)
                                  for line, message in expected]
+
+    def test_bare_circuit_ports_name_no_other_port(self):
+        # Built in code: parse gives a bare input port "out" and a bare
+        # output port "in".  Any other port leaves them unconnected, and is
+        # not reported as unknown.
+        hold = parse(self.HOLD)
+        odd = CircuitAst(hold.name, hold.inputs, hold.outputs, hold.nodes, (),
+                         (Channel("a", "x", "H", "in", 5),
+                          Channel("H", "out", "y", "x", 6)))
+        assert validate(odd) == [
+            Diagnostic("error", "unconnected circuit input 'a'"),
+            Diagnostic("error", "unconnected circuit output 'y'")]
 
     CYCLE = ("circuit c\ninput a\noutput y\n"
              "node M : join\nnode T : tap\n"
