@@ -17,15 +17,18 @@ reference Boolean function and checks the reversibility and
 conservativeness claims, plus physical conservativity: a run is physically
 conservative when no syringe or tap added a marble, nothing landed in
 waste, and exactly as many marbles left as entered (const sources count as
-entering).  That needs the exact ledger of every row, so verification
-simulates each row and takes its tables from the same runs.
+entering).  That is the marble-by-marble form of conservative logic
+(Fredkin & Toffoli, "Conservative Logic", 1982).  The same mask pass that
+gives the tables decides it per vector, by counting scalpel cuts against
+merges; a circuit the pass cannot take is simulated row by row and judged
+from each run's ledger.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product, repeat, zip_longest
 
 from .gates import boolean_spec, get_macro
 from .netlist import Circuit, Diagnostic, elaborate
@@ -114,20 +117,47 @@ def _on_schedule(circuit: Circuit) -> bool:
     return True
 
 
+# The kinds the mask pass compares per node, bound once: a ``NodeKind.X``
+# lookup costs about ten times a module-level name.
+_INPUT, _JUNCTION, _SCALPEL, _SYRINGE, _TAP, _WASTE = (
+    NodeKind.INPUT, NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE,
+    NodeKind.TAP, NodeKind.WASTE)
+
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
+_Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _count(planes: list[int], mask: int) -> None:
+    """Add one, in every vector of ``mask``, to the bit-sliced counter
+    ``planes``: plane i holds binary digit i of every vector's count."""
+    for i, plane in enumerate(planes):
+        if not mask:
+            return
+        planes[i] = plane ^ mask
+        mask &= plane
+    if mask:
+        planes.append(mask)
+
 
 def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
-                   ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
-                              ] | None:
-    """Every row of the table from one pass over presence masks, or None
+                   ) -> tuple[_Rows, int] | None:
+    """Every row of the table from one pass over presence masks, with the
+    mask of vectors whose run is not physically conservative, or None
     when the simulator has to tabulate the circuit vector by vector.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
     marbles on a single-occupancy port, or a marble on an out port with
     no channel, the lowest such vector is simulated, which raises the
     simulator's error for it.
+
+    On schedule and without contention every marble ends at an output or
+    a waste node, and a scalpel turns one marble into two while a merge
+    turns two into one.  So a run that no syringe, firing tap or waste
+    node touches is conservative exactly when it cut as many marbles as
+    it merged; both are counted per vector.  A syringe spoils every run:
+    it either injects or swallows into its pocket.
     """
     if not _on_schedule(circuit):
         return None
@@ -139,13 +169,17 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         span = 1 << (n - 1 - k)
         run = ((1 << span) - 1) << span
         vectors[name] = run * (full // ((1 << 2 * span) - 1))
+    wastes = {name for name, node in circuit.nodes.items()
+              if node.kind is _WASTE}
     arriving: dict[str, dict[str, tuple[int, int]]] = {}
-    flagged = 0
+    flagged = spoiled = 0
+    cuts: list[int] = []
+    merges: list[int] = []
     for name in sorted(circuit.nodes, key=circuit.phases.__getitem__):
         kind = circuit.nodes[name].kind
         if not kind.outs:
             continue
-        if kind is NodeKind.INPUT:
+        if kind is _INPUT:
             outs: tuple[tuple[int, int], ...] = ((vectors.get(name, 0), 0),)
         else:
             got = arriving.get(name, {})
@@ -155,11 +189,22 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
                 for _, two in ins:
                     flagged |= two
             outs = _presence_route(kind, ins, mode, full)
+            if kind is _JUNCTION:
+                _count(merges, outs[2][0])
+            elif kind is _SCALPEL:
+                _count(cuts, ins[0][0])
+            elif kind is _TAP:
+                spoiled |= ins[0][0]
+            elif kind is _SYRINGE:
+                spoiled = full
         for port, mask in zip(kind.outs, outs):
             channel = circuit.out_channel(name, port)
             if channel is None:
                 flagged |= mask[0]
             else:
+                # Every channel into a waste node uses its one port.
+                if channel.dst in wastes:
+                    spoiled |= mask[0]
                 arriving.setdefault(channel.dst, {})[channel.dst_port] = mask
     if flagged:
         first = (flagged & -flagged).bit_length() - 1
@@ -168,12 +213,28 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         # It raises unless the mask rule and the simulator disagree, in
         # which case the simulator tabulates.
         return None
+    for cut, merge in zip_longest(cuts, merges, fillvalue=0):
+        spoiled |= cut ^ merge
     # One byte per vector for each output, vector 0 first.
     columns = [format(arriving.get(name, {}).get("in", (0, 0))[0],
                       f"0{count}b")[::-1].encode().translate(_DIGITS)
                for name in circuit.outputs]
     outputs = zip(*columns) if columns else repeat((), count)
-    return tuple(zip(product((0, 1), repeat=n), outputs))
+    return tuple(zip(product((0, 1), repeat=n), outputs)), spoiled
+
+
+def _tabulate(circuit: Circuit, mode: CollisionMode) -> tuple[_Rows, bool]:
+    """Every row of the table and whether every run is physically
+    conservative: from one presence-mask pass where it applies, else from
+    simulating each row."""
+    n = _check_width(circuit)
+    found = _presence_rows(circuit, mode, n)
+    if found is not None:
+        rows, spoiled = found
+        return rows, not spoiled
+    runs = list(_runs(circuit, mode))
+    return (tuple(run[:2] for run in runs),
+            all(physically_conservative(run[2]) for run in runs))
 
 
 def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
@@ -187,10 +248,7 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     single-occupancy port, the lowest such vector is simulated and raises
     the simulator's ``SimulationError``.
     """
-    n = _check_width(circuit)
-    rows = _presence_rows(circuit, mode, n)
-    if rows is None:
-        rows = tuple(run[:2] for run in _runs(circuit, mode))
+    rows, _ = _tabulate(circuit, mode)
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
                       rows)
 
@@ -254,14 +312,12 @@ def verify_gate(name: str) -> GateReport:
     table_ok = []
     physical = []
     for mode in _MODES:
-        runs = list(_runs(circuit, mode))
-        table = TruthTable(circuit.name, mode, circuit.inputs,
-                           circuit.outputs, tuple(run[:2] for run in runs))
-        tables.append(table)
+        rows, conservative = _tabulate(circuit, mode)
+        tables.append(TruthTable(circuit.name, mode, circuit.inputs,
+                                 circuit.outputs, rows))
         table_ok.append(all(boolean_spec(name, bits) == outputs
-                            for bits, outputs in table.rows))
-        physical.append(all(physically_conservative(ledger)
-                            for _, _, ledger in runs))
+                            for bits, outputs in rows))
+        physical.append(conservative)
     modes_agree = tables[0].rows == tables[1].rows
     return GateReport(
         name=name,
@@ -280,7 +336,12 @@ def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
     """Flag junction inputs whose marbles arrive before the firing phase.
 
     The reported hold length is exactly what balanced elaboration would
-    insert on that channel.
+    insert on that channel.  A channel that inlining made inside a gate
+    instance cannot take a hold in the netlist, so its message says to
+    leave hold repair on.  Inlining names both its ends
+    ``instance.node`` and gives them and the channel the ``gate``
+    statement's line, where a netlist's own dotted nodes have lines of
+    their own.
     """
     diagnostics = []
     into_junctions = sorted(
@@ -291,14 +352,20 @@ def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
         fire = circuit.phases[channel.dst]
         arrival = circuit.phases[channel.src] + 1
         if arrival != fire:
-            diagnostics.append(Diagnostic(
-                "error",
-                f"junction {channel.dst} fires at phase {fire} but input "
-                f"{channel.dst_port} arrives at phase {arrival}; "
-                f"insert hold({fire - arrival}) on "
-                f"{channel.src}.{channel.src_port} -> "
-                f"{channel.dst}.{channel.dst_port}",
-                channel.line or None))
+            message = (f"junction {channel.dst} fires at phase {fire} but "
+                       f"input {channel.dst_port} arrives at phase "
+                       f"{arrival}; insert hold({fire - arrival}) on "
+                       f"{channel.src}.{channel.src_port} -> "
+                       f"{channel.dst}.{channel.dst_port}")
+            instance = channel.src.split(".", 1)[0]
+            if (channel.line and channel.dst.startswith(instance + ".")
+                    and "." in channel.src
+                    and circuit.nodes[channel.src].line == channel.line
+                    == circuit.nodes[channel.dst].line):
+                message += (f"; that channel is inside gate instance "
+                            f"{instance}, so leave hold repair on")
+            diagnostics.append(Diagnostic("error", message,
+                                          channel.line or None))
     return tuple(diagnostics)
 
 

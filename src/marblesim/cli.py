@@ -17,6 +17,7 @@ The exit code is 0 exactly when the command produced no error diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -36,7 +37,10 @@ __all__ = ["main"]
 _PHYSICS_ENV = "MARBLE_PHYSICS"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: each ``parse_args`` call
+    returns a fresh namespace, so no option carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="marblesim",
         description="Simulate collision-based marble logic circuits.")

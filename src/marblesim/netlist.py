@@ -420,6 +420,11 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     for name in ast.outputs:
         declare(name, _OUTPUT, None)
     for nd in ast.nodes:
+        if nd.kind in (_INPUT, _OUTPUT):
+            # Only an AST built in code holds one: such a node never
+            # emits, and its printed form does not parse.
+            err(f"node {nd.name!r} cannot be of kind {nd.kind.value}; "
+                f"declare it on the {nd.kind.value} line", nd.line or None)
         declare(nd.name, nd.kind, nd.line)
     gates = []
     for gd in ast.gates:

@@ -25,7 +25,10 @@ Each evaluator states the devices' behaviour once, in its own terms:
 ``marblesim.sim`` moves marbles with their masses, one input vector at a
 time, and ``_presence_route`` here says what every kind does to presence
 masks, bit v of which stands for input vector v, so that truth tables can
-evaluate all vectors at once.
+evaluate all vectors at once.  Gate verification's physical check reads
+the same masks: per vector, it counts the scalpels a marble reached and the
+junctions whose O3 mask says two marbles merged, so a change to this rule
+changes both the tables and that count.
 """
 
 from __future__ import annotations

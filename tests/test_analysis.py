@@ -6,7 +6,8 @@ import composer
 from marblesim import (Channel, Circuit, CollisionMode, MarblesimError,
                        NodeDecl, NodeKind, SimConfig, TruthTable,
                        boolean_spec, check_conservative, check_reversible,
-                       elaborate, get_macro, library, parse, simulate,
+                       circuit_to_ast, elaborate, get_macro, library, parse,
+                       physically_conservative, print_canonical, simulate,
                        timing_lint, truth_table, verify_gate)
 from marblesim import analysis
 from marblesim.analysis import format_report, format_table
@@ -167,6 +168,124 @@ class TestBitParallelTable:
                     == outcome(simulated_table, circuit, mode))
 
 
+def simulated_verdicts(circuit, mode):
+    """The oracle for verification: each row simulated untraced, with
+    whether its ledger is physically conservative."""
+    config = SimConfig(mode=mode, trace_enabled=False)
+    verdicts = []
+    for bits in composer.input_vectors(circuit):
+        outputs, _, ledger = simulate(circuit, bits, config)
+        verdicts.append((bits, outputs, physically_conservative(ledger)))
+    return verdicts
+
+
+def mask_verdicts(circuit, mode):
+    """The same from one presence-mask pass, or None where it falls back
+    to the simulator."""
+    found = analysis._presence_rows(circuit, mode, len(circuit.inputs))
+    if found is None:
+        return None
+    rows, spoiled = found
+    return [(bits, outputs, not (spoiled >> v) & 1)
+            for v, (bits, outputs) in enumerate(rows)]
+
+
+class TestPhysicalVerdict:
+    """``verify_gate`` judges physical conservativity per vector from the
+    mask pass; each row's simulated ledger is what it must agree with."""
+
+    def test_agrees_with_simulation_row_by_row(self):
+        masked = fell_back = 0
+        verdicts = set()
+        for circuit in differential_circuits():
+            for mode in CollisionMode:
+                expected = outcome(simulated_verdicts, circuit, mode)
+                got = outcome(mask_verdicts, circuit, mode)
+                if got is None:
+                    fell_back += 1
+                else:
+                    assert got == expected, (circuit.name, mode)
+                    masked += 1
+                    if isinstance(got, list):
+                        verdicts.update(ok for *_, ok in got)
+                if isinstance(expected, list):
+                    expected = (tuple(row[:2] for row in expected),
+                                all(ok for *_, ok in expected))
+                assert (outcome(analysis._tabulate, circuit, mode)
+                        == expected), (circuit.name, mode)
+        assert masked and fell_back and verdicts == {True, False}
+
+    @pytest.mark.parametrize("inputs, outputs, kinds, channels, phases", [
+        # Two channels into one waste node: the hold is never fed, so the
+        # channel the pass reaches last carries nothing and only a's
+        # marble is wasted.
+        (("a", "b"), ("y",),
+         {"a": NodeKind.INPUT, "b": NodeKind.INPUT, "H": NodeKind.HOLD,
+          "W": NodeKind.WASTE, "y": NodeKind.OUTPUT},
+         (("a", "out", "W", "in"), ("H", "out", "W", "in"),
+          ("b", "out", "y", "in")),
+         {"a": 0, "b": 0, "H": 0, "W": 1, "y": 1}),
+        # A tap injects only where its input is present.
+        (("a",), ("y", "z"),
+         {"a": NodeKind.INPUT, "T": NodeKind.TAP, "y": NodeKind.OUTPUT,
+          "z": NodeKind.OUTPUT},
+         (("a", "out", "T", "in"), ("T", "out", "y", "in"),
+          ("T", "copy", "z", "in")),
+         {"a": 0, "T": 1, "y": 2, "z": 2}),
+        # A syringe injects or swallows under every vector.
+        (("a",), ("y",),
+         {"a": NodeKind.INPUT, "S": NodeKind.SYRINGE, "y": NodeKind.OUTPUT},
+         (("a", "out", "S", "in"), ("S", "out", "y", "in")),
+         {"a": 0, "S": 1, "y": 2}),
+        # A cut whose halves meet again: conservative when they merge.
+        (("a",), ("o1", "o2", "o3", "o4", "o5"),
+         {"a": NodeKind.INPUT, "C": NodeKind.SCALPEL,
+          "J": NodeKind.JUNCTION, **{f"o{k}": NodeKind.OUTPUT
+                                     for k in range(1, 6)}},
+         (("a", "out", "C", "in"), ("C", "out1", "J", "A"),
+          ("C", "out2", "J", "B"),
+          *(("J", f"O{k}", f"o{k}", "in") for k in range(1, 6))),
+         {"a": 0, "C": 1, "J": 2, **{f"o{k}": 3 for k in range(1, 6)}}),
+        # Two cuts and no merge: the counts need a second binary digit.
+        (("a",), ("y1", "y2", "y3"),
+         {"a": NodeKind.INPUT, "C1": NodeKind.SCALPEL,
+          "C2": NodeKind.SCALPEL, "y1": NodeKind.OUTPUT,
+          "y2": NodeKind.OUTPUT, "y3": NodeKind.OUTPUT},
+         (("a", "out", "C1", "in"), ("C1", "out1", "C2", "in"),
+          ("C1", "out2", "y3", "in"), ("C2", "out1", "y1", "in"),
+          ("C2", "out2", "y2", "in")),
+         {"a": 0, "C1": 1, "C2": 2, "y1": 3, "y2": 3, "y3": 3}),
+    ])
+    def test_hand_built_circuits_agree_with_simulation(
+            self, inputs, outputs, kinds, channels, phases):
+        circuit = Circuit(
+            "hand", inputs, outputs,
+            {name: NodeDecl(name, kinds[name]) for name in phases},
+            tuple(Channel(*ends) for ends in channels), phases)
+        for mode in CollisionMode:
+            expected = simulated_verdicts(circuit, mode)
+            assert mask_verdicts(circuit, mode) == expected, mode
+
+    def test_off_schedule_circuit_falls_back(self, fixtures):
+        circuit = elaborate(parse((fixtures / "skew.mnl").read_text()),
+                            insert_holds=False)
+        for mode in CollisionMode:
+            assert mask_verdicts(circuit, mode) is None
+            expected = simulated_verdicts(circuit, mode)
+            assert analysis._tabulate(circuit, mode) == (
+                tuple(row[:2] for row in expected),
+                all(ok for *_, ok in expected))
+
+    def test_library_reports_match_the_per_row_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify_gate ran the simulator")
+        monkeypatch.setattr(analysis, "simulate", refuse)
+        fast = [verify_gate(macro.name) for macro in library()]
+        monkeypatch.setattr(analysis, "simulate", simulate)
+        monkeypatch.setattr(analysis, "_presence_rows", lambda *args: None)
+        assert [verify_gate(macro.name) for macro in library()] == fast
+
+
 class TestTableProperties:
     def synthetic(self, n_in, n_out, mapping):
         rows = tuple((bits, mapping[bits]) for bits in sorted(mapping))
@@ -251,7 +370,15 @@ class TestTimingLint:
         circuit = elaborate(parse(source), insert_holds=False)
         (diag,) = timing_lint(circuit)
         assert "on G.G2.C.out -> G.G2.J.B" in diag.message
+        assert diag.message.endswith(
+            "; that channel is inside gate instance G, so leave hold repair "
+            "on")
         assert str(diag).startswith("error: line 4: junction G.G2.J ")
+        # Printed and parsed again, the dotted nodes are the netlist's own
+        # and a hold can go on the channel.
+        printed = print_canonical(circuit_to_ast(circuit))
+        (diag,) = timing_lint(elaborate(parse(printed), insert_holds=False))
+        assert diag.message.endswith("on G.G2.C.out -> G.G2.J.B")
 
     def test_repair_silences_the_linter(self, fixtures):
         circuit = elaborate(parse((fixtures / "skew.mnl").read_text()))

@@ -1,5 +1,6 @@
 import pytest
 
+from marblesim import cli
 from marblesim.cli import main
 
 WATER = """\
@@ -243,3 +244,30 @@ class TestPrint:
                   "--format", "records"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; nothing one call sets may reach
+    the next."""
+
+    @pytest.mark.parametrize("first, then", [
+        (("run", "skew.mnl", "--inputs", "11", "--trace", "--strict",
+          "--no-repair"), ("run", "skew.mnl", "--inputs", "11")),
+        (("table", "XOR", "--mode", "merge"), ("table", "XOR")),
+        (("verify", "--format", "records"), ("verify",)),
+    ])
+    def test_no_option_carries_over(self, capsys, fixtures, first, then):
+        def call(argv):
+            return run_cli(capsys, *(str(fixtures / arg)
+                                     if arg.endswith(".mnl") else arg
+                                     for arg in argv))
+        cli._build_parser.cache_clear()
+        fresh = call(then)
+        cli._build_parser.cache_clear()
+        assert call(first) != fresh
+        with pytest.raises(SystemExit) as exc:
+            main([first[0], "--mode", "sideways"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert call(then) == fresh
+        assert cli._build_parser.cache_info().misses == 1

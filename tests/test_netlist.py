@@ -401,6 +401,21 @@ class TestValidate:
             "error", "duplicate name 'H' (already declared as node on line 4)",
             7)]
 
+    @pytest.mark.parametrize("kind, inputs, outputs, channel", [
+        (NodeKind.INPUT, (), ("y",), Channel("X", "out", "y", "in", 3)),
+        (NodeKind.OUTPUT, ("a",), (), Channel("a", "out", "X", "in", 3)),
+    ])
+    def test_circuit_port_kinds_are_no_node_kinds(self, kind, inputs,
+                                                  outputs, channel):
+        # Built in code: parse has no node keyword for either kind.
+        ast = CircuitAst("c", inputs, outputs, (NodeDecl("X", kind, 0, 2),),
+                         (), (channel,))
+        assert validate(ast) == [Diagnostic(
+            "error", f"node 'X' cannot be of kind {kind.value}; declare it "
+            f"on the {kind.value} line", 2)]
+        with pytest.raises(ElaborationError, match="cannot be of kind"):
+            elaborate(ast)
+
     def test_diagnostics_ignore_declaration_order(self):
         sources = [self.CYCLE,
                    "circuit c\ninput a, b\noutput y\nnode M : join\n"
