@@ -26,12 +26,11 @@ from each run's ledger.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product, repeat, zip_longest
 
 from .gates import boolean_spec, get_macro
-from .netlist import Circuit, Diagnostic, elaborate
+from .netlist import Circuit, Diagnostic, _off_schedule, elaborate
 from .physics import CollisionMode
 from .primitives import NodeKind, _presence_route
 from .sim import Ledger, SimConfig, simulate
@@ -82,39 +81,22 @@ def _bits(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
 
-def _runs(circuit: Circuit, mode: CollisionMode
-          ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Ledger]]:
-    """Simulate every input vector untraced, counting up with the first
-    input as the most significant bit; yield its bits, outputs and
-    ledger."""
-    n = _check_width(circuit)
-    config = SimConfig(mode=mode, trace_enabled=False)
-    for value in range(2 ** n):
-        bits = _bits(value, n)
-        outputs, _, ledger = simulate(circuit, bits, config)
-        yield bits, outputs, ledger
-
-
 def _on_schedule(circuit: Circuit) -> bool:
-    """Whether every node fires at its own phase whatever the inputs, so
-    that each channel carries all its marbles in one phase: marbles reach
-    a junction or syringe in its phase and any other non-sink no later,
-    and each in port but a waste node's has one channel."""
-    phases = circuit.phases
+    """Whether the mask pass reads every marble at its node's phase: no
+    channel is off schedule by ``netlist._off_schedule``, none enters a
+    port its kind never reads (the pass reads a hold's ``in``, not its
+    ``x``), and each in port but a waste node's has one channel."""
+    nodes, channels = circuit.nodes, circuit.channels
     fed = set()
-    for ch in circuit.channels:
-        kind = circuit.nodes[ch.dst].kind
-        arrival, fire = phases[ch.src] + 1, phases[ch.dst]
-        if kind is NodeKind.JUNCTION or kind is NodeKind.SYRINGE:
-            if arrival != fire:
-                return False
-        elif kind.role not in ("output", "waste") and arrival > fire:
+    for ch in channels:
+        kind = nodes[ch.dst].kind
+        if kind.ins and ch.dst_port not in kind.ins:
             return False
-        if kind is not NodeKind.WASTE:
+        if kind is not _WASTE:
             if (ch.dst, ch.dst_port) in fed:
                 return False
             fed.add((ch.dst, ch.dst_port))
-    return True
+    return next(_off_schedule(nodes, channels, circuit.phases), None) is None
 
 
 # The kinds the mask pass compares per node, bound once: a ``NodeKind.X``
@@ -232,9 +214,11 @@ def _tabulate(circuit: Circuit, mode: CollisionMode) -> tuple[_Rows, bool]:
     if found is not None:
         rows, spoiled = found
         return rows, not spoiled
-    runs = list(_runs(circuit, mode))
-    return (tuple(run[:2] for run in runs),
-            all(physically_conservative(run[2]) for run in runs))
+    config = SimConfig(mode=mode, trace_enabled=False)
+    runs = [(bits, *simulate(circuit, bits, config))
+            for bits in product((0, 1), repeat=n)]
+    return (tuple((bits, outputs) for bits, outputs, _, _ in runs),
+            all(physically_conservative(ledger) for *_, ledger in runs))
 
 
 def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
@@ -333,39 +317,41 @@ def verify_gate(name: str) -> GateReport:
 
 
 def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
-    """Flag junction inputs whose marbles arrive before the firing phase.
+    """Flag junction inputs whose marbles miss the junction's firing phase.
 
-    The reported hold length is exactly what balanced elaboration would
-    insert on that channel.  A channel that inlining made inside a gate
-    instance cannot take a hold in the netlist, so its message says to
-    leave hold repair on.  Inlining names both its ends
+    The channels flagged and their hold lengths come from the schedule
+    rule that hold repair and the truth-table fallback read too
+    (``netlist._off_schedule``), so on a circuit elaborated with
+    ``insert_holds=False`` each hint is exactly the hold balanced
+    elaboration inserts on that channel.  A channel that inlining made
+    inside a gate instance cannot take a hold in the netlist, so its
+    message says to leave hold repair on.  Inlining names both its ends
     ``instance.node`` and gives them and the channel the ``gate``
     statement's line, where a netlist's own dotted nodes have lines of
     their own.
     """
+    nodes, phases = circuit.nodes, circuit.phases
+    skewed = sorted(
+        (item for item in _off_schedule(nodes, circuit.channels, phases)
+         if nodes[item[0].dst].kind is _JUNCTION),
+        key=lambda item: (item[0].dst, item[0].dst_port))
     diagnostics = []
-    into_junctions = sorted(
-        (ch for ch in circuit.channels
-         if circuit.nodes[ch.dst].kind is NodeKind.JUNCTION),
-        key=lambda ch: (ch.dst, ch.dst_port))
-    for channel in into_junctions:
-        fire = circuit.phases[channel.dst]
-        arrival = circuit.phases[channel.src] + 1
-        if arrival != fire:
-            message = (f"junction {channel.dst} fires at phase {fire} but "
-                       f"input {channel.dst_port} arrives at phase "
-                       f"{arrival}; insert hold({fire - arrival}) on "
-                       f"{channel.src}.{channel.src_port} -> "
-                       f"{channel.dst}.{channel.dst_port}")
-            instance = channel.src.split(".", 1)[0]
-            if (channel.line and channel.dst.startswith(instance + ".")
-                    and "." in channel.src
-                    and circuit.nodes[channel.src].line == channel.line
-                    == circuit.nodes[channel.dst].line):
-                message += (f"; that channel is inside gate instance "
-                            f"{instance}, so leave hold repair on")
-            diagnostics.append(Diagnostic("error", message,
-                                          channel.line or None))
+    for channel, early in skewed:
+        fire = phases[channel.dst]
+        message = (f"junction {channel.dst} fires at phase {fire} but "
+                   f"input {channel.dst_port} arrives at phase "
+                   f"{fire - early}; insert hold({early}) on "
+                   f"{channel.src}.{channel.src_port} -> "
+                   f"{channel.dst}.{channel.dst_port}")
+        instance = channel.src.split(".", 1)[0]
+        if (channel.line and channel.dst.startswith(instance + ".")
+                and "." in channel.src
+                and nodes[channel.src].line == channel.line
+                == nodes[channel.dst].line):
+            message += (f"; that channel is inside gate instance "
+                        f"{instance}, so leave hold repair on")
+        diagnostics.append(Diagnostic("error", message,
+                                      channel.line or None))
     return tuple(diagnostics)
 
 

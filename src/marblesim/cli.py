@@ -215,9 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    ast = parse(Path(args.file).read_text(encoding="utf-8"))
-    circuit = elaborate(ast, insert_holds=False)
-    diagnostics = timing_lint(circuit)
+    diagnostics = timing_lint(_load_circuit(args.file, insert_holds=False))
     for diag in diagnostics:
         if args.format == "records":
             where = diag.line if diag.line is not None else "-"

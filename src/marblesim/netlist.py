@@ -30,7 +30,7 @@ reach the junction on the same phase.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import MarblesimError
@@ -64,10 +64,11 @@ _JOIN_IN = re.compile(JOIN_PORT_PATTERN + r"\Z")
 # declared by their own statements, and a hold needs its phase count.
 _KIND_KEYWORDS = {kind.value: kind for kind in NodeKind if kind not in
                   (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD)}
-# The kinds validate compares per channel and per name, bound once: a
+# The kinds validate and the schedule rule compare, bound once: a
 # ``NodeKind.X`` lookup costs about ten times a module-level name.
-_INPUT, _OUTPUT, _JOIN, _WASTE = (NodeKind.INPUT, NodeKind.OUTPUT,
-                                  NodeKind.JOIN, NodeKind.WASTE)
+_INPUT, _OUTPUT, _JOIN, _JUNCTION, _SYRINGE, _WASTE = (
+    NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.JOIN, NodeKind.JUNCTION,
+    NodeKind.SYRINGE, NodeKind.WASTE)
 
 
 class ParseError(MarblesimError):
@@ -642,6 +643,24 @@ def _cycle(stuck: set[str], channels: Iterable[Channel]) -> list[str]:
     return sorted(n for n, step in visited.items() if step >= visited[name])
 
 
+def _off_schedule(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
+                  phases: dict[str, int]) -> Iterator[tuple[Channel, int]]:
+    """The one schedule rule, which hold repair, ``timing_lint`` and the
+    truth-table fallback read: each channel whose marbles, arriving one
+    phase after its source fires, miss the firing phase of its
+    destination, with how many phases early they arrive (negative when
+    late).  A junction or syringe reads its input only in its own phase,
+    so any skew counts; any other node with out ports parks early
+    marbles, so only a late arrival counts; a sink takes any."""
+    for ch in channels:
+        early = phases[ch.dst] - phases[ch.src] - 1
+        if early:
+            kind = nodes[ch.dst].kind
+            if (kind is _JUNCTION or kind is _SYRINGE
+                    or (early < 0 and kind.outs)):
+                yield ch, early
+
+
 def _levelize(ast: CircuitAst, insert_holds: bool) -> Circuit:
     nodes = {name: NodeDecl(name, NodeKind.INPUT) for name in ast.inputs}
     nodes.update((name, NodeDecl(name, NodeKind.OUTPUT))
@@ -669,27 +688,21 @@ def _levelize(ast: CircuitAst, insert_holds: bool) -> Circuit:
             step = node.hold_phases if node.kind is NodeKind.HOLD else 1
             phases[name] = max(phases[p] for p in predecessors[name]) + step
 
-    junctions = sorted(name for name, node in nodes.items()
-                       if node.kind is NodeKind.JUNCTION)
-    for jname in junctions:
-        slot_a, slot_b = into[(jname, "A")], into[(jname, "B")]
-        cha, chb = channels[slot_a], channels[slot_b]
-        pa, pb = phases[cha.src], phases[chb.src]
-        if pa == pb or not insert_holds:
-            continue
-        slot, shallow = (slot_a, cha) if pa < pb else (slot_b, chb)
-        depth = max(pa, pb)
-        hold_name = f"{jname}.{shallow.dst_port}.sync"
-        while hold_name in nodes:
-            hold_name += "_"
-        k = depth - min(pa, pb)
-        line = shallow.line
-        nodes[hold_name] = NodeDecl(hold_name, NodeKind.HOLD, k, line)
-        phases[hold_name] = depth
-        channels[slot] = Channel(shallow.src, shallow.src_port,
-                                 hold_name, "in", line)
-        channels.append(Channel(hold_name, "out", jname, shallow.dst_port,
-                                line))
+    if insert_holds:
+        skewed = sorted(
+            (item for item in _off_schedule(nodes, channels, phases)
+             if nodes[item[0].dst].kind is _JUNCTION),
+            key=lambda item: (item[0].dst, item[0].dst_port))
+        for shallow, early in skewed:
+            jname, port, line = shallow.dst, shallow.dst_port, shallow.line
+            hold_name = f"{jname}.{port}.sync"
+            while hold_name in nodes:
+                hold_name += "_"
+            nodes[hold_name] = NodeDecl(hold_name, NodeKind.HOLD, early, line)
+            phases[hold_name] = phases[jname] - 1
+            channels[into[(jname, port)]] = Channel(
+                shallow.src, shallow.src_port, hold_name, "in", line)
+            channels.append(Channel(hold_name, "out", jname, port, line))
 
     ordered = tuple(sorted(channels, key=Channel.key))
     return Circuit(ast.name, ast.inputs, ast.outputs,

@@ -153,12 +153,20 @@ class TestBitParallelTable:
         # A tap's copy has no channel to leave on.
         ((("a", "out", "T", "in"), ("T", "out", "y", "in")),
          {"a": 0, "T": 1, "y": 2}),
+        # Channels into ports their kinds never read: the simulator parks
+        # a's marble at H.x, a syringe injects although a marble reached
+        # S.x, and an output counts a marble on y.x.
+        ((("a", "out", "H", "x"), ("H", "out", "y", "in")),
+         {"a": 0, "H": 1, "y": 2}),
+        ((("a", "out", "S", "x"), ("S", "out", "y", "in")),
+         {"a": 0, "S": 1, "y": 2}),
+        ((("a", "out", "y", "x"),), {"a": 0, "y": 1}),
     ])
     def test_hand_built_circuits_agree_with_simulation(self, channels,
                                                        phases):
         kinds = {"a": NodeKind.INPUT, "b": NodeKind.INPUT,
-                 "H": NodeKind.HOLD, "T": NodeKind.TAP,
-                 "y": NodeKind.OUTPUT}
+                 "H": NodeKind.HOLD, "S": NodeKind.SYRINGE,
+                 "T": NodeKind.TAP, "y": NodeKind.OUTPUT}
         circuit = Circuit(
             "hand", tuple(name for name in "ab" if name in phases), ("y",),
             {name: NodeDecl(name, kinds[name]) for name in phases},
@@ -383,6 +391,29 @@ class TestTimingLint:
     def test_repair_silences_the_linter(self, fixtures):
         circuit = elaborate(parse((fixtures / "skew.mnl").read_text()))
         assert timing_lint(circuit) == ()
+
+    def test_hints_are_the_holds_repair_inserts(self):
+        asts = [macro.expansion for macro in library()]
+        asts += [parse(composer.compose_source(seed)) for seed in range(100)]
+        asts += [parse(composer.primitive_source(seed))
+                 for seed in range(300)]
+        hint = re.compile(r".*; insert hold\((\d+)\) on \S+ -> "
+                          r"(\S+)\.(\w+)(?:;.*)?")
+        repaired_any = 0
+        for ast in asts:
+            unrepaired = elaborate(ast, insert_holds=False)
+            hints = set()
+            for diag in timing_lint(unrepaired):
+                k, junction, port = hint.fullmatch(diag.message).groups()
+                hints.add((junction, port, int(k)))
+            repaired = elaborate(ast)
+            holds = {(ch.dst, ch.dst_port, repaired.nodes[ch.src].hold_phases)
+                     for ch in repaired.channels
+                     if ch.src not in unrepaired.nodes}
+            assert holds == hints, ast.name
+            assert timing_lint(repaired) == (), ast.name
+            repaired_any += bool(holds)
+        assert repaired_any
 
     def test_diagnostics_follow_junction_then_port(self):
         several = 0
