@@ -32,6 +32,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 
 from .errors import MarblesimError
 from .primitives import JOIN_PORT_PATTERN, NodeKind
@@ -66,9 +68,9 @@ _KIND_KEYWORDS = {kind.value: kind for kind in NodeKind if kind not in
                   (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD)}
 # The kinds validate and the schedule rule compare, bound once: a
 # ``NodeKind.X`` lookup costs about ten times a module-level name.
-_INPUT, _OUTPUT, _JOIN, _JUNCTION, _SYRINGE, _WASTE = (
-    NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.JOIN, NodeKind.JUNCTION,
-    NodeKind.SYRINGE, NodeKind.WASTE)
+_INPUT, _OUTPUT, _HOLD, _JOIN, _JUNCTION, _SYRINGE, _WASTE = (
+    NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD, NodeKind.JOIN,
+    NodeKind.JUNCTION, NodeKind.SYRINGE, NodeKind.WASTE)
 
 
 class ParseError(MarblesimError):
@@ -106,7 +108,7 @@ class Diagnostic:
 # A declaration's source line says where it came from, not what it is, so
 # it takes no part in equality or hashing.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeDecl:
     name: str
     kind: NodeKind
@@ -114,14 +116,14 @@ class NodeDecl:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateDecl:
     name: str
     macro: str
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channel:
     """One directed channel between two ports."""
 
@@ -525,7 +527,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             need_one(name, kind, line, ins, fed[name], "into")
 
     # Acyclicity over the name-level graph (gate instances are opaque).
-    order = _toposort(decls, seen.values())
+    order, _ = _toposort(decls, seen.values())
     if len(order) != len(decls):
         err("cycle detected involving: " + ", ".join(
             _cycle(set(decls).difference(order), seen.values())))
@@ -533,98 +535,167 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     return diags
 
 
-def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, CircuitAst],
-             active: list[str]) -> CircuitAst:
+@dataclass(frozen=True, slots=True)
+class _Template:
+    """A macro body flattened once per ``elaborate`` call, ready to stamp.
+
+    Its nodes are numbered in name order.  ``inner`` holds each channel
+    between two of them as ``(src, src_port, dst, dst_port)`` with node
+    numbers for names, sorted.  ``enter`` maps each in port to the node and
+    port its channel feeds, or to ``None`` and the out port it passes
+    straight to; ``leave`` maps each out port to the node and port that
+    feed it.  ``declared`` lists the node names in the order the body
+    declares them, nested bodies in place, which fixes the first clash an
+    instance reports.
+    """
+
+    names: tuple[str, ...]
+    kinds: tuple[NodeKind, ...]
+    holds: tuple[int, ...]
+    inner: tuple[tuple[int, str, int, str], ...]
+    enter: dict[str, tuple[int | None, str]]
+    leave: dict[str, tuple[int, str]]
+    declared: tuple[str, ...]
+
+
+def _template(macro: str, lib: dict, bodies: dict[str, _Template],
+              active: list[str]) -> _Template:
+    """Validate and flatten the expansion of ``macro`` into ``bodies``.
+    ``active`` is the chain of macros being flattened, so a macro that
+    reaches itself is reported by its chain."""
+    if macro in active:
+        chain = active[active.index(macro):] + [macro]
+        raise ElaborationError("recursive macro expansion: "
+                               + " -> ".join(chain))
+    expansion = lib[macro].expansion
+    diags = validate(expansion, lib)
+    if diags:
+        raise ElaborationError(f"invalid macro {macro}", tuple(diags))
+    active.append(macro)
+    nodes, channels = _flatten(expansion, lib, bodies, active)
+    active.pop()
+    names = sorted(nodes.keys() - {*expansion.inputs, *expansion.outputs})
+    number = {name: at for at, name in enumerate(names)}
+    inner: list[tuple[int, str, int, str]] = []
+    enter: dict[str, tuple[int | None, str]] = {}
+    leave: dict[str, tuple[int, str]] = {}
+    for ch in channels:
+        src, dst = number.get(ch.src), number.get(ch.dst)
+        if src is None:
+            enter[ch.src] = (dst, ch.dst if dst is None else ch.dst_port)
+        elif dst is None:
+            leave[ch.dst] = (src, ch.src_port)
+        else:
+            inner.append((src, ch.src_port, dst, ch.dst_port))
+    inner.sort()
+    declared = [nd.name for nd in expansion.nodes]
+    for gd in expansion.gates:
+        declared += [f"{gd.name}.{name}" for name in bodies[gd.macro].declared]
+    template = bodies[macro] = _Template(
+        tuple(names), tuple(nodes[name].kind for name in names),
+        tuple(nodes[name].hold_phases for name in names), tuple(inner),
+        enter, leave, tuple(declared))
+    return template
+
+
+def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
+             active: list[str]) -> tuple[dict[str, NodeDecl], list[Channel]]:
     """Inline every gate instance of a validated ``ast``.
 
-    The first use of a macro validates its expansion and flattens it into
-    ``bodies``; every instance then stamps that flat body under its
-    ``instance.`` prefix.  ``active`` is the chain of macros being
-    flattened, so a macro that reaches itself is reported by its chain.
+    Returns its nodes by name, circuit inputs and outputs included as
+    INPUT and OUTPUT nodes, and its channels.  Each macro's template is
+    made on first use; every instance stamps its nodes and inner channels
+    under its ``instance.`` prefix straight into records, and only the
+    channels through its ports are spliced.  Instances are stamped in name
+    order, so the records come out nearly sorted.
     """
-    instances = {gd.name for gd in ast.gates}
+    nodes = {name: NodeDecl(name, _INPUT) for name in ast.inputs}
+    nodes.update((name, NodeDecl(name, _OUTPUT)) for name in ast.outputs)
+    nodes.update((nd.name, nd) for nd in ast.nodes)
     # Inlined names are ``instance.name``; a netlist may declare dotted
     # nodes too, so every inlined name is checked against all names.
-    taken = {*ast.inputs, *ast.outputs, *instances,
-             *(nd.name for nd in ast.nodes)}
-    nodes = list(ast.nodes)
-    # An endpoint named after an instance is one of its boundary ports.
-    channels = list(ast.channels)
+    taken = {*nodes, *(gd.name for gd in ast.gates)}
+    stamps: dict[str, tuple[GateDecl, _Template, list[str]]] = {}
     for gd in ast.gates:
-        body = bodies.get(gd.macro)
-        if body is None:
-            if gd.macro in active:
-                chain = active[active.index(gd.macro):] + [gd.macro]
-                raise ElaborationError("recursive macro expansion: "
-                                       + " -> ".join(chain))
-            expansion = lib[gd.macro].expansion
-            diags = validate(expansion, lib)
-            if diags:
-                raise ElaborationError(f"invalid macro {gd.macro}",
-                                       tuple(diags))
-            active.append(gd.macro)
-            body = bodies[gd.macro] = _flatten(expansion, lib, bodies, active)
-            active.pop()
+        template = (bodies.get(gd.macro)
+                    or _template(gd.macro, lib, bodies, active))
         prefix = gd.name + "."
-        for nd in body.nodes:
-            full = prefix + nd.name
-            if full in taken:
-                where = f"invalid macro {active[-1]}: " if active else ""
-                raise ElaborationError(
-                    f"{where}inlining gate {gd.name} ({gd.macro}) declares "
-                    f"{full!r} twice")
-            taken.add(full)
-            nodes.append(NodeDecl(full, nd.kind, nd.hold_phases, gd.line))
-        ports = {*body.inputs, *body.outputs}
-        for ch in body.channels:
-            src, src_port = ((gd.name, ch.src) if ch.src in ports
-                             else (prefix + ch.src, ch.src_port))
-            dst, dst_port = ((gd.name, ch.dst) if ch.dst in ports
-                             else (prefix + ch.dst, ch.dst_port))
-            channels.append(Channel(src, src_port, dst, dst_port, gd.line))
+        full = [prefix + name for name in template.names]
+        if not taken.isdisjoint(full):
+            clash = next(prefix + name for name in template.declared
+                         if prefix + name in taken)
+            where = f"invalid macro {active[-1]}: " if active else ""
+            raise ElaborationError(
+                f"{where}inlining gate {gd.name} ({gd.macro}) declares "
+                f"{clash!r} twice")
+        taken.update(full)
+        stamps[gd.name] = (gd, template, full)
 
-    # Validation wired every boundary port exactly once on each side, so a
-    # channel into one continues along the single channel leaving it.
-    onward = {(ch.src, ch.src_port): ch for ch in channels
-              if ch.src in instances}
-    flat: list[Channel] = []
-    for ch in channels:
-        if ch.src in instances:
-            continue
-        end = ch
-        while end.dst in instances:
-            end = onward[(end.dst, end.dst_port)]
-        flat.append(ch if end is ch else
-                    Channel(ch.src, ch.src_port, end.dst, end.dst_port,
-                            ch.line))
-    return CircuitAst(ast.name, ast.inputs, ast.outputs, tuple(nodes), (),
-                      tuple(flat))
+    channels: list[Channel] = []
+    onward: dict[tuple[str, str], Channel] = {}  # leaves an instance port
+    into: list[Channel] = []  # enters an instance from a node
+    for ch in ast.channels:
+        if ch.src in stamps:
+            onward[(ch.src, ch.src_port)] = ch
+        elif ch.dst in stamps:
+            into.append(ch)
+        else:
+            channels.append(ch)
+
+    def splice(src: str, src_port: str, dst: str, dst_port: str,
+               line: int) -> Channel:
+        # Validation wired every port of an instance and of its body
+        # exactly once, so a channel into one continues along the single
+        # channel on its other side.
+        while dst in stamps:
+            _, template, full = stamps[dst]
+            at, port = template.enter[dst_port]
+            if at is not None:
+                return Channel(src, src_port, full[at], port, line)
+            out = onward[(dst, port)]
+            dst, dst_port = out.dst, out.dst_port
+        return Channel(src, src_port, dst, dst_port, line)
+
+    for name in sorted(stamps):
+        gd, template, full = stamps[name]
+        line = gd.line
+        nodes.update(zip(full, map(NodeDecl, full, template.kinds,
+                                   template.holds, repeat(line))))
+        channels += [Channel(full[src], src_port, full[dst], dst_port, line)
+                     for src, src_port, dst, dst_port in template.inner]
+        for port, (src, src_port) in template.leave.items():
+            out = onward[(name, port)]
+            channels.append(splice(full[src], src_port, out.dst,
+                                   out.dst_port, line))
+    channels += [splice(ch.src, ch.src_port, ch.dst, ch.dst_port, ch.line)
+                 for ch in into]
+    return nodes, channels
 
 
-def _toposort(names: Iterable[str],
-              channels: Iterable[Channel]) -> list[str]:
+def _toposort(names: Iterable[str], channels: Iterable[Channel]
+              ) -> tuple[list[str], dict[str, list[str]]]:
     """Kahn's algorithm over the channel graph.
 
-    Returns the names in a topological order.  When the graph has a cycle
-    the order is short: the names left out are those on a cycle or
-    downstream of one.  The visit order is not otherwise defined; callers
-    derive nothing from it but precedence.
+    Returns the names in a topological order and each name's successors,
+    one per channel.  When the graph has a cycle the order is short: the
+    names left out are those on a cycle or downstream of one.  The visit
+    order is not otherwise defined; callers derive nothing from it but
+    precedence.
     """
     successors: dict[str, list[str]] = {name: [] for name in names}
     indegree = dict.fromkeys(successors, 0)
     for ch in channels:
         successors[ch.src].append(ch.dst)
         indegree[ch.dst] += 1
-    queue = [name for name, deg in indegree.items() if deg == 0]
-    order: list[str] = []
-    while queue:
-        name = queue.pop()
-        order.append(name)
+    # The order is also the queue: a name joins it when its last
+    # predecessor has been visited.
+    order = [name for name, deg in indegree.items() if not deg]
+    for name in order:
         for succ in successors[name]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                queue.append(succ)
-    return order
+            deg = indegree[succ] = indegree[succ] - 1
+            if not deg:
+                order.append(succ)
+    return order, successors
 
 
 def _cycle(stuck: set[str], channels: Iterable[Channel]) -> list[str]:
@@ -661,53 +732,58 @@ def _off_schedule(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
                 yield ch, early
 
 
-def _levelize(ast: CircuitAst, insert_holds: bool) -> Circuit:
-    nodes = {name: NodeDecl(name, NodeKind.INPUT) for name in ast.inputs}
-    nodes.update((name, NodeDecl(name, NodeKind.OUTPUT))
-                 for name in ast.outputs)
-    nodes.update((nd.name, nd) for nd in ast.nodes)
-    channels = list(ast.channels)
+# ``Channel.key`` as one C call, for sorting channels.
+_CHANNEL_KEY = attrgetter("src", "src_port", "dst", "dst_port")
 
-    # Position of the channel into each port.  Validation made the channel
-    # into a junction port unique, so a hold is spliced in place.
-    into: dict[tuple[str, str], int] = {}
-    predecessors: dict[str, list[str]] = {name: [] for name in nodes}
-    for index, ch in enumerate(channels):
-        predecessors[ch.dst].append(ch.src)
-        into[(ch.dst, ch.dst_port)] = index
 
-    order = _toposort(nodes, channels)
+def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
+              channels: list[Channel], insert_holds: bool) -> Circuit:
+    """Phase every node of a flat circuit, repair junction skew and sort
+    the records into a :class:`Circuit`."""
+    order, successors = _toposort(nodes, channels)
     if len(order) != len(nodes):
         raise ElaborationError("cycle detected during levelization")
-    phases: dict[str, int] = {}
+    # One forward pass: until the pass reaches a node its entry holds the
+    # latest phase of its producers (-1 for none), then its own phase.
+    phases = dict.fromkeys(nodes, -1)
     for name in order:
-        node = nodes[name]
-        if not predecessors[name]:
-            phases[name] = 0
+        phase = phases[name]
+        if phase < 0:
+            phase = 0
         else:
-            step = node.hold_phases if node.kind is NodeKind.HOLD else 1
-            phases[name] = max(phases[p] for p in predecessors[name]) + step
+            node = nodes[name]
+            phase += node.hold_phases if node.kind is _HOLD else 1
+        phases[name] = phase
+        for succ in successors[name]:
+            if phases[succ] < phase:
+                phases[succ] = phase
 
     if insert_holds:
         skewed = sorted(
             (item for item in _off_schedule(nodes, channels, phases)
              if nodes[item[0].dst].kind is _JUNCTION),
             key=lambda item: (item[0].dst, item[0].dst_port))
+        if skewed:
+            # Each hold replaces its channel: drop those by identity, which
+            # is cheaper than hashing every channel.
+            replaced = {id(shallow) for shallow, _ in skewed}
+            channels = [ch for ch in channels if id(ch) not in replaced]
         for shallow, early in skewed:
             jname, port, line = shallow.dst, shallow.dst_port, shallow.line
             hold_name = f"{jname}.{port}.sync"
             while hold_name in nodes:
                 hold_name += "_"
-            nodes[hold_name] = NodeDecl(hold_name, NodeKind.HOLD, early, line)
+            nodes[hold_name] = NodeDecl(hold_name, _HOLD, early, line)
             phases[hold_name] = phases[jname] - 1
-            channels[into[(jname, port)]] = Channel(
-                shallow.src, shallow.src_port, hold_name, "in", line)
+            channels.append(Channel(shallow.src, shallow.src_port, hold_name,
+                                    "in", line))
             channels.append(Channel(hold_name, "out", jname, port, line))
 
-    ordered = tuple(sorted(channels, key=Channel.key))
+    names = sorted(nodes)
     return Circuit(ast.name, ast.inputs, ast.outputs,
-                   dict(sorted(nodes.items())), ordered,
-                   dict(sorted(phases.items())))
+                   {name: nodes[name] for name in names},
+                   tuple(sorted(channels, key=_CHANNEL_KEY)),
+                   {name: phases[name] for name in names})
 
 
 def elaborate(ast: CircuitAst, library: dict | None = None, *,
@@ -724,7 +800,8 @@ def elaborate(ast: CircuitAst, library: dict | None = None, *,
     diags = validate(ast, lib)
     if diags:
         raise ElaborationError("invalid netlist", tuple(diags))
-    return _levelize(_flatten(ast, lib, {}, []), insert_holds)
+    nodes, channels = _flatten(ast, lib, {}, [])
+    return _levelize(ast, nodes, channels, insert_holds)
 
 
 def circuit_to_ast(circuit: Circuit) -> CircuitAst:
