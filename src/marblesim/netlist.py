@@ -428,6 +428,14 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             # emits, and its printed form does not parse.
             err(f"node {nd.name!r} cannot be of kind {nd.kind.value}; "
                 f"declare it on the {nd.kind.value} line", nd.line or None)
+        if nd.kind is _HOLD:
+            if nd.hold_phases < 1:
+                err(f"node {nd.name!r}: hold phase count must be at least 1",
+                    nd.line or None)
+        elif nd.hold_phases:
+            # print_canonical writes a phase count for a hold only.
+            err(f"node {nd.name!r}: only a hold takes a phase count",
+                nd.line or None)
         declare(nd.name, nd.kind, nd.line)
     gates = []
     for gd in ast.gates:
@@ -763,11 +771,8 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
             (item for item in _off_schedule(nodes, channels, phases)
              if nodes[item[0].dst].kind is _JUNCTION),
             key=lambda item: (item[0].dst, item[0].dst_port))
-        if skewed:
-            # Each hold replaces its channel: drop those by identity, which
-            # is cheaper than hashing every channel.
-            replaced = {id(shallow) for shallow, _ in skewed}
-            channels = [ch for ch in channels if id(ch) not in replaced]
+        into_holds: dict[int, Channel] = {}  # by the id of the channel
+        out_of_holds: list[Channel] = []
         for shallow, early in skewed:
             jname, port, line = shallow.dst, shallow.dst_port, shallow.line
             hold_name = f"{jname}.{port}.sync"
@@ -775,9 +780,14 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
                 hold_name += "_"
             nodes[hold_name] = NodeDecl(hold_name, _HOLD, early, line)
             phases[hold_name] = phases[jname] - 1
-            channels.append(Channel(shallow.src, shallow.src_port, hold_name,
-                                    "in", line))
-            channels.append(Channel(hold_name, "out", jname, port, line))
+            into_holds[id(shallow)] = Channel(shallow.src, shallow.src_port,
+                                              hold_name, "in", line)
+            out_of_holds.append(Channel(hold_name, "out", jname, port, line))
+        if skewed:
+            # Splice each hold in place of the channel it repairs, found by
+            # identity, which is cheaper than hashing every channel.
+            channels = [into_holds.get(id(ch), ch) for ch in channels]
+            channels += out_of_holds
 
     names = sorted(nodes)
     return Circuit(ast.name, ast.inputs, ast.outputs,

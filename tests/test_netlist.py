@@ -35,6 +35,30 @@ def shuffled(ast, seed):
     return CircuitAst(ast.name, ast.inputs, ast.outputs, tuple(nodes),
                       tuple(gates), tuple(channels))
 
+def naive_phases(circuit):
+    """Each node's phase from the channels alone, by depth-first search: 0
+    without a producer, else the latest producer's phase plus k for a
+    hold(k) and plus 1 for any other node."""
+    producers = {name: [] for name in circuit.nodes}
+    for ch in circuit.channels:
+        producers[ch.dst].append(ch.src)
+    phases = {}
+    for root in circuit.nodes:
+        stack = [root]
+        while stack:
+            name = stack[-1]
+            waiting = [p for p in producers[name] if p not in phases]
+            if waiting:
+                stack += waiting
+                continue
+            stack.pop()
+            node = circuit.nodes[name]
+            step = node.hold_phases if node.kind is NodeKind.HOLD else 1
+            phases[name] = max((phases[p] + step for p in producers[name]),
+                               default=0)
+    return phases
+
+
 class TestParse:
     def test_fixture_structure(self, fixtures):
         ast = parse((fixtures / "and_gate.mnl").read_text())
@@ -329,9 +353,26 @@ class TestValidate:
                       (5, "unconnected port G.a"),
                       (5, "unconnected port G.y")],
                      id="node-outputs-first-gate-inputs-first"),
+        # Built in code: parse rejects hold(0) and gives other kinds no
+        # phase count.
+        pytest.param(CircuitAst("c", ("a",), ("y",),
+                                (NodeDecl("H", NodeKind.HOLD, 0, 4),), (),
+                                (Channel("a", "out", "H", "in", 5),
+                                 Channel("H", "out", "y", "in", 6))),
+                     [(4, "node 'H': hold phase count must be at least 1")],
+                     id="hold-of-zero-phases"),
+        pytest.param(CircuitAst("c", ("a",), ("y",),
+                                (NodeDecl("T", NodeKind.TAP, 3, 4),
+                                 NodeDecl("W", NodeKind.WASTE, 0, 5)), (),
+                                (Channel("a", "out", "T", "in", 6),
+                                 Channel("T", "out", "y", "in", 7),
+                                 Channel("T", "copy", "W", "in", 8))),
+                     [(4, "node 'T': only a hold takes a phase count")],
+                     id="phase-count-on-a-tap"),
     ])
     def test_each_diagnostic(self, source, expected):
-        ast = self.channel_to_nowhere() if source is None else parse(source)
+        ast = (self.channel_to_nowhere() if source is None else
+               parse(source) if isinstance(source, str) else source)
         assert validate(ast) == [Diagnostic("error", message, line)
                                  for line, message in expected]
 
@@ -598,3 +639,20 @@ class TestElaborate:
             assert circuit.inputs == macro.inputs
             assert circuit.outputs == macro.outputs
             assert timing_lint(circuit) == ()
+
+    @pytest.mark.parametrize("insert_holds", [True, False])
+    def test_levelization_matches_a_naive_oracle(self, insert_holds):
+        # The 128-bit adder's instance names sort F1., F10., F100., which
+        # the small adders never reach.
+        asts = [macro.expansion for macro in library()]
+        asts += [parse(composer.compose_source(seed)) for seed in range(200)]
+        asts += [parse(composer.primitive_source(seed))
+                 for seed in range(300)]
+        asts.append(parse(composer.ripple_adder_source(128)))
+        for ast in asts:
+            circuit = elaborate(ast, insert_holds=insert_holds)
+            assert circuit.phases == naive_phases(circuit), ast.name
+            assert list(circuit.nodes) == sorted(circuit.nodes), ast.name
+            assert list(circuit.phases) == list(circuit.nodes), ast.name
+            keys = [ch.key() for ch in circuit.channels]
+            assert keys == sorted(keys), ast.name
