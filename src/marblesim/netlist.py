@@ -20,11 +20,15 @@ sensor_syringes and holds in/out; joins in1..inN/out; waste a single n-ary
 in.  Every declared port must be wired: non-sink output ports carry exactly
 one channel, input ports receive exactly one (waste accepts any number).
 
-Elaboration validates and flattens each macro body once, inlines it at
-every instance, assigns each node a firing phase by longest-path
-levelization from the inputs, and repairs junctions whose two feed paths
-differ in depth by inserting a hold on the shallower side so both marbles
-reach the junction on the same phase.
+Elaboration validates each macro body once per call and flattens it into
+a stamping template: its nodes, the channels wholly inside it and the few
+that touch its ports.  Every instance stamps the template under its
+``instance.`` prefix straight into final records, and only the channels
+through its ports are spliced to the channels around it.  One topological
+sort (``_toposort``) orders the flat circuit, and one forward pass over
+that order gives each node its firing phase, the longest path from the
+inputs.  A junction whose two feed paths differ in depth gets a hold on
+the shallower side, so both marbles reach it on the same phase.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
 
 from .errors import MarblesimError
 from .primitives import JOIN_PORT_PATTERN, NodeKind
@@ -740,10 +743,6 @@ def _off_schedule(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
                 yield ch, early
 
 
-# ``Channel.key`` as one C call, for sorting channels.
-_CHANNEL_KEY = attrgetter("src", "src_port", "dst", "dst_port")
-
-
 def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
               channels: list[Channel], insert_holds: bool) -> Circuit:
     """Phase every node of a flat circuit, repair junction skew and sort
@@ -771,8 +770,9 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
             (item for item in _off_schedule(nodes, channels, phases)
              if nodes[item[0].dst].kind is _JUNCTION),
             key=lambda item: (item[0].dst, item[0].dst_port))
-        into_holds: dict[int, Channel] = {}  # by the id of the channel
-        out_of_holds: list[Channel] = []
+        # Each hold takes the place of the channel it repairs, found by
+        # identity, which is cheaper than hashing every channel.
+        replaced: dict[int, Channel] = {}
         for shallow, early in skewed:
             jname, port, line = shallow.dst, shallow.dst_port, shallow.line
             hold_name = f"{jname}.{port}.sync"
@@ -780,19 +780,16 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
                 hold_name += "_"
             nodes[hold_name] = NodeDecl(hold_name, _HOLD, early, line)
             phases[hold_name] = phases[jname] - 1
-            into_holds[id(shallow)] = Channel(shallow.src, shallow.src_port,
-                                              hold_name, "in", line)
-            out_of_holds.append(Channel(hold_name, "out", jname, port, line))
-        if skewed:
-            # Splice each hold in place of the channel it repairs, found by
-            # identity, which is cheaper than hashing every channel.
-            channels = [into_holds.get(id(ch), ch) for ch in channels]
-            channels += out_of_holds
+            replaced[id(shallow)] = Channel(shallow.src, shallow.src_port,
+                                            hold_name, "in", line)
+            channels.append(Channel(hold_name, "out", jname, port, line))
+        if replaced:
+            channels = [replaced.get(id(ch), ch) for ch in channels]
 
     names = sorted(nodes)
     return Circuit(ast.name, ast.inputs, ast.outputs,
                    {name: nodes[name] for name in names},
-                   tuple(sorted(channels, key=_CHANNEL_KEY)),
+                   tuple(sorted(channels, key=Channel.key)),
                    {name: phases[name] for name in names})
 
 

@@ -527,6 +527,24 @@ class TestElaborate:
             ("J1", "O2", "J2.A.sync", "in"): 14,
             ("J2.A.sync", "out", "J2", "A"): 14}
 
+    def test_inlined_records_take_their_lines(self):
+        # An inlined node, and a channel that starts inside an instance,
+        # take the line of the gate statement; a channel that starts
+        # outside keeps the line of its connect statement.
+        ast = parse("circuit c\ninput a, b, c\noutput y\n"
+                    "gate G : AND\ngate H : OR\n"
+                    "connect a -> G.a\nconnect b -> G.b\n"
+                    "connect G.y -> H.a\nconnect c -> H.b\n"
+                    "connect H.y -> y\n")
+        gates = {"G": 4, "H": 5}
+        circuit = elaborate(ast, insert_holds=False)
+        assert {name: node.line for name, node in circuit.nodes.items()} == {
+            name: gates.get(name.split(".")[0], 0) for name in circuit.nodes}
+        connects = {"a": 6, "b": 7, "c": 9}
+        for ch in circuit.channels:
+            assert ch.line == (connects.get(ch.src)
+                               or gates[ch.src.split(".")[0]]), ch
+
     def test_inserted_hold_balances(self, fixtures):
         ast = parse((fixtures / "skew.mnl").read_text())
         circuit = elaborate(ast)
@@ -560,6 +578,25 @@ class TestElaborate:
         with pytest.raises(ElaborationError) as err:
             elaborate(ast)
         assert "'G.J'" in str(err.value)
+
+    def test_first_inlined_clash_follows_declaration_order(self):
+        # Gate H is declared before G, and AND declares S before M: the
+        # clash reported first is H's, and within H the one declared first.
+        holds = ("H.M", "H.S", "G.J")
+        ast = parse("circuit c\ninput a, b, c, d, x0, x1, x2\n"
+                    "output y, z, v0, v1, v2\n"
+                    + "".join(f"node {h} : hold(1)\n" for h in holds)
+                    + "gate H : AND\ngate G : AND\n"
+                    "connect a -> H.a\nconnect b -> H.b\nconnect H.y -> y\n"
+                    "connect c -> G.a\nconnect d -> G.b\nconnect G.y -> z\n"
+                    + "".join(f"connect x{k} -> {h}.in\n"
+                              f"connect {h}.out -> v{k}\n"
+                              for k, h in enumerate(holds)))
+        assert validate(ast) == []
+        with pytest.raises(ElaborationError,
+                           match=r"^inlining gate H \(AND\) declares 'H\.S' "
+                                 r"twice$"):
+            elaborate(ast)
 
     def test_elaboration_is_idempotent(self, fixtures):
         first = elaborate(parse((fixtures / "full_adder.mnl").read_text()))
