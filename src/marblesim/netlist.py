@@ -37,6 +37,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 
 from .errors import MarblesimError
 from .primitives import JOIN_PORT_PATTERN, NodeKind
@@ -571,9 +572,9 @@ class _Template:
 
 def _template(macro: str, lib: dict, bodies: dict[str, _Template],
               active: list[str]) -> _Template:
-    """Validate and flatten the expansion of ``macro`` into ``bodies``.
-    ``active`` is the chain of macros being flattened, so a macro that
-    reaches itself is reported by its chain."""
+    """Validate and flatten the expansion of ``macro`` into its template,
+    kept in ``bodies``.  ``active`` is the chain of macros being flattened,
+    so a macro that reaches itself is reported by its chain."""
     if macro in active:
         chain = active[active.index(macro):] + [macro]
         raise ElaborationError("recursive macro expansion: "
@@ -743,6 +744,9 @@ def _off_schedule(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
                 yield ch, early
 
 
+_SOURCE, _SOURCE_PORT = attrgetter("src"), attrgetter("src_port")
+
+
 def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
               channels: list[Channel], insert_holds: bool) -> Circuit:
     """Phase every node of a flat circuit, repair junction skew and sort
@@ -786,10 +790,14 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
         if replaced:
             channels = [replaced.get(id(ch), ch) for ch in channels]
 
+    # Each out port carries one channel, so sorting by source port and
+    # then, stably, by source orders channels by key without building a
+    # key tuple for each.
+    channels.sort(key=_SOURCE_PORT)
+    channels.sort(key=_SOURCE)
     names = sorted(nodes)
     return Circuit(ast.name, ast.inputs, ast.outputs,
-                   {name: nodes[name] for name in names},
-                   tuple(sorted(channels, key=Channel.key)),
+                   {name: nodes[name] for name in names}, tuple(channels),
                    {name: phases[name] for name in names})
 
 
