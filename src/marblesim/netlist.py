@@ -551,14 +551,13 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
 class _Template:
     """A macro body flattened once per ``elaborate`` call, ready to stamp.
 
-    Its nodes are numbered in name order.  ``inner`` holds each channel
-    between two of them as ``(src, src_port, dst, dst_port)`` with node
-    numbers for names, sorted.  ``enter`` maps each in port to the node and
-    port its channel feeds, or to ``None`` and the out port it passes
-    straight to; ``leave`` maps each out port to the node and port that
-    feed it.  ``declared`` lists the node names in the order the body
-    declares them, nested bodies in place, which fixes the first clash an
-    instance reports.
+    Its nodes are numbered in the order the body declares them, nested
+    bodies in place, so the first name an instance finds taken is the
+    clash it reports.  ``inner`` holds each channel between two of them as
+    ``(src, src_port, dst, dst_port)`` with node numbers for names.
+    ``enter`` maps each in port to the node and port its channel feeds, or
+    to ``None`` and the out port it passes straight to; ``leave`` maps each
+    out port to the node and port that feed it.
     """
 
     names: tuple[str, ...]
@@ -567,7 +566,6 @@ class _Template:
     inner: tuple[tuple[int, str, int, str], ...]
     enter: dict[str, tuple[int | None, str]]
     leave: dict[str, tuple[int, str]]
-    declared: tuple[str, ...]
 
 
 def _template(macro: str, lib: dict, bodies: dict[str, _Template],
@@ -586,7 +584,9 @@ def _template(macro: str, lib: dict, bodies: dict[str, _Template],
     active.append(macro)
     nodes, channels = _flatten(expansion, lib, bodies, active)
     active.pop()
-    names = sorted(nodes.keys() - {*expansion.inputs, *expansion.outputs})
+    names = [nd.name for nd in expansion.nodes]
+    for gd in expansion.gates:
+        names += [f"{gd.name}.{name}" for name in bodies[gd.macro].names]
     number = {name: at for at, name in enumerate(names)}
     inner: list[tuple[int, str, int, str]] = []
     enter: dict[str, tuple[int | None, str]] = {}
@@ -599,14 +599,10 @@ def _template(macro: str, lib: dict, bodies: dict[str, _Template],
             leave[ch.dst] = (src, ch.src_port)
         else:
             inner.append((src, ch.src_port, dst, ch.dst_port))
-    inner.sort()
-    declared = [nd.name for nd in expansion.nodes]
-    for gd in expansion.gates:
-        declared += [f"{gd.name}.{name}" for name in bodies[gd.macro].declared]
     template = bodies[macro] = _Template(
         tuple(names), tuple(nodes[name].kind for name in names),
         tuple(nodes[name].hold_phases for name in names), tuple(inner),
-        enter, leave, tuple(declared))
+        enter, leave)
     return template
 
 
@@ -634,8 +630,7 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
         prefix = gd.name + "."
         full = [prefix + name for name in template.names]
         if not taken.isdisjoint(full):
-            clash = next(prefix + name for name in template.declared
-                         if prefix + name in taken)
+            clash = next(name for name in full if name in taken)
             where = f"invalid macro {active[-1]}: " if active else ""
             raise ElaborationError(
                 f"{where}inlining gate {gd.name} ({gd.macro}) declares "
