@@ -640,7 +640,7 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
 
     channels: list[Channel] = []
     onward: dict[tuple[str, str], Channel] = {}  # leaves an instance port
-    into: list[Channel] = []  # enters an instance from a node
+    into: list[Channel] = []  # enters an instance from outside any
     for ch in ast.channels:
         if ch.src in stamps:
             onward[(ch.src, ch.src_port)] = ch
