@@ -38,6 +38,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import MarblesimError
 from .primitives import JOIN_PORT_PATTERN, NodeKind
@@ -547,8 +548,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     return diags
 
 
-@dataclass(frozen=True, slots=True)
-class _Template:
+class _Template(NamedTuple):
     """A macro body flattened once per ``elaborate`` call, ready to stamp.
 
     Its nodes are numbered in the order the body declares them, nested
