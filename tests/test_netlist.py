@@ -35,6 +35,7 @@ def shuffled(ast, seed):
     return CircuitAst(ast.name, ast.inputs, ast.outputs, tuple(nodes),
                       tuple(gates), tuple(channels))
 
+
 def naive_phases(circuit):
     """Each node's phase from the channels alone, by depth-first search: 0
     without a producer, else the latest producer's phase plus k for a
