@@ -124,7 +124,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError:
         raise MarblesimError(f"--inputs must be 0s and 1s, "
                              f"got {args.inputs!r}") from None
-    config = SimConfig(mode=mode, strict_timing=args.strict)
+    config = SimConfig(mode=mode, strict_timing=args.strict,
+                       trace_enabled=args.trace)
     outputs, trace, ledger = simulate(circuit, bits, config)
 
     if args.format == "records":

@@ -177,6 +177,10 @@ class Circuit:
     ``nodes`` holds every node by name, circuit inputs and outputs included
     as nodes of kind INPUT and OUTPUT.  Nodes and channels keep the source
     line of the statement they came from (0 for none).
+
+    The tables a run reads (``max_phase``, the channel leaving each out
+    port, each node's kind and the nodes that start on their own) are built
+    once, at construction, so mutate no ``Circuit`` after it.
     """
 
     name: str
@@ -185,15 +189,19 @@ class Circuit:
     nodes: dict[str, NodeDecl]
     channels: tuple[Channel, ...]
     phases: dict[str, int]
+    max_phase: int = field(init=False, repr=False, compare=False)
     _out: dict[tuple[str, str], Channel] = field(
         init=False, repr=False, compare=False)
+    _kinds: dict[str, NodeKind] = field(
+        init=False, repr=False, compare=False)
+    _starts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.max_phase = max(self.phases.values(), default=0)
         self._out = {(ch.src, ch.src_port): ch for ch in self.channels}
-
-    @property
-    def max_phase(self) -> int:
-        return max(self.phases.values(), default=0)
+        self._kinds = {name: node.kind for name, node in self.nodes.items()}
+        self._starts = tuple(name for name, kind in self._kinds.items()
+                             if kind.starts)
 
     def out_channel(self, node: str, port: str) -> Channel | None:
         return self._out.get((node, port))

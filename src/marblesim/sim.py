@@ -14,25 +14,34 @@ hazard diagnostic, or raises under ``strict_timing``.  Sensor+syringe nodes
 watch their input during their firing phase only: whatever arrives is
 diverted to an internal waste pocket, and a fresh unit marble is injected
 exactly when nothing arrived on time.  The nodes due in one phase fire in
-name order, which fixes the marble ids.  ``_Run.fire`` is the one place
-that says what each kind does to marbles; for the junction that is the
-table in :mod:`marblesim.primitives`: a lone A leaves on O5, a lone B on
-O1, and two marbles that meet bounce to O2 (A) and O4 (B) or merge into
-one new marble on O3 that carries both masses.
+name order, which fixes the marble ids; a phase with no arrival and no node
+due is skipped.  A run reads the tables its ``Circuit`` built once, at
+construction: each node's kind, the nodes that start on their own, the
+channel leaving each out port and ``max_phase``.  ``_Run.fire`` is the one
+place that says what each kind does to marbles; for the junction that is
+the table in :mod:`marblesim.primitives`: a lone A leaves on O5, a lone B
+on O1, and two marbles that meet bounce to O2 (A) and O4 (B) or merge
+into one new marble on O3 that carries both masses.
 
-Traces list every marble placement as ``(phase, node, port, marble)``
-events: a creation event at the out port of the node that produced the
-marble, then one arrival event per hop.  A marble therefore never appears at
-two places in the same phase.  Events are recorded only when the trace is
-enabled.  The ledger is kept during the run either way, from where each
-marble was created and where it ended, and balances exactly: input mass
-plus injected mass equals output mass plus waste mass, in exact rationals.
+Traces list every marble placement as an ``Event``, a named tuple
+``(phase, node, port, marble_id, mass)``: a creation event at the out port
+of the node that produced the marble, then one arrival event per hop.  A
+marble therefore never appears at two places in the same phase, so the
+first four fields tell events apart and the trace is in plain tuple order.
+Events are recorded only when the trace is enabled.  The ledger is kept
+during the run either way, from where each marble was created and where it
+ended, and balances exactly: input mass plus injected mass equals output
+mass plus waste mass, in exact rationals (unit masses are counted as
+integers, the rest added as fractions).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import MarblesimError
 from .netlist import Circuit
@@ -70,9 +79,11 @@ class TimingViolationError(MarblesimError):
     """A marble reached a junction or syringe off-schedule (strict mode)."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One marble placement: where a marble is during one phase."""
+class Event(NamedTuple):
+    """One marble placement: where a marble is during one phase.
+
+    A tuple, so events sort, unpack and compare as plain tuples; no two
+    events of a run share their first four fields."""
 
     phase: int
     node: str
@@ -109,7 +120,7 @@ class Trace:
     events: tuple[Event, ...]
     final_locations: dict[int, tuple[str, str]]
     hazards: tuple[Hazard, ...]
-    node_kinds: dict[str, NodeKind]
+    node_kinds: Mapping[str, NodeKind]
     met: tuple[tuple[int, str], ...]
 
     def collisions(self) -> tuple[tuple[int, str], ...]:
@@ -164,39 +175,44 @@ def format_trace(trace: Trace) -> str:
 _Origins = dict[int, tuple[str, int, Fraction]]
 
 
+def _total(masses: list[Fraction]) -> Fraction:
+    """Sum exact masses.  Almost every marble has the unit mass, which is
+    counted, not added: a ``Fraction`` addition costs microseconds."""
+    others = [mass for mass in masses if mass is not _UNIT]
+    return sum(others, Fraction(len(masses) - len(others)))
+
+
 def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
-            kinds: dict[str, NodeKind]) -> Ledger:
+            kinds: Mapping[str, NodeKind]) -> Ledger:
     """Account for every marble by the role of the node that created it
     and of the place where it ended.  A syringe's internal waste pocket is
     the port ``"waste"``, which no kind has as a real port."""
-    input_marbles = injected = output_marbles = waste_marbles = 0
-    input_mass = injected_mass = output_mass = waste_mass = Fraction(0)
+    inputs: list[Fraction] = []
+    injected: list[Fraction] = []
+    outputs: list[Fraction] = []
+    waste: list[Fraction] = []
     injections: list[InjectionRecord] = []
 
     for marble_id in sorted(created):
         node, phase, mass = created[marble_id]
         kind = kinds[node]
         if kind.role == "input":
-            input_marbles += 1
-            input_mass += mass
+            inputs.append(mass)
         elif kind.role == "injected":
-            injected += 1
-            injected_mass += mass
+            injected.append(mass)
             injections.append(InjectionRecord(marble_id, node, kind, phase,
                                               mass))
 
     for marble_id, (node, port) in final.items():
         role = kinds[node].role
         if role == "output":
-            output_marbles += 1
-            output_mass += created[marble_id][2]
+            outputs.append(created[marble_id][2])
         elif role == "waste" or port == "waste":
-            waste_marbles += 1
-            waste_mass += created[marble_id][2]
+            waste.append(created[marble_id][2])
 
-    return Ledger(input_marbles, injected, output_marbles, waste_marbles,
-                  input_mass, injected_mass, output_mass, waste_mass,
-                  tuple(injections))
+    return Ledger(len(inputs), len(injected), len(outputs), len(waste),
+                  _total(inputs), _total(injected), _total(outputs),
+                  _total(waste), tuple(injections))
 
 
 def run_ledger(trace: Trace) -> Ledger:
@@ -214,8 +230,9 @@ class _Run:
                  config: SimConfig):
         self.circuit = circuit
         self.config = config
-        self.kinds = {name: node.kind
-                      for name, node in circuit.nodes.items()}
+        self.kinds = circuit._kinds
+        self.out = circuit._out
+        self.phases = circuit.phases
         self.events: list[Event] | None = (
             [] if config.trace_enabled else None)
         # A marble is its id, numbered from 1 in creation order; its mass
@@ -231,12 +248,11 @@ class _Run:
         # phase -> nodes that fire then
         self.agenda: dict[int, set[str]] = {}
         self.syringe_sensed: set[str] = set()
-        for name, kind in self.kinds.items():
-            if kind.starts:
-                self.schedule(name, circuit.phases[name])
+        for name in circuit._starts:
+            self.schedule(name, self.phases[name])
         for name, bit in zip(circuit.inputs, bits):
             if bit:
-                self.schedule(name, circuit.phases[name])
+                self.schedule(name, self.phases[name])
 
     def schedule(self, node: str, phase: int) -> None:
         self.agenda.setdefault(phase, set()).add(node)
@@ -247,10 +263,10 @@ class _Run:
     def record(self, phase: int, node: str, port: str, marble: int) -> None:
         if self.events is not None:
             self.events.append(Event(phase, node, port, marble,
-                                     self.mass(marble)))
+                                     self.created[marble][2]))
 
     def emit(self, node: str, port: str, marble: int, phase: int) -> None:
-        channel = self.circuit.out_channel(node, port)
+        channel = self.out.get((node, port))
         if channel is None:
             raise SimulationError(f"no channel leaves {node}.{port}")
         self.arrivals.setdefault(phase + 1, []).append(
@@ -265,8 +281,8 @@ class _Run:
         self.record(phase, node, port, marble)
         self.emit(node, port, marble, phase)
 
-    def place_arrivals(self, phase: int) -> None:
-        batch = self.arrivals.pop(phase, ())
+    def place_arrivals(self, phase: int,
+                       batch: list[tuple[str, str, int]]) -> None:
         placed: set[tuple[str, str]] = set()
         for node, port, marble in sorted(batch):
             kind = self.kinds[node]
@@ -278,7 +294,7 @@ class _Run:
             self.record(phase, node, port, marble)
             self.final[marble] = (node, port)
             if kind is _JUNCTION or kind is _SYRINGE:
-                expected = self.circuit.phases[node]
+                expected = self.phases[node]
                 if phase != expected:
                     if self.config.strict_timing:
                         raise TimingViolationError(
@@ -290,7 +306,7 @@ class _Run:
             if kind is _SYRINGE:
                 # Diverted into the syringe's internal waste pocket one
                 # phase later; sensed only when it arrived on schedule.
-                if phase == self.circuit.phases[node]:
+                if phase == self.phases[node]:
                     self.syringe_sensed.add(node)
                 self.record(phase + 1, node, "waste", marble)
                 self.final[marble] = (node, "waste")
@@ -302,8 +318,8 @@ class _Run:
                     marble)
                 if kind is _JUNCTION:
                     self.schedule(node, phase)
-                elif phase <= self.circuit.phases[node]:
-                    self.schedule(node, self.circuit.phases[node])
+                elif phase <= self.phases[node]:
+                    self.schedule(node, self.phases[node])
 
     def take(self, node: str, port: str) -> list[int]:
         """Unpark the marbles at ``node.port``.  A marble on a port its
@@ -361,10 +377,15 @@ class _Run:
 
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:
         last_phase = self.circuit.max_phase + 2
+        # Most phases have nothing to place and nothing to fire.
         for phase in range(last_phase + 1):
-            self.place_arrivals(phase)
-            for node in sorted(self.agenda.pop(phase, ())):
-                self.fire(node, phase)
+            batch = self.arrivals.pop(phase, None)
+            if batch:
+                self.place_arrivals(phase, batch)
+            due = self.agenda.pop(phase, None)
+            if due:
+                for node in sorted(due):
+                    self.fire(node, phase)
         if self.arrivals:
             raise SimulationError("marbles still in flight after the final "
                                   "phase")
@@ -377,10 +398,10 @@ class _Run:
         reached = {node for node, _ in self.final.values()}
         outputs = tuple(1 if name in reached else 0
                         for name in self.circuit.outputs)
-        events = (() if self.events is None
-                  else tuple(sorted(self.events, key=Event.sort_key)))
+        events = () if self.events is None else tuple(sorted(self.events))
         trace = Trace(events, dict(sorted(self.final.items())),
-                      tuple(self.hazards), self.kinds, tuple(self.met))
+                      tuple(self.hazards), MappingProxyType(self.kinds),
+                      tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from marblesim import cli
+from marblesim import cli, sim
 from marblesim.cli import main
 
 WATER = """\
@@ -52,6 +52,25 @@ class TestRun:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("fmt, marker", [("text", "trace:\n"),
+                                             ("records", "event\t")])
+    def test_run_without_trace_records_no_event(self, capsys, fixtures,
+                                                monkeypatch, fmt, marker):
+        args = ("run", str(fixtures / "and_gate.mnl"), "--inputs", "11",
+                "--mode", "merge", "--format", fmt)
+        _, traced, _ = run_cli(capsys, *args, "--trace")
+        # The events print last, after everything an untraced run prints.
+        head, _, events = traced.partition(marker)
+        assert events
+
+        class NoEvent(sim.Event):
+            def __init__(self, *args):
+                raise AssertionError("an untraced run built an Event")
+
+        monkeypatch.setattr(sim, "Event", NoEvent)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (0, head, "")
 
     def test_hazard_sets_exit_code(self, capsys, fixtures, golden):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,7 @@ class TestTraceContract:
             _, trace, ledger = simulate(circuit, bits, config)
             assert list(trace.events) == sorted(trace.events,
                                                 key=lambda e: e.sort_key())
+            assert list(trace.events) == sorted(trace.events)
             last: dict[int, tuple] = {}
             phases_seen: dict[int, int] = {}
             for event in trace.events:
@@ -323,6 +325,104 @@ class TestTraceContract:
                     u_trace.collisions(), u_ledger) == (
                         outputs, trace.final_locations, trace.hazards,
                         trace.collisions(), ledger)
+
+    def test_event_is_a_named_tuple(self):
+        assert sim.Event._fields == ("phase", "node", "port", "marble_id",
+                                     "mass")
+        event = sim.Event(3, "J", "A", 7, Fraction(1, 2))
+        assert event == (3, "J", "A", 7, Fraction(1, 2))
+        assert event.sort_key() == (3, "J", "A", 7)
+        with pytest.raises(AttributeError):
+            event.phase = 4
+
+    def test_node_kinds_cannot_be_written(self):
+        circuit = circuit_for("FULL_ADDER")
+        _, trace, ledger = simulate(circuit, (1, 1, 1), MERGE)
+        with pytest.raises(TypeError):
+            trace.node_kinds[circuit.inputs[0]] = NodeKind.WASTE
+        _, again, again_ledger = simulate(circuit, (1, 1, 1), MERGE)
+        assert again_ledger == ledger
+        assert run_ledger(again) == ledger
+        assert run_ledger(trace) == ledger
+
+    def test_each_circuit_runs_from_its_own_tables(self):
+        # Every table a run reads is rebuilt for a replaced circuit: the
+        # channel out of H, each node's kind (H starts on its own as a
+        # const) and the last phase (marbles reach y at phase 6).
+        circuit = Circuit(
+            "swap", ("a",), ("y", "z"),
+            {"a": NodeDecl("a", NodeKind.INPUT),
+             "H": NodeDecl("H", NodeKind.HOLD, 1),
+             "y": NodeDecl("y", NodeKind.OUTPUT),
+             "z": NodeDecl("z", NodeKind.OUTPUT)},
+            (Channel("a", "out", "H", "in"), Channel("H", "out", "y", "in")),
+            {"a": 0, "H": 1, "y": 2, "z": 2})
+        rewired = dataclasses.replace(circuit, channels=(
+            Channel("a", "out", "H", "in"), Channel("H", "out", "z", "in")))
+        const = dataclasses.replace(
+            circuit,
+            nodes={**circuit.nodes, "H": NodeDecl("H", NodeKind.CONST)},
+            channels=(Channel("H", "out", "y", "in"),),
+            phases={"a": 0, "H": 5, "y": 6, "z": 2})
+        for _ in range(2):
+            assert simulate(circuit, (1,), BOUNCE)[0] == (1, 0)
+            assert simulate(rewired, (1,), BOUNCE)[0] == (0, 1)
+            outputs, trace, ledger = simulate(const, (0,), BOUNCE)
+            assert outputs == (1, 0)
+            assert trace.final_locations == {1: ("y", "in")}
+            assert ledger.injected == 1 and ledger.balanced
+
+    def test_ledger_sums_non_unit_masses(self):
+        # Merged masses 2 and 3, then a scalpel's halves of 3/2.
+        circuit = elaborate(parse("""\
+circuit heavy
+input a, b, c
+output y
+node J1 : junction
+node J2 : junction
+node S : scalpel
+node W : waste
+connect a -> J1.A
+connect b -> J1.B
+connect J1.O3 -> J2.A
+connect c -> J2.B
+connect J2.O3 -> S.in
+connect S.out1 -> y
+connect S.out2 -> W.in
+connect J1.O1 -> W.in
+connect J1.O2 -> W.in
+connect J1.O4 -> W.in
+connect J1.O5 -> W.in
+connect J2.O1 -> W.in
+connect J2.O2 -> W.in
+connect J2.O4 -> W.in
+connect J2.O5 -> W.in
+"""))
+        for bits in all_vectors(3):
+            _, trace, ledger = simulate(circuit, bits, MERGE)
+            first = {}  # a marble's first event is its creation
+            for event in trace.events:
+                first.setdefault(event.marble_id, event)
+            ended = trace.final_locations
+            inputs = [m for m, event in first.items()
+                      if event.node in circuit.inputs]
+            outputs = [m for m, (node, _) in ended.items() if node == "y"]
+            waste = [m for m, (node, _) in ended.items() if node == "W"]
+
+            def total(marbles):
+                by_hand = Fraction(0)
+                for marble in marbles:
+                    by_hand += first[marble].mass
+                return by_hand
+
+            assert (ledger.input_marbles, ledger.input_mass) == (
+                len(inputs), total(inputs))
+            assert (ledger.output_marbles, ledger.output_mass) == (
+                len(outputs), total(outputs))
+            assert (ledger.waste_marbles, ledger.waste_mass) == (
+                len(waste), total(waste))
+            assert ledger.injected == 0 and ledger.injected_mass == 0
+        assert ledger.output_mass == ledger.waste_mass == Fraction(3, 2)
 
     def test_format_trace_is_stable(self, fixtures):
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
