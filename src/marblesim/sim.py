@@ -14,14 +14,12 @@ hazard diagnostic, or raises under ``strict_timing``.  Sensor+syringe nodes
 watch their input during their firing phase only: whatever arrives is
 diverted to an internal waste pocket, and a fresh unit marble is injected
 exactly when nothing arrived on time.  The nodes due in one phase fire in
-name order, which fixes the marble ids; a phase with no arrival and no node
-due is skipped.  A run reads the tables its ``Circuit`` built once, at
-construction: each node's kind, the nodes that start on their own, the
-channel leaving each out port and ``max_phase``.  ``_Run.fire`` is the one
-place that says what each kind does to marbles; for the junction that is
-the table in :mod:`marblesim.primitives`: a lone A leaves on O5, a lone B
-on O1, and two marbles that meet bounce to O2 (A) and O4 (B) or merge
-into one new marble on O3 that carries both masses.
+name order, which fixes the marble ids; a run reads the tables its
+``Circuit`` built at construction.  ``_Run.fire`` is the one place that
+says what each kind does to marbles; for the junction that is the table
+in :mod:`marblesim.primitives`: a lone A leaves on O5, a lone B on O1, and
+two marbles that meet bounce to O2 (A) and O4 (B) or merge into one new
+marble on O3 that carries both masses.
 
 Traces list every marble placement as an ``Event``, a named tuple
 ``(phase, node, port, marble_id, mass)``: a creation event at the out port
@@ -31,8 +29,7 @@ first four fields tell events apart and the trace is in plain tuple order.
 Events are recorded only when the trace is enabled.  The ledger is kept
 during the run either way, from where each marble was created and where it
 ended, and balances exactly: input mass plus injected mass equals output
-mass plus waste mass, in exact rationals (unit masses are counted as
-integers, the rest added as fractions).
+mass plus waste mass, in exact rationals.
 """
 
 from __future__ import annotations
@@ -80,9 +77,7 @@ class TimingViolationError(MarblesimError):
 
 
 class Event(NamedTuple):
-    """One marble placement: where a marble is during one phase.
-
-    A tuple, so events sort, unpack and compare as plain tuples; no two
+    """One marble placement: where a marble is during one phase.  No two
     events of a run share their first four fields."""
 
     phase: int
@@ -114,7 +109,7 @@ class Trace:
     """Ordered event list plus where every marble ended up.
 
     The event list is empty when the run was not traced; the rest is kept
-    either way.
+    either way.  ``node_kinds`` is a read-only view of the circuit's table.
     """
 
     events: tuple[Event, ...]
@@ -122,6 +117,15 @@ class Trace:
     hazards: tuple[Hazard, ...]
     node_kinds: Mapping[str, NodeKind]
     met: tuple[tuple[int, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_kinds",
+                           MappingProxyType(self.node_kinds))
+
+    def __reduce__(self):
+        # A view cannot be pickled or deep-copied; a copy of its table can.
+        return Trace, (self.events, self.final_locations, self.hazards,
+                       dict(self.node_kinds), self.met)
 
     def collisions(self) -> tuple[tuple[int, str], ...]:
         """(phase, junction) pairs where two marbles actually met."""
@@ -176,7 +180,7 @@ _Origins = dict[int, tuple[str, int, Fraction]]
 
 
 def _total(masses: list[Fraction]) -> Fraction:
-    """Sum exact masses.  Almost every marble has the unit mass, which is
+    """Sum exact masses.  Those that are ``_UNIT`` itself, almost all, are
     counted, not added: a ``Fraction`` addition costs microseconds."""
     others = [mass for mass in masses if mass is not _UNIT]
     return sum(others, Fraction(len(masses) - len(others)))
@@ -187,10 +191,8 @@ def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
     """Account for every marble by the role of the node that created it
     and of the place where it ended.  A syringe's internal waste pocket is
     the port ``"waste"``, which no kind has as a real port."""
-    inputs: list[Fraction] = []
-    injected: list[Fraction] = []
-    outputs: list[Fraction] = []
-    waste: list[Fraction] = []
+    # The masses of the marbles each role counts.
+    inputs, injected, outputs, waste = [], [], [], []
     injections: list[InjectionRecord] = []
 
     for marble_id in sorted(created):
@@ -400,8 +402,7 @@ class _Run:
                         for name in self.circuit.outputs)
         events = () if self.events is None else tuple(sorted(self.events))
         trace = Trace(events, dict(sorted(self.final.items())),
-                      tuple(self.hazards), MappingProxyType(self.kinds),
-                      tuple(self.met))
+                      tuple(self.hazards), self.kinds, tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 

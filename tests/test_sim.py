@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -344,6 +346,15 @@ class TestTraceContract:
         assert again_ledger == ledger
         assert run_ledger(again) == ledger
         assert run_ledger(trace) == ledger
+
+    def test_trace_pickles_and_copies(self):
+        _, trace, ledger = simulate(circuit_for("AND"), (1, 1), MERGE)
+        for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace),
+                     copy.copy(trace)):
+            assert twin == trace
+            assert run_ledger(twin) == ledger
+            with pytest.raises(TypeError):
+                twin.node_kinds["J"] = NodeKind.WASTE
 
     def test_each_circuit_runs_from_its_own_tables(self):
         # Every table a run reads is rebuilt for a replaced circuit: the
