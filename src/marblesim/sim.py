@@ -122,7 +122,7 @@ class Trace:
         object.__setattr__(self, "node_kinds",
                            MappingProxyType(self.node_kinds))
 
-    def __reduce__(self):
+    def __reduce__(self) -> tuple:
         # A view cannot be pickled or deep-copied; a copy of its table can.
         return Trace, (self.events, self.final_locations, self.hazards,
                        dict(self.node_kinds), self.met)
