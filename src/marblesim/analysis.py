@@ -12,6 +12,13 @@ the lowest such vector is simulated, so the error raised is the
 simulator's own.  The input count is capped at 16, so this is meant for
 gate-sized circuits.
 
+The pass is compiled once per circuit and evaluated on every table:
+``Circuit._mask_order``, built on the first table and kept with the
+circuit, numbers a slot per channel and lists the nodes in phase order
+with the slots each reads and fills, or is None when the simulator must
+tabulate.  That is compiled-code simulation (Barzilai et al., "HSS -- A
+High-Speed Simulator", 1987).  Tables themselves are never cached.
+
 Verification compares a macro's tables in both collision modes against its
 reference Boolean function and checks the reversibility and
 conservativeness claims, plus physical conservativity: a run is physically
@@ -21,7 +28,8 @@ entering).  That is the marble-by-marble form of conservative logic
 (Fredkin & Toffoli, "Conservative Logic", 1982).  The same mask pass that
 gives the tables decides it per vector, by counting scalpel cuts against
 merges; a circuit the pass cannot take is simulated row by row and judged
-from each run's ledger.
+from each run's ledger.  It checks the gate's one elaborated circuit per
+process, from :func:`marblesim.gates.library_circuit`.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat, zip_longest
 
-from .gates import boolean_spec, get_macro
-from .netlist import Circuit, Diagnostic, _off_schedule, elaborate
+from .gates import boolean_spec, get_macro, library_circuit
+from .netlist import Circuit, Diagnostic, _off_schedule
 from .physics import CollisionMode
 from .primitives import NodeKind, _presence_route
 from .sim import Ledger, SimConfig, simulate
@@ -81,29 +89,10 @@ def _bits(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
 
-def _on_schedule(circuit: Circuit) -> bool:
-    """Whether the mask pass reads every marble at its node's phase: no
-    channel is off schedule by ``netlist._off_schedule``, none enters a
-    port its kind never reads (the pass reads a hold's ``in``, not its
-    ``x``), and each in port but a waste node's has one channel."""
-    nodes, channels = circuit.nodes, circuit.channels
-    fed = set()
-    for ch in channels:
-        kind = nodes[ch.dst].kind
-        if kind.ins and ch.dst_port not in kind.ins:
-            return False
-        if kind is not _WASTE:
-            if (ch.dst, ch.dst_port) in fed:
-                return False
-            fed.add((ch.dst, ch.dst_port))
-    return next(_off_schedule(nodes, channels, circuit.phases), None) is None
-
-
 # The kinds the mask pass compares per node, bound once: a ``NodeKind.X``
 # lookup costs about ten times a module-level name.
-_INPUT, _JUNCTION, _SCALPEL, _SYRINGE, _TAP, _WASTE = (
-    NodeKind.INPUT, NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE,
-    NodeKind.TAP, NodeKind.WASTE)
+_JUNCTION, _SCALPEL, _SYRINGE, _TAP = (
+    NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE, NodeKind.TAP)
 
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -141,53 +130,41 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     it merged; both are counted per vector.  A syringe spoils every run:
     it either injects or swallows into its pocket.
     """
-    if not _on_schedule(circuit):
+    order = circuit._mask_order
+    if order is None:
         return None
     count = 1 << n
     full = (1 << count) - 1
-    vectors = {}
-    for k, name in enumerate(circuit.inputs):
-        # Runs of ``span`` vectors without the input, then ``span`` with.
-        span = 1 << (n - 1 - k)
-        run = ((1 << span) - 1) << span
-        vectors[name] = run * (full // ((1 << 2 * span) - 1))
-    wastes = {name for name, node in circuit.nodes.items()
-              if node.kind is _WASTE}
-    arriving: dict[str, dict[str, tuple[int, int]]] = {}
+    slots = [(0, 0)] * order.size
+    for k, slot in enumerate(order.inputs):
+        if slot is not None:
+            # Runs of ``span`` vectors without the input, then ``span`` with.
+            span = 1 << (n - 1 - k)
+            run = ((1 << span) - 1) << span
+            slots[slot] = (run * (full // ((1 << 2 * span) - 1)), 0)
     flagged = spoiled = 0
     cuts: list[int] = []
     merges: list[int] = []
-    for name in sorted(circuit.nodes, key=circuit.phases.__getitem__):
-        kind = circuit.nodes[name].kind
-        if not kind.outs:
-            continue
-        if kind is _INPUT:
-            outs: tuple[tuple[int, int], ...] = ((vectors.get(name, 0), 0),)
-        else:
-            got = arriving.get(name, {})
-            ins = ([got.get(port, (0, 0)) for port in kind.ins] if kind.ins
-                   else list(got.values()))
-            if kind.single:
-                for _, two in ins:
-                    flagged |= two
-            outs = _presence_route(kind, ins, mode, full)
-            if kind is _JUNCTION:
-                _count(merges, outs[2][0])
-            elif kind is _SCALPEL:
-                _count(cuts, ins[0][0])
-            elif kind is _TAP:
-                spoiled |= ins[0][0]
-            elif kind is _SYRINGE:
-                spoiled = full
-        for port, mask in zip(kind.outs, outs):
-            channel = circuit.out_channel(name, port)
-            if channel is None:
-                flagged |= mask[0]
-            else:
-                # Every channel into a waste node uses its one port.
-                if channel.dst in wastes:
-                    spoiled |= mask[0]
-                arriving.setdefault(channel.dst, {})[channel.dst_port] = mask
+    for kind, ins, outs in order.steps:
+        got = [slots[slot] for slot in ins]
+        if kind.single:
+            for _, two in got:
+                flagged |= two
+        routed = _presence_route(kind, got, mode, full)
+        if kind is _JUNCTION:
+            _count(merges, routed[2][0])
+        elif kind is _SCALPEL:
+            _count(cuts, got[0][0])
+        elif kind is _TAP:
+            spoiled |= got[0][0]
+        elif kind is _SYRINGE:
+            spoiled = full
+        for slot, mask in zip(outs, routed):
+            slots[slot] = mask
+    for slot in order.open:
+        flagged |= slots[slot][0]
+    for slot in order.wastes:
+        spoiled |= slots[slot][0]
     if flagged:
         first = (flagged & -flagged).bit_length() - 1
         simulate(circuit, _bits(first, n),
@@ -198,9 +175,8 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     for cut, merge in zip_longest(cuts, merges, fillvalue=0):
         spoiled |= cut ^ merge
     # One byte per vector for each output, vector 0 first.
-    columns = [format(arriving.get(name, {}).get("in", (0, 0))[0],
-                      f"0{count}b")[::-1].encode().translate(_DIGITS)
-               for name in circuit.outputs]
+    columns = [format(slots[slot][0], f"0{count}b")[::-1].encode()
+               .translate(_DIGITS) for slot in order.outputs]
     outputs = zip(*columns) if columns else repeat((), count)
     return tuple(zip(product((0, 1), repeat=n), outputs)), spoiled
 
@@ -291,7 +267,7 @@ class GateReport:
 def verify_gate(name: str) -> GateReport:
     """Check one library gate in both collision modes."""
     macro = get_macro(name)
-    circuit = elaborate(macro.expansion)
+    circuit = library_circuit(name)
     tables = []
     table_ok = []
     physical = []

@@ -26,7 +26,7 @@ from pathlib import Path
 from .analysis import (format_report, format_table, timing_lint, truth_table,
                        verify_gate)
 from .errors import MarblesimError
-from .gates import get_macro, library
+from .gates import library, library_circuit
 from .netlist import elaborate, parse, print_canonical
 from .physics import (CollisionMode, MidbandWarning, collision_mode,
                       load_physics_config)
@@ -175,7 +175,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         circuit = _load_circuit(args.target)
     else:
         try:
-            circuit = elaborate(get_macro(args.target).expansion)
+            circuit = library_circuit(args.target)
         except MarblesimError:
             raise MarblesimError(
                 f"{args.target!r} is neither a file nor a library gate"

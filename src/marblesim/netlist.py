@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -170,7 +171,24 @@ class CircuitAst:
         return hash(self.canonical_key())
 
 
-@dataclass(eq=True)
+class _MaskOrder(NamedTuple):
+    """A circuit as the truth table's mask pass reads it, in numbered
+    slots that each hold one presence pair: slot 0 holds nothing, channel
+    i of ``channels`` fills slot i + 1 and each out port with no channel
+    a slot after those."""
+
+    # The nodes with out ports in phase order, circuit inputs left out:
+    # each one's kind, the slots it reads (``kind.ins`` order, a join's
+    # channels in channel order) and the slot of each of its out ports.
+    steps: tuple[tuple[NodeKind, tuple[int, ...], tuple[int, ...]], ...]
+    inputs: tuple[int | None, ...]  # out slot per circuit input
+    outputs: tuple[int, ...]  # slot each circuit output reads
+    wastes: tuple[int, ...]  # the channels into waste nodes
+    open: tuple[int, ...]  # the out ports with no channel
+    size: int
+
+
+@dataclass(eq=True, frozen=True)
 class Circuit:
     """Elaborated, primitive-only circuit with a firing phase per node.
 
@@ -180,7 +198,10 @@ class Circuit:
 
     The tables a run reads (``max_phase``, the channel leaving each out
     port, each node's kind and the nodes that start on their own) are built
-    once, at construction, so mutate no ``Circuit`` after it.
+    once, at construction, and the mask pass's order on the circuit's first
+    truth table.  The fields cannot be rebound; change no entry of their
+    dicts either, but make a new ``Circuit``, with ``dataclasses.replace``
+    for instance.
     """
 
     name: str
@@ -196,15 +217,78 @@ class Circuit:
         init=False, repr=False, compare=False)
     _starts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
+    # Its dicts cannot be hashed, so neither can a circuit: without this
+    # line a frozen dataclass would define a hash that fails on them.
+    __hash__ = None  # type: ignore[assignment]
+
     def __post_init__(self) -> None:
-        self.max_phase = max(self.phases.values(), default=0)
-        self._out = {(ch.src, ch.src_port): ch for ch in self.channels}
-        self._kinds = {name: node.kind for name, node in self.nodes.items()}
-        self._starts = tuple(name for name, kind in self._kinds.items()
-                             if kind.starts)
+        kinds = {name: node.kind for name, node in self.nodes.items()}
+        setattr_ = object.__setattr__
+        setattr_(self, "max_phase", max(self.phases.values(), default=0))
+        setattr_(self, "_out",
+                 {(ch.src, ch.src_port): ch for ch in self.channels})
+        setattr_(self, "_kinds", kinds)
+        setattr_(self, "_starts",
+                 tuple(name for name, kind in kinds.items() if kind.starts))
 
     def out_channel(self, node: str, port: str) -> Channel | None:
         return self._out.get((node, port))
+
+    @cached_property
+    def _mask_order(self) -> _MaskOrder | None:
+        """The mask pass's order, or None when that pass cannot read every
+        marble at its node's phase: a channel is off schedule by
+        ``_off_schedule``, enters a port its kind never reads (the pass
+        reads a hold's ``in``, not its ``x``) or shares an in port other
+        than a waste node's.  Built on first use, outside equality."""
+        nodes, channels = self.nodes, self.channels
+        into: dict[tuple[str, str], int] = {}
+        joins: dict[str, list[int]] = {}
+        wastes = []
+        for slot, ch in enumerate(channels, 1):
+            kind = nodes[ch.dst].kind
+            if kind.ins and ch.dst_port not in kind.ins:
+                return None
+            if kind is _WASTE:
+                wastes.append(slot)
+                continue
+            if (ch.dst, ch.dst_port) in into:
+                return None
+            into[ch.dst, ch.dst_port] = slot
+            if kind is _JOIN:
+                joins.setdefault(ch.dst, []).append(slot)
+        if next(_off_schedule(nodes, channels, self.phases), None) is not None:
+            return None
+        # The slot each out port fills: its channel's, the last one if a
+        # hand-built circuit has two, as ``_out`` keeps.
+        leaving = {(ch.src, ch.src_port): slot
+                   for slot, ch in enumerate(channels, 1)}
+        size = len(channels) + 1
+        open_slots = []
+        steps = []
+        input_slots = {}
+        for name in sorted(nodes, key=self.phases.__getitem__):
+            kind = nodes[name].kind
+            if not kind.outs:
+                continue
+            outs = []
+            for port in kind.outs:
+                slot = leaving.get((name, port))
+                if slot is None:
+                    slot = size
+                    size += 1
+                    open_slots.append(slot)
+                outs.append(slot)
+            if kind is _INPUT:
+                input_slots[name] = outs[0]
+                continue
+            ins = (joins.get(name, ()) if kind is _JOIN else
+                   [into.get((name, port), 0) for port in kind.ins])
+            steps.append((kind, tuple(ins), tuple(outs)))
+        return _MaskOrder(
+            tuple(steps), tuple(input_slots.get(name) for name in self.inputs),
+            tuple(into.get((name, "in"), 0) for name in self.outputs),
+            tuple(wastes), tuple(open_slots), size)
 
 
 def _split_statement(raw: str) -> str:

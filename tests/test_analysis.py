@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 
 import pytest
@@ -129,6 +131,40 @@ class TestBitParallelTable:
             assert truth_table(circuit, mode) == simulated_table(circuit,
                                                                  mode)
         assert simulations == composer.input_vectors(circuit) * 2
+
+    def test_skewed_circuit_is_simulated_on_every_table(
+            self, fixtures, simulations):
+        circuit = elaborate(parse((fixtures / "skew.mnl").read_text()),
+                            insert_holds=False)
+        expected = simulated_table(circuit, CollisionMode.BOUNCE)
+        simulations.clear()
+        for _ in range(2):
+            assert truth_table(circuit, CollisionMode.BOUNCE) == expected
+        assert simulations == composer.input_vectors(circuit) * 2
+
+    def test_rewired_copy_tabulates_from_its_own_wiring(self, fixtures):
+        circuit = elaborate(parse((fixtures / "junction.mnl").read_text()))
+        tables = {mode: truth_table(circuit, mode) for mode in CollisionMode}
+        # Swap the outputs that the lone marbles' exits O1 and O5 feed.
+        swap = {"o1": "o5", "o5": "o1"}
+        rewired = dataclasses.replace(circuit, channels=tuple(
+            dataclasses.replace(ch, dst=swap.get(ch.dst, ch.dst))
+            for ch in circuit.channels))
+        for mode in CollisionMode:
+            table = truth_table(rewired, mode)
+            assert table == simulated_table(rewired, mode)
+            assert table.rows != tables[mode].rows
+            assert truth_table(circuit, mode) == tables[mode]
+
+    def test_tabulated_circuit_pickles(self):
+        circuit = elaborate(get_macro("FREDKIN_DIRECT").expansion)
+        untabulated = repr(circuit)
+        tables = [truth_table(circuit, mode) for mode in CollisionMode]
+        assert repr(circuit) == untabulated
+        assert circuit == elaborate(get_macro("FREDKIN_DIRECT").expansion)
+        copy = pickle.loads(pickle.dumps(circuit))
+        assert copy == circuit
+        assert [truth_table(copy, mode) for mode in CollisionMode] == tables
 
     def test_contention_raises_the_simulators_error(self, simulations):
         # Several vectors contend here, and the lowest one's error differs
