@@ -133,10 +133,11 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     order = circuit._mask_order
     if order is None:
         return None
+    steps, inputs, outputs, wastes, open_slots, size = order
     count = 1 << n
     full = (1 << count) - 1
-    slots = [(0, 0)] * order.size
-    for k, slot in enumerate(order.inputs):
+    slots = [(0, 0)] * size
+    for k, slot in enumerate(inputs):
         if slot is not None:
             # Runs of ``span`` vectors without the input, then ``span`` with.
             span = 1 << (n - 1 - k)
@@ -145,7 +146,7 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     flagged = spoiled = 0
     cuts: list[int] = []
     merges: list[int] = []
-    for kind, ins, outs in order.steps:
+    for kind, ins, outs in steps:
         got = [slots[slot] for slot in ins]
         if kind.single:
             for _, two in got:
@@ -161,9 +162,9 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
             spoiled = full
         for slot, mask in zip(outs, routed):
             slots[slot] = mask
-    for slot in order.open:
+    for slot in open_slots:
         flagged |= slots[slot][0]
-    for slot in order.wastes:
+    for slot in wastes:
         spoiled |= slots[slot][0]
     if flagged:
         first = (flagged & -flagged).bit_length() - 1
@@ -176,9 +177,9 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         spoiled |= cut ^ merge
     # One byte per vector for each output, vector 0 first.
     columns = [format(slots[slot][0], f"0{count}b")[::-1].encode()
-               .translate(_DIGITS) for slot in order.outputs]
-    outputs = zip(*columns) if columns else repeat((), count)
-    return tuple(zip(product((0, 1), repeat=n), outputs)), spoiled
+               .translate(_DIGITS) for slot in outputs]
+    rows = zip(*columns) if columns else repeat((), count)
+    return tuple(zip(product((0, 1), repeat=n), rows)), spoiled
 
 
 def _tabulate(circuit: Circuit, mode: CollisionMode) -> tuple[_Rows, bool]:

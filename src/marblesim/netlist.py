@@ -171,23 +171,6 @@ class CircuitAst:
         return hash(self.canonical_key())
 
 
-class _MaskOrder(NamedTuple):
-    """A circuit as the truth table's mask pass reads it, in numbered
-    slots that each hold one presence pair: slot 0 holds nothing, channel
-    i of ``channels`` fills slot i + 1 and each out port with no channel
-    a slot after those."""
-
-    # The nodes with out ports in phase order, circuit inputs left out:
-    # each one's kind, the slots it reads (``kind.ins`` order, a join's
-    # channels in channel order) and the slot of each of its out ports.
-    steps: tuple[tuple[NodeKind, tuple[int, ...], tuple[int, ...]], ...]
-    inputs: tuple[int | None, ...]  # out slot per circuit input
-    outputs: tuple[int, ...]  # slot each circuit output reads
-    wastes: tuple[int, ...]  # the channels into waste nodes
-    open: tuple[int, ...]  # the out ports with no channel
-    size: int
-
-
 @dataclass(eq=True, frozen=True)
 class Circuit:
     """Elaborated, primitive-only circuit with a firing phase per node.
@@ -235,12 +218,28 @@ class Circuit:
         return self._out.get((node, port))
 
     @cached_property
-    def _mask_order(self) -> _MaskOrder | None:
-        """The mask pass's order, or None when that pass cannot read every
-        marble at its node's phase: a channel is off schedule by
-        ``_off_schedule``, enters a port its kind never reads (the pass
-        reads a hold's ``in``, not its ``x``) or shares an in port other
-        than a waste node's.  Built on first use, outside equality."""
+    def _mask_order(self) -> tuple | None:
+        """The circuit as the truth table's mask pass reads it, built on
+        first use and outside equality, in numbered slots that each hold
+        one presence pair: slot 0 holds nothing, channel i of ``channels``
+        fills slot i + 1 and each out port with no channel a slot after
+        those.  A plain tuple, since a NamedTuple class would add import
+        time to every command, of
+
+        - the nodes with out ports in phase order, circuit inputs left
+          out: each one's kind, the slots it reads (``kind.ins`` order, a
+          join's channels in channel order) and the slots it fills;
+        - the slot each circuit input fills (None if it is no input node);
+        - the slot each circuit output reads;
+        - the slots of the channels into waste nodes;
+        - the slots of the out ports with no channel;
+        - the number of slots.
+
+        None when the pass cannot read every marble at its node's phase:
+        a channel is off schedule by ``_off_schedule``, enters a port its
+        kind never reads (the pass reads a hold's ``in``, not its ``x``)
+        or shares an in port other than a waste node's.
+        """
         nodes, channels = self.nodes, self.channels
         into: dict[tuple[str, str], int] = {}
         joins: dict[str, list[int]] = {}
@@ -285,10 +284,10 @@ class Circuit:
             ins = (joins.get(name, ()) if kind is _JOIN else
                    [into.get((name, port), 0) for port in kind.ins])
             steps.append((kind, tuple(ins), tuple(outs)))
-        return _MaskOrder(
-            tuple(steps), tuple(input_slots.get(name) for name in self.inputs),
-            tuple(into.get((name, "in"), 0) for name in self.outputs),
-            tuple(wastes), tuple(open_slots), size)
+        return (tuple(steps),
+                tuple(input_slots.get(name) for name in self.inputs),
+                tuple(into.get((name, "in"), 0) for name in self.outputs),
+                tuple(wastes), tuple(open_slots), size)
 
 
 def _split_statement(raw: str) -> str:
