@@ -28,8 +28,7 @@ entering).  That is the marble-by-marble form of conservative logic
 (Fredkin & Toffoli, "Conservative Logic", 1982).  The same mask pass that
 gives the tables decides it per vector, by counting scalpel cuts against
 merges; a circuit the pass cannot take is simulated row by row and judged
-from each run's ledger.  It checks the gate's one elaborated circuit per
-process, from :func:`marblesim.gates.library_circuit`.
+from each run's ledger.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat, zip_longest
 
-from .gates import boolean_spec, get_macro, library_circuit
-from .netlist import Circuit, Diagnostic, _off_schedule
+from .gates import boolean_spec, get_macro
+from .netlist import Circuit, Diagnostic, _off_schedule, elaborate
 from .physics import CollisionMode
 from .primitives import NodeKind, _presence_route
 from .sim import Ledger, SimConfig, simulate
@@ -268,28 +267,24 @@ class GateReport:
 def verify_gate(name: str) -> GateReport:
     """Check one library gate in both collision modes."""
     macro = get_macro(name)
-    circuit = library_circuit(name)
-    tables = []
-    table_ok = []
-    physical = []
-    for mode in _MODES:
-        rows, conservative = _tabulate(circuit, mode)
-        tables.append(TruthTable(circuit.name, mode, circuit.inputs,
-                                 circuit.outputs, rows))
-        table_ok.append(all(boolean_spec(name, bits) == outputs
-                            for bits, outputs in rows))
-        physical.append(conservative)
-    modes_agree = tables[0].rows == tables[1].rows
+    circuit = elaborate(macro.expansion)
+    found = [_tabulate(circuit, mode) for mode in _MODES]
+    tables = tuple(TruthTable(circuit.name, mode, circuit.inputs,
+                              circuit.outputs, rows)
+                   for mode, (rows, _) in zip(_MODES, found))
+    # Both modes tabulate the same input vectors in the same order.
+    expected = [boolean_spec(name, bits) for bits, _ in tables[0].rows]
     return GateReport(
         name=name,
-        tables=tuple(tables),
-        table_ok=tuple(table_ok),
-        modes_agree=modes_agree,
+        tables=tables,
+        table_ok=tuple([outputs for _, outputs in table.rows] == expected
+                       for table in tables),
+        modes_agree=tables[0].rows == tables[1].rows,
         reversible=check_reversible(tables[0]),
         conservative=check_conservative(tables[0]),
         reversible_claim=macro.reversible_claim,
         conservative_claim=macro.conservative_claim,
-        physical=tuple(physical),
+        physical=tuple(conservative for _, conservative in found),
     )
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from .analysis import (format_report, format_table, timing_lint, truth_table,
                        verify_gate)
 from .errors import MarblesimError
-from .gates import library, library_circuit
+from .gates import get_macro, library
 from .netlist import elaborate, parse, print_canonical
 from .physics import (CollisionMode, MidbandWarning, collision_mode,
                       load_physics_config)
@@ -35,6 +35,9 @@ from .sim import SimConfig, format_trace, simulate
 __all__ = ["main"]
 
 _PHYSICS_ENV = "MARBLE_PHYSICS"
+
+# Bit values 0 and 1 mapped to the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @functools.cache
@@ -175,16 +178,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
         circuit = _load_circuit(args.target)
     else:
         try:
-            circuit = library_circuit(args.target)
+            circuit = elaborate(get_macro(args.target).expansion)
         except MarblesimError:
             raise MarblesimError(
                 f"{args.target!r} is neither a file nor a library gate"
             ) from None
     table = truth_table(circuit, mode)
     if args.format == "records":
-        for bits, outputs in table.rows:
-            print(f"row\t{''.join(map(str, bits))}"
-                  f"\t{''.join(map(str, outputs))}")
+        sys.stdout.write("".join(
+            f"row\t{bytes(bits).translate(_DIGITS).decode()}"
+            f"\t{bytes(outputs).translate(_DIGITS).decode()}\n"
+            for bits, outputs in table.rows))
     else:
         print(format_table(table))
     return 0
@@ -194,6 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = args.gates or [macro.name for macro in library()]
     reports = [verify_gate(name) for name in names]
     if args.format == "records":
+        lines = []
         for report in reports:
             fields = [
                 ("table_bounce", report.table_ok[0]),
@@ -207,9 +212,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 ("physical_merge", report.physical[1]),
                 ("ok", report.ok),
             ]
-            for field, value in fields:
-                print(f"verify\t{report.name}\t{field}"
-                      f"\t{'yes' if value else 'no'}")
+            lines += [f"verify\t{report.name}\t{field}"
+                      f"\t{'yes' if value else 'no'}\n"
+                      for field, value in fields]
+        sys.stdout.write("".join(lines))
     else:
         print("\n\n".join(format_report(report) for report in reports))
     return 0 if all(report.ok for report in reports) else 1

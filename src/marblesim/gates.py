@@ -28,19 +28,17 @@ one of these names.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import MarblesimError
-from .netlist import Circuit, CircuitAst, elaborate, parse
+from .netlist import CircuitAst, parse
 
 __all__ = [
     "GateMacro",
     "UnknownGateError",
     "boolean_spec",
     "library",
-    "library_circuit",
     "library_map",
 ]
 
@@ -433,14 +431,6 @@ def get_macro(name: str) -> GateMacro:
     if macro is None:
         raise UnknownGateError(f"unknown gate macro {name!r}")
     return macro
-
-
-@functools.cache
-def library_circuit(name: str) -> Circuit:
-    """The elaborated circuit of library gate ``name``, built on first use
-    and shared by every caller in the process, which a frozen ``Circuit``
-    allows.  An unknown name raises :class:`UnknownGateError` each time."""
-    return elaborate(get_macro(name).expansion)
 
 
 def boolean_spec(name: str, bits: tuple[int, ...]) -> tuple[int, ...]:

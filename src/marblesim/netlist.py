@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
@@ -77,6 +77,9 @@ _KIND_KEYWORDS = {kind.value: kind for kind in NodeKind if kind not in
 _INPUT, _OUTPUT, _HOLD, _JOIN, _JUNCTION, _SYRINGE, _WASTE = (
     NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD, NodeKind.JOIN,
     NodeKind.JUNCTION, NodeKind.SYRINGE, NodeKind.WASTE)
+# What validate records for a circuit input and a circuit output.
+_INPUT_DECL = (_INPUT, None, _INPUT.ins, _INPUT.outs)
+_OUTPUT_DECL = (_OUTPUT, None, _OUTPUT.ins, _OUTPUT.outs)
 
 
 class ParseError(MarblesimError):
@@ -121,6 +124,13 @@ class NodeDecl:
     hold_phases: int = 0
     line: int = field(default=0, compare=False)
 
+    def __init__(self, name: str, kind: NodeKind, hold_phases: int = 0,
+                 line: int = 0) -> None:
+        _node_slots[0](self, name)
+        _node_slots[1](self, kind)
+        _node_slots[2](self, hold_phases)
+        _node_slots[3](self, line)
+
 
 @dataclass(frozen=True, slots=True)
 class GateDecl:
@@ -139,8 +149,26 @@ class Channel:
     dst_port: str
     line: int = field(default=0, compare=False)
 
+    def __init__(self, src: str, src_port: str, dst: str, dst_port: str,
+                 line: int = 0) -> None:
+        _channel_slots[0](self, src)
+        _channel_slots[1](self, src_port)
+        _channel_slots[2](self, dst)
+        _channel_slots[3](self, dst_port)
+        _channel_slots[4](self, line)
+
     def key(self) -> tuple[str, str, str, str]:
         return (self.src, self.src_port, self.dst, self.dst_port)
+
+
+# Elaboration builds these records by the thousand, and the ``__init__``
+# that ``dataclass`` writes for a frozen class calls ``object.__setattr__``
+# per field; filling each slot through its descriptor costs about a third
+# less.  The classes stay frozen: only their construction differs.
+_node_slots = tuple(getattr(NodeDecl, f.name).__set__
+                    for f in fields(NodeDecl))
+_channel_slots = tuple(getattr(Channel, f.name).__set__
+                       for f in fields(Channel))
 
 
 @dataclass(eq=False)
@@ -171,7 +199,7 @@ class CircuitAst:
         return hash(self.canonical_key())
 
 
-@dataclass(eq=True, frozen=True)
+@dataclass(eq=True)
 class Circuit:
     """Elaborated, primitive-only circuit with a firing phase per node.
 
@@ -182,9 +210,7 @@ class Circuit:
     The tables a run reads (``max_phase``, the channel leaving each out
     port, each node's kind and the nodes that start on their own) are built
     once, at construction, and the mask pass's order on the circuit's first
-    truth table.  The fields cannot be rebound; change no entry of their
-    dicts either, but make a new ``Circuit``, with ``dataclasses.replace``
-    for instance.
+    truth table, so mutate no ``Circuit`` after it.
     """
 
     name: str
@@ -200,19 +226,12 @@ class Circuit:
         init=False, repr=False, compare=False)
     _starts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    # Its dicts cannot be hashed, so neither can a circuit: without this
-    # line a frozen dataclass would define a hash that fails on them.
-    __hash__ = None  # type: ignore[assignment]
-
     def __post_init__(self) -> None:
-        kinds = {name: node.kind for name, node in self.nodes.items()}
-        setattr_ = object.__setattr__
-        setattr_(self, "max_phase", max(self.phases.values(), default=0))
-        setattr_(self, "_out",
-                 {(ch.src, ch.src_port): ch for ch in self.channels})
-        setattr_(self, "_kinds", kinds)
-        setattr_(self, "_starts",
-                 tuple(name for name, kind in kinds.items() if kind.starts))
+        self.max_phase = max(self.phases.values(), default=0)
+        self._out = {(ch.src, ch.src_port): ch for ch in self.channels}
+        self._kinds = {name: node.kind for name, node in self.nodes.items()}
+        self._starts = tuple(name for name, kind in self._kinds.items()
+                             if kind.starts)
 
     def out_channel(self, node: str, port: str) -> Channel | None:
         return self._out.get((node, port))
@@ -240,36 +259,36 @@ class Circuit:
         kind never reads (the pass reads a hold's ``in``, not its ``x``)
         or shares an in port other than a waste node's.
         """
-        nodes, channels = self.nodes, self.channels
+        kinds, channels, phases = self._kinds, self.channels, self.phases
         into: dict[tuple[str, str], int] = {}
         joins: dict[str, list[int]] = {}
         wastes = []
+        # The slot each out port fills: its channel's, the last one if a
+        # hand-built circuit has two, as ``_out`` keeps.
+        leaving: dict[tuple[str, str], int] = {}
         for slot, ch in enumerate(channels, 1):
-            kind = nodes[ch.dst].kind
-            if kind.ins and ch.dst_port not in kind.ins:
+            dst, port = key = ch.dst, ch.dst_port
+            kind = kinds[dst]
+            if kind.ins and port not in kind.ins:
                 return None
+            leaving[ch.src, ch.src_port] = slot
             if kind is _WASTE:
                 wastes.append(slot)
                 continue
-            if (ch.dst, ch.dst_port) in into:
+            if key in into:
                 return None
-            into[ch.dst, ch.dst_port] = slot
+            into[key] = slot
             if kind is _JOIN:
-                joins.setdefault(ch.dst, []).append(slot)
-        if next(_off_schedule(nodes, channels, self.phases), None) is not None:
+                joins.setdefault(dst, []).append(slot)
+        if next(_off_schedule(self.nodes, channels, phases), None) is not None:
             return None
-        # The slot each out port fills: its channel's, the last one if a
-        # hand-built circuit has two, as ``_out`` keeps.
-        leaving = {(ch.src, ch.src_port): slot
-                   for slot, ch in enumerate(channels, 1)}
         size = len(channels) + 1
         open_slots = []
         steps = []
         input_slots = {}
-        for name in sorted(nodes, key=self.phases.__getitem__):
-            kind = nodes[name].kind
-            if not kind.outs:
-                continue
+        firing = [name for name, kind in kinds.items() if kind.outs]
+        for name in sorted(firing, key=phases.__getitem__):
+            kind = kinds[name]
             outs = []
             for port in kind.outs:
                 slot = leaving.get((name, port))
@@ -500,49 +519,54 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                            tuple[str, ...] | None,
                            tuple[str, ...] | None]] = {}
 
-    def declare(name: str, kind: NodeKind | None, line: int | None,
-                ports: tuple = (None, None)) -> bool:
-        if name in decls:
-            prev, on = decls[name][:2]
-            what = ("gate" if prev is None else
-                    prev.value if prev in (_INPUT, _OUTPUT) else "node")
-            err(f"duplicate name {name!r} (already declared as {what}"
-                f"{f' on line {on}' if on else ''})", line or None)
-            return False
-        if kind is not None:
-            ports = kind.ins, kind.outs
-        decls[name] = (kind, line, *ports)
-        return True
+    def duplicate(name: str, line: int | None) -> None:
+        prev, on = decls[name][:2]
+        what = ("gate" if prev is None else
+                prev.value if prev in (_INPUT, _OUTPUT) else "node")
+        err(f"duplicate name {name!r} (already declared as {what}"
+            f"{f' on line {on}' if on else ''})", line or None)
 
-    for name in ast.inputs:
-        declare(name, _INPUT, None)
-    for name in ast.outputs:
-        declare(name, _OUTPUT, None)
+    for names, decl in ((ast.inputs, _INPUT_DECL),
+                        (ast.outputs, _OUTPUT_DECL)):
+        for name in names:
+            if name in decls:
+                duplicate(name, None)
+            else:
+                decls[name] = decl
     for nd in ast.nodes:
-        if nd.kind in (_INPUT, _OUTPUT):
-            # Only an AST built in code holds one: such a node never
-            # emits, and its printed form does not parse.
-            err(f"node {nd.name!r} cannot be of kind {nd.kind.value}; "
-                f"declare it on the {nd.kind.value} line", nd.line or None)
-        if nd.kind is _HOLD:
+        kind = nd.kind
+        if kind is _HOLD:
             if nd.hold_phases < 1:
                 err(f"node {nd.name!r}: hold phase count must be at least 1",
                     nd.line or None)
-        elif nd.hold_phases:
-            # print_canonical writes a phase count for a hold only.
-            err(f"node {nd.name!r}: only a hold takes a phase count",
-                nd.line or None)
-        declare(nd.name, nd.kind, nd.line)
+        else:
+            if kind is _INPUT or kind is _OUTPUT:
+                # Only an AST built in code holds one: such a node never
+                # emits, and its printed form does not parse.
+                err(f"node {nd.name!r} cannot be of kind {kind.value}; "
+                    f"declare it on the {kind.value} line", nd.line or None)
+            if nd.hold_phases:
+                # print_canonical writes a phase count for a hold only.
+                err(f"node {nd.name!r}: only a hold takes a phase count",
+                    nd.line or None)
+        if nd.name in decls:
+            duplicate(nd.name, nd.line)
+        else:
+            decls[nd.name] = (kind, nd.line, kind.ins, kind.outs)
     gates = []
     for gd in ast.gates:
+        if gd.name in decls:
+            duplicate(gd.name, gd.line)
+            continue
         macro = lib.get(gd.macro)
-        ports = (macro.inputs, macro.outputs) if macro else (None, None)
-        if declare(gd.name, None, gd.line, ports):
-            gates.append(gd)
+        decls[gd.name] = ((None, gd.line, macro.inputs, macro.outputs)
+                          if macro else (None, gd.line, None, None))
+        gates.append(gd)
 
-    for name in decls:
-        if name in lib:
-            err(f"name {name!r} is reserved (gate macro)")
+    if not lib.keys().isdisjoint(decls):
+        for name in decls:
+            if name in lib:
+                err(f"name {name!r} is reserved (gate macro)")
     for gd in gates:
         if gd.macro not in lib:
             err(f"unknown gate macro {gd.macro!r}", gd.line)
@@ -553,44 +577,53 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             f"({'macro' if kind is None else kind.value} {side}: "
             f"{', '.join(ports) or 'none'})", line)
 
-    # Channels into and out of each port, by name, then port.
-    fed: dict[str, dict[str, int]] = {name: {} for name in decls}
-    left: dict[str, dict[str, int]] = {name: {} for name in decls}
+    # Channels into and out of each port, by name, then port, for the names
+    # that have any.
+    fed: dict[str, dict[str, int]] = {}
+    left: dict[str, dict[str, int]] = {}
     # The first channel of each (src, src_port, dst, dst_port).
     seen: dict[tuple[str, str, str, str], Channel] = {}
     for ch in ast.channels:
-        if ch.src not in decls or ch.dst not in decls:
-            missing = ch.src if ch.src not in decls else ch.dst
-            err(f"unknown name {missing!r}", ch.line)
+        src, src_port, dst, dst_port = key = (
+            ch.src, ch.src_port, ch.dst, ch.dst_port)
+        src_decl, dst_decl = decls.get(src), decls.get(dst)
+        if src_decl is None or dst_decl is None:
+            err(f"unknown name {src if src_decl is None else dst!r}",
+                ch.line)
             continue
-        key = ch.key()
         if key in seen:
-            err(f"duplicate channel {ch.src}.{ch.src_port} -> "
-                f"{ch.dst}.{ch.dst_port} (first on line {seen[key].line})",
+            err(f"duplicate channel {src}.{src_port} -> "
+                f"{dst}.{dst_port} (first on line {seen[key].line})",
                 ch.line)
             continue
         seen[key] = ch
         # A bare circuit input or output stands for its one port.
-        kind, _, _, outs = decls[ch.src]
+        kind, _, _, outs = src_decl
         if kind is _OUTPUT:
-            err(f"cannot connect from circuit output {ch.src!r}", ch.line)
+            err(f"cannot connect from circuit output {src!r}", ch.line)
         elif (kind is not _INPUT and outs is not None
-              and ch.src_port not in outs):
-            unknown_port(ch.src, ch.src_port, kind, "outputs", outs, ch.line)
-        uses = left[ch.src]
-        uses[ch.src_port] = uses.get(ch.src_port, 0) + 1
-        kind, _, ins, _ = decls[ch.dst]
+              and src_port not in outs):
+            unknown_port(src, src_port, kind, "outputs", outs, ch.line)
+        uses = left.get(src)
+        if uses is None:
+            left[src] = {src_port: 1}
+        else:
+            uses[src_port] = uses.get(src_port, 0) + 1
+        kind, _, ins, _ = dst_decl
         if kind is _INPUT:
-            err(f"cannot connect into circuit input {ch.dst!r}", ch.line)
+            err(f"cannot connect into circuit input {dst!r}", ch.line)
         elif kind is _JOIN:
-            if not _JOIN_IN.fullmatch(ch.dst_port):
-                err(f"unknown port {ch.dst}.{ch.dst_port} "
+            if not _JOIN_IN.fullmatch(dst_port):
+                err(f"unknown port {dst}.{dst_port} "
                     f"(join inputs are in1..inN)", ch.line)
         elif (kind is not _OUTPUT and ins is not None
-              and ch.dst_port not in ins):
-            unknown_port(ch.dst, ch.dst_port, kind, "inputs", ins, ch.line)
-        uses = fed[ch.dst]
-        uses[ch.dst_port] = uses.get(ch.dst_port, 0) + 1
+              and dst_port not in ins):
+            unknown_port(dst, dst_port, kind, "inputs", ins, ch.line)
+        uses = fed.get(dst)
+        if uses is None:
+            fed[dst] = {dst_port: 1}
+        else:
+            uses[dst_port] = uses.get(dst_port, 0) + 1
 
     def need_one(name: str, kind: NodeKind | None, line: int | None,
                  ports: Iterable[str], uses: dict[str, int],
@@ -606,21 +639,27 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             err(f"multiple channels {verb} {what}" if n else
                 f"unconnected {'' if bare else 'port '}{what}", line)
 
+    no_uses: dict[str, int] = {}
     for name, (kind, line, ins, outs) in decls.items():
+        into, out_of = fed.get(name, no_uses), left.get(name, no_uses)
         if kind is None:  # a gate instance reports its inputs first
-            need_one(name, kind, line, ins or (), fed[name], "into")
-        need_one(name, kind, line, outs or (), left[name], "leave")
+            need_one(name, kind, line, ins or (), into, "into")
+        # Most ports have one channel each: check them here and leave
+        # need_one the reports.
+        for port in outs or ():
+            if out_of.get(port) != 1:
+                need_one(name, kind, line, outs, out_of, "leave")
+                break
         if kind is _WASTE:
-            if "in" not in fed[name]:
+            if "in" not in into:
                 err(f"unconnected port {name}.in", line)
         elif kind is _JOIN:
             # Each fed port counts as an input; one that is not inN was
             # reported above and takes no part in the contiguity check.
-            ports = fed[name]
-            need_one(name, kind, line, ports, ports, "into")
-            numbered = sorted(int(port[2:]) for port in ports
+            need_one(name, kind, line, into, into, "into")
+            numbered = sorted(int(port[2:]) for port in into
                               if _JOIN_IN.fullmatch(port))
-            if len(ports) < 2:
+            if len(into) < 2:
                 err(f"join {name} needs at least two inputs", line)
             elif len(numbered) > 1 and numbered[-1] != len(numbered):
                 missing = set(range(1, len(numbered) + 1)).difference(numbered)
@@ -628,7 +667,10 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                     f"in1..in{len(numbered)} (missing "
                     f"{', '.join('in%d' % i for i in sorted(missing))})", line)
         elif kind is not None:
-            need_one(name, kind, line, ins, fed[name], "into")
+            for port in ins:
+                if into.get(port) != 1:
+                    need_one(name, kind, line, ins, into, "into")
+                    break
 
     # Acyclicity over the name-level graph (gate instances are opaque).
     order, _ = _toposort(decls, seen.values())
@@ -711,6 +753,8 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
     nodes = {name: NodeDecl(name, _INPUT) for name in ast.inputs}
     nodes.update((name, NodeDecl(name, _OUTPUT)) for name in ast.outputs)
     nodes.update((nd.name, nd) for nd in ast.nodes)
+    if not ast.gates:
+        return nodes, list(ast.channels)
     # Inlined names are ``instance.name``; a netlist may declare dotted
     # nodes too, so every inlined name is checked against all names.
     taken = {*nodes, *(gd.name for gd in ast.gates)}

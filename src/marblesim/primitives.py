@@ -85,6 +85,13 @@ class NodeKind(enum.Enum):
 
 JOIN_PORT_PATTERN = r"in[1-9][0-9]*"
 
+# The kinds and the mode the presence rule compares, bound once: a
+# ``NodeKind.X`` lookup costs about ten times a module-level name.
+_JUNCTION, _SYRINGE, _CONST, _JOIN, _BOUNCE = (
+    NodeKind.JUNCTION, NodeKind.SYRINGE, NodeKind.CONST, NodeKind.JOIN,
+    CollisionMode.BOUNCE)
+_COPIES = (NodeKind.SCALPEL, NodeKind.TAP, NodeKind.HOLD)
+
 
 # What a channel holds over many input vectors at once: bit v of ``one``
 # is set when at least one marble is on it under vector v, bit v of
@@ -107,23 +114,23 @@ def _presence_route(kind: NodeKind, ins: list[_Presence],
     the vectors and sinks route nothing.  Two marbles on a single-occupancy
     port are contention, which the caller checks.
     """
-    if kind is NodeKind.JUNCTION:
+    if kind is _JUNCTION:
         (a, _), (b, _) = ins
         both = a & b
-        bounce = both if mode is CollisionMode.BOUNCE else 0
+        bounce = both if mode is _BOUNCE else 0
         return ((b & ~a, 0), (bounce, 0), (both ^ bounce, 0), (bounce, 0),
                 (a & ~b, 0))
-    if kind is NodeKind.SYRINGE:
+    if kind is _SYRINGE:
         return ((full ^ ins[0][0], 0),)
-    if kind is NodeKind.CONST:
+    if kind is _CONST:
         return ((full, 0),)
-    if kind is NodeKind.JOIN:
+    if kind is _JOIN:
         one = two = 0
         for in_one, in_two in ins:
             two |= in_two | (one & in_one)
             one |= in_one
         return ((one, two),)
-    if kind in (NodeKind.SCALPEL, NodeKind.TAP, NodeKind.HOLD):
+    if kind in _COPIES:
         return (ins[0],) * len(kind.outs)
     return ()
 

@@ -387,6 +387,22 @@ class TestVerifyGate:
         assert report.reversible
         assert not report.conservative
 
+    def test_each_mode_is_checked_against_the_spec(self, monkeypatch):
+        tabulate = analysis._tabulate
+
+        def flip_merge(circuit, mode):
+            rows, conservative = tabulate(circuit, mode)
+            if mode is CollisionMode.MERGE:
+                (bits, (out,)), *rest = rows
+                rows = ((bits, (1 - out,)), *rest)
+            return rows, conservative
+
+        monkeypatch.setattr(analysis, "_tabulate", flip_merge)
+        report = verify_gate("AND")
+        assert report.table_ok == (True, False)
+        assert not report.modes_agree
+        assert not report.ok
+
     def test_claims_ok_detects_library_drift(self):
         report = verify_gate("NOR_ALT")
         assert report.claims_ok

@@ -1,8 +1,7 @@
 import pytest
 
-from marblesim import cli, library, sim
+from marblesim import cli, sim
 from marblesim.cli import main
-from marblesim.gates import library_circuit
 
 WATER = """\
 density = 1000
@@ -196,25 +195,6 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "XNOR")
         assert code == 1
         assert "neither a file nor a library gate" in err
-
-    def test_unknown_target_fails_every_time(self, capsys):
-        for _ in range(2):
-            assert run_cli(capsys, "table", "XNOR") == (
-                1, "", "error: 'XNOR' is neither a file nor a library gate\n")
-
-
-class TestLibraryCache:
-    """Library circuits are elaborated once per process: the call that
-    builds one and every later call print the same bytes."""
-
-    @pytest.mark.parametrize("argv", [("verify", "--format", "records")] + [
-        ("table", macro.name, "--mode", mode, "--format", "records")
-        for macro in library() for mode in ("bounce", "merge")])
-    def test_cold_and_warm_calls_print_alike(self, capsys, argv):
-        library_circuit.cache_clear()
-        cold = run_cli(capsys, *argv)
-        assert cold[0] == 0 and cold[1] and not cold[2]
-        assert run_cli(capsys, *argv) == cold
 
 
 class TestVerify:

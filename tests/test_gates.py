@@ -2,7 +2,7 @@ import pytest
 
 from marblesim import (UnknownGateError, boolean_spec, elaborate, get_macro,
                        library, parse, validate)
-from marblesim.gates import library_circuit, library_map
+from marblesim.gates import library_map
 
 EXPECTED_NAMES = {
     "AND", "XOR", "OR", "NOT_SYRINGE", "NOT_INTERACTION", "NAND",
@@ -91,22 +91,6 @@ class TestLibrary:
         for name in ("AND", "OR", "XOR", "NAND", "NOR_CHAINED", "NOR_ALT",
                      "HALF_ADDER", "FULL_ADDER"):
             assert claims[name] == (False, False)
-
-
-class TestLibraryCircuit:
-    def test_one_shared_circuit_per_gate(self):
-        for macro in library():
-            circuit = library_circuit(macro.name)
-            assert library_circuit(macro.name) is circuit
-            assert circuit == elaborate(macro.expansion)
-        assert library_circuit.cache_info().currsize >= 13
-
-    def test_unknown_gate_is_not_cached(self):
-        before = library_circuit.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(UnknownGateError):
-                library_circuit("XNOR")
-        assert library_circuit.cache_info().currsize == before
 
 
 class TestBooleanSpec:
