@@ -17,7 +17,11 @@ The pass is compiled once per circuit and evaluated on every table:
 circuit, numbers a slot per channel and lists the nodes in phase order
 with the slots each reads and fills, or is None when the simulator must
 tabulate.  That is compiled-code simulation (Barzilai et al., "HSS -- A
-High-Speed Simulator", 1987).  Tables themselves are never cached.
+High-Speed Simulator", 1987).  The order also holds the circuit's input
+vectors, which every table of it pairs with its outputs; where a circuit
+has as many outputs as inputs, as reversible gates do (Fredkin & Toffoli,
+"Conservative Logic", 1982), each output row is one of those vectors too.
+Tables themselves are never cached.
 
 Verification compares a macro's tables in both collision modes against its
 reference Boolean function and checks the reversibility and
@@ -33,8 +37,10 @@ from each run's ledger.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product, repeat, zip_longest
+from operator import itemgetter
 
 from .gates import boolean_spec, get_macro
 from .netlist import Circuit, Diagnostic, _off_schedule, elaborate
@@ -63,7 +69,13 @@ _MAX_INPUTS = 16
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Simulated input/output map of one circuit under one mode."""
+    """Simulated input/output map of one circuit under one mode.
+
+    ``rows`` pairs each input vector with its outputs.  Their tuples may
+    be shared: every table of one circuit from the mask pass pairs the
+    same input-vector tuples, which the circuit keeps, and where it has
+    as many outputs as inputs each output tuple is one of them.
+    """
 
     name: str
     mode: CollisionMode
@@ -83,11 +95,6 @@ def _check_width(circuit: Circuit) -> int:
     return n
 
 
-def _bits(value: int, n: int) -> tuple[int, ...]:
-    """Input vector ``value``, first input as the most significant bit."""
-    return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
-
-
 # The kinds the mask pass compares per node, bound once: a ``NodeKind.X``
 # lookup costs about ten times a module-level name.
 _JUNCTION, _SCALPEL, _SYRINGE, _TAP = (
@@ -95,6 +102,9 @@ _JUNCTION, _SCALPEL, _SYRINGE, _TAP = (
 
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# Where the host keeps the low byte of an unsigned short (the ``H`` of a
+# memoryview cast), which ``_MAX_INPUTS`` sizes a table's codes to.
+_LOW_BYTE = int(sys.byteorder == "big")
 
 _Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -132,7 +142,7 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     order = circuit._mask_order
     if order is None:
         return None
-    steps, inputs, outputs, wastes, open_slots, size = order
+    steps, inputs, outputs, wastes, open_slots, size, vectors = order
     count = 1 << n
     full = (1 << count) - 1
     slots = [(0, 0)] * size
@@ -167,7 +177,7 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         spoiled |= slots[slot][0]
     if flagged:
         first = (flagged & -flagged).bit_length() - 1
-        simulate(circuit, _bits(first, n),
+        simulate(circuit, vectors[first],
                  SimConfig(mode=mode, trace_enabled=False))
         # It raises unless the mask rule and the simulator disagree, in
         # which case the simulator tabulates.
@@ -177,8 +187,26 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     # One byte per vector for each output, vector 0 first.
     columns = [format(slots[slot][0], f"0{count}b")[::-1].encode()
                .translate(_DIGITS) for slot in outputs]
-    rows = zip(*columns) if columns else repeat((), count)
-    return tuple(zip(product((0, 1), repeat=n), rows)), spoiled
+    if n and len(outputs) == n:
+        # Each row's outputs are an input vector too: the one whose index
+        # is the output code, first output as its most significant bit.
+        # Read as ints, the columns add up to the codes' low bytes (the
+        # last eight outputs) and high bytes (the others) in byte lanes,
+        # lane v for vector v, and interleaved in the host's byte order
+        # the lanes read as the codes.
+        high = low = 0
+        for column in columns[:-8]:
+            high = high << 1 | int.from_bytes(column, "little")
+        for column in columns[-8:]:
+            low = low << 1 | int.from_bytes(column, "little")
+        codes = bytearray(2 * count)
+        codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
+        codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
+        # Two codes or more, so the getter returns a tuple.
+        rows = itemgetter(*memoryview(codes).cast("H"))(vectors)
+    else:
+        rows = zip(*columns) if columns else repeat((), count)
+    return tuple(zip(vectors, rows)), spoiled
 
 
 def _tabulate(circuit: Circuit, mode: CollisionMode) -> tuple[_Rows, bool]:

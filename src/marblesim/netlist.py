@@ -37,7 +37,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -233,9 +233,6 @@ class Circuit:
         self._starts = tuple(name for name, kind in self._kinds.items()
                              if kind.starts)
 
-    def out_channel(self, node: str, port: str) -> Channel | None:
-        return self._out.get((node, port))
-
     @cached_property
     def _mask_order(self) -> tuple | None:
         """The circuit as the truth table's mask pass reads it, built on
@@ -252,7 +249,12 @@ class Circuit:
         - the slot each circuit output reads;
         - the slots of the channels into waste nodes;
         - the slots of the out ports with no channel;
-        - the number of slots.
+        - the number of slots;
+        - the input vectors, vector v at index v with the first input as
+          its most significant bit: every table's input halves, and its
+          output halves where the circuit has as many outputs as inputs.
+          They live as long as the circuit, 2**n tuples of n ints: about
+          0.6 MB at 12 inputs and 11.5 MB at 16.
 
         None when the pass cannot read every marble at its node's phase:
         a channel is off schedule by ``_off_schedule``, enters a port its
@@ -306,7 +308,8 @@ class Circuit:
         return (tuple(steps),
                 tuple(input_slots.get(name) for name in self.inputs),
                 tuple(into.get((name, "in"), 0) for name in self.outputs),
-                tuple(wastes), tuple(open_slots), size)
+                tuple(wastes), tuple(open_slots), size,
+                tuple(product((0, 1), repeat=len(self.inputs))))
 
 
 def _split_statement(raw: str) -> str:

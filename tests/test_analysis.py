@@ -1,6 +1,8 @@
 import dataclasses
 import pickle
+import random
 import re
+from itertools import product
 
 import pytest
 
@@ -10,7 +12,7 @@ from marblesim import (Channel, Circuit, CollisionMode, MarblesimError,
                        boolean_spec, check_conservative, check_reversible,
                        circuit_to_ast, elaborate, get_macro, library, parse,
                        physically_conservative, print_canonical, simulate,
-                       timing_lint, truth_table, verify_gate)
+                       timing_lint, truth_table, validate, verify_gate)
 from marblesim import analysis
 from marblesim.analysis import format_report, format_table
 
@@ -210,6 +212,122 @@ class TestBitParallelTable:
         for mode in CollisionMode:
             assert (outcome(truth_table, circuit, mode)
                     == outcome(simulated_table, circuit, mode))
+
+
+def wire_network(width, stages, order):
+    """A circuit that applies library gates to ``width`` wires in turn,
+    each stage a gate name and the wires it takes, and outputs the wires
+    in ``order``; with its function, composed from ``boolean_spec``."""
+    signal = [f"x{k}" for k in range(width)]
+    lines = [f"circuit net{width}", "input " + ", ".join(signal),
+             "output " + ", ".join(f"y{k}" for k in range(width))]
+    for g, (name, wires) in enumerate(stages):
+        macro = get_macro(name)
+        lines.append(f"gate G{g} : {name}")
+        lines += [f"connect {signal[wire]} -> G{g}.{port}"
+                  for port, wire in zip(macro.inputs, wires)]
+        for port, wire in zip(macro.outputs, wires):
+            signal[wire] = f"G{g}.{port}"
+    lines += [f"connect {signal[wire]} -> y{k}"
+              for k, wire in enumerate(order)]
+
+    def function(bits):
+        values = list(bits)
+        for name, wires in stages:
+            spec = boolean_spec(name, tuple(values[w] for w in wires))
+            for wire, value in zip(wires, spec):
+                values[wire] = value
+        return tuple(values[w] for w in order)
+    return elaborate(parse("\n".join(lines) + "\n")), function
+
+
+def twelve_wide():
+    """Two layers of Fredkin and Toffoli gates on 12 wires, seeded."""
+    rng = random.Random(12)
+    stages = []
+    for names, count in ((["FREDKIN_DIRECT", "FREDKIN_DIRECT", "TOFFOLI",
+                           "TOFFOLI"], 12), (["FREDKIN_DIRECT", "TOFFOLI"], 6)):
+        rng.shuffle(names)
+        wires = rng.sample(range(12), count)
+        stages += [(name, tuple(wires[3 * g:3 * g + 3]))
+                   for g, name in enumerate(names)]
+    return wire_network(12, stages, rng.sample(range(12), 12))
+
+
+def sixteen_wires():
+    """A hand-built permutation of 16 wires: output k is input 5k mod 16,
+    so the all-ones vector's output code is 0xFFFF."""
+    order = [5 * k % 16 for k in range(16)]
+    inputs = tuple(f"x{k}" for k in range(16))
+    outputs = tuple(f"y{k}" for k in range(16))
+    nodes = {name: NodeDecl(name, NodeKind.INPUT) for name in inputs}
+    nodes.update((name, NodeDecl(name, NodeKind.OUTPUT)) for name in outputs)
+    circuit = Circuit(
+        "perm16", inputs, outputs, nodes,
+        tuple(Channel(inputs[wire], "out", y, "in")
+              for y, wire in zip(outputs, order)),
+        dict.fromkeys(inputs, 0) | dict.fromkeys(outputs, 1))
+    return circuit, lambda bits: tuple(bits[w] for w in order)
+
+
+class TestEqualArityRows:
+    """Where a circuit has as many outputs as inputs, each row's outputs
+    are the input vector of their own code, read from the output masks."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: wire_network(1, [("NOT_SYRINGE", (0,))], [0]),
+        lambda: wire_network(2, [("NOT_INTERACTION", (1,))], [1, 0]),
+        lambda: wire_network(3, [("TOFFOLI", (0, 1, 2)),
+                                 ("FREDKIN_CHAINED", (2, 0, 1)),
+                                 ("FREDKIN_DIRECT", (1, 2, 0))], [2, 0, 1]),
+        twelve_wide,
+        sixteen_wires,
+    ], ids=["1", "2", "3", "12", "16"])
+    def test_rows_match_a_product_and_zip_oracle(self, build):
+        circuit, function = build()
+        n = len(circuit.inputs)
+        assert len(circuit.outputs) == n
+        assert circuit._mask_order is not None
+        vectors = list(product((0, 1), repeat=n))
+        expected = tuple(zip(vectors, map(function, vectors)))
+        for mode in CollisionMode:
+            table = truth_table(circuit, mode)
+            assert table.rows == expected
+            if n <= 3:
+                assert table == simulated_table(circuit, mode)
+        if n == 16:
+            assert expected[-1] == ((1,) * 16, (1,) * 16)
+
+    @pytest.mark.parametrize("source, rows", [
+        ("circuit k\noutput y\nnode K : const1\nconnect K.out -> y\n",
+         (((), (1,)),)),
+        ("circuit z\nnode K : const1\nnode W : waste\n"
+         "connect K.out -> W.in\n", (((), ()),)),
+    ], ids=["one-output", "no-output"])
+    def test_zero_inputs(self, source, rows):
+        ast = parse(source)
+        assert validate(ast) == []
+        circuit = elaborate(ast)
+        for mode in CollisionMode:
+            table = truth_table(circuit, mode)
+            assert table.rows == rows
+            assert table == simulated_table(circuit, mode)
+
+    def test_tables_share_the_circuits_input_vectors(self):
+        for circuit in (circuit_for("FREDKIN_DIRECT"), twelve_wide()[0],
+                        circuit_for("XOR")):
+            bounce, merge = (truth_table(circuit, mode)
+                             for mode in CollisionMode)
+            vectors = tuple(bits for bits, _ in bounce.rows)
+            again = truth_table(circuit, CollisionMode.BOUNCE)
+            for table in (merge, again):
+                assert all(bits is vector for (bits, _), vector
+                           in zip(table.rows, vectors))
+            if len(circuit.outputs) == len(circuit.inputs):
+                for table in (bounce, merge):
+                    assert all(
+                        outputs is vectors[int("".join(map(str, outputs)), 2)]
+                        for _, outputs in table.rows)
 
 
 def simulated_verdicts(circuit, mode):

@@ -185,6 +185,12 @@ class TestTable:
         assert code == 0
         assert out == golden_text(golden, "table_xor_records.txt")
 
+    def test_equal_arity_records_format(self, capsys, golden):
+        code, out, _ = run_cli(capsys, "table", "FREDKIN_DIRECT", "--mode",
+                               "merge", "--format", "records")
+        assert code == 0
+        assert out == golden_text(golden, "table_fredkin_direct_records.txt")
+
     def test_netlist_file(self, capsys, fixtures):
         code, out, _ = run_cli(capsys, "table",
                                str(fixtures / "and_gate.mnl"))
