@@ -102,8 +102,9 @@ _JUNCTION, _SCALPEL, _SYRINGE, _TAP = (
 
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-# Where the host keeps the low byte of an unsigned short (the ``H`` of a
-# memoryview cast), which ``_MAX_INPUTS`` sizes a table's codes to.
+# Where the host keeps an unsigned short's low byte, at index 0 or 1: a
+# table's output codes, at most 16 bits by ``_MAX_INPUTS``, are read as
+# unsigned shorts (a memoryview cast to ``H``).
 _LOW_BYTE = int(sys.byteorder == "big")
 
 _Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -190,10 +191,10 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     if n and len(outputs) == n:
         # Each row's outputs are an input vector too: the one whose index
         # is the output code, first output as its most significant bit.
-        # Read as ints, the columns add up to the codes' low bytes (the
-        # last eight outputs) and high bytes (the others) in byte lanes,
-        # lane v for vector v, and interleaved in the host's byte order
-        # the lanes read as the codes.
+        # Read as ints, the columns add up byte by byte, byte v for
+        # vector v, to each code's low byte (from the last eight outputs)
+        # and high byte (from the others); interleaved in the host's byte
+        # order, the two read as the codes.
         high = low = 0
         for column in columns[:-8]:
             high = high << 1 | int.from_bytes(column, "little")

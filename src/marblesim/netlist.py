@@ -254,7 +254,8 @@ class Circuit:
           its most significant bit: every table's input halves, and its
           output halves where the circuit has as many outputs as inputs.
           They live as long as the circuit, 2**n tuples of n ints: about
-          0.6 MB at 12 inputs and 11.5 MB at 16.
+          0.6 MB at 12 inputs and 11.5 MB at 16, so the truth table reads
+          this order only after capping the input count.
 
         None when the pass cannot read every marble at its node's phase:
         a channel is off schedule by ``_off_schedule``, enters a port its

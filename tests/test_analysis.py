@@ -246,7 +246,8 @@ def twelve_wide():
     rng = random.Random(12)
     stages = []
     for names, count in ((["FREDKIN_DIRECT", "FREDKIN_DIRECT", "TOFFOLI",
-                           "TOFFOLI"], 12), (["FREDKIN_DIRECT", "TOFFOLI"], 6)):
+                           "TOFFOLI"], 12),
+                         (["FREDKIN_DIRECT", "TOFFOLI"], 6)):
         rng.shuffle(names)
         wires = rng.sample(range(12), count)
         stages += [(name, tuple(wires[3 * g:3 * g + 3]))
