@@ -41,6 +41,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product, repeat, zip_longest
 from operator import itemgetter
+from typing import NamedTuple
 
 from .gates import boolean_spec, get_macro
 from .netlist import Circuit, Diagnostic, _off_schedule, elaborate
@@ -67,6 +68,8 @@ _MODES = (CollisionMode.BOUNCE, CollisionMode.MERGE)
 _MAX_INPUTS = 16
 
 
+# A dataclass, not a NamedTuple: the differential tests tell a table from
+# an error pair by ``isinstance(..., tuple)``.
 @dataclass(frozen=True)
 class TruthTable:
     """Simulated input/output map of one circuit under one mode.
@@ -269,8 +272,7 @@ def physically_conservative(ledger: Ledger) -> bool:
             == ledger.input_marbles + const_marbles)
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     """Everything verified about one library gate."""
 
     name: str

@@ -28,8 +28,7 @@ one of these names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import MarblesimError
 from .netlist import CircuitAst, parse
@@ -47,8 +46,7 @@ class UnknownGateError(MarblesimError):
     """Requested macro is not in the library."""
 
 
-@dataclass(frozen=True)
-class GateMacro:
+class GateMacro(NamedTuple):
     """One library gate: its expansion plus verification metadata.  Its
     ports are its expansion's circuit inputs and outputs."""
 

@@ -103,8 +103,12 @@ class ElaborationError(MarblesimError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+# Plain value records are NamedTuples, which define several times faster
+# than dataclasses and so cut every command's import; those that keep a
+# field out of equality, derive state or compare in their own way stay
+# dataclasses.
+
+class Diagnostic(NamedTuple):
     severity: str
     message: str
     line: int | None = None
@@ -115,7 +119,7 @@ class Diagnostic:
 
 
 # A declaration's source line says where it came from, not what it is, so
-# it takes no part in equality or hashing.
+# it takes no part in equality or hashing, which a NamedTuple cannot express.
 
 @dataclass(frozen=True, slots=True)
 class NodeDecl:
@@ -171,6 +175,7 @@ _channel_slots = tuple(getattr(Channel, f.name).__set__
                        for f in fields(Channel))
 
 
+# Equal whatever its node and channel order, unlike a tuple.
 @dataclass(eq=False)
 class CircuitAst:
     """Parsed netlist.  Node and channel order is not semantic; input and
@@ -199,6 +204,7 @@ class CircuitAst:
         return hash(self.canonical_key())
 
 
+# Builds tables from its fields at construction, which a tuple cannot hold.
 @dataclass(eq=True)
 class Circuit:
     """Elaborated, primitive-only circuit with a firing phase per node.

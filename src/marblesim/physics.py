@@ -24,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import MarblesimError
 
@@ -82,6 +83,8 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+# A dataclass, not a NamedTuple: it validates its fields when built, and a
+# NamedTuple may not override ``__new__``.
 @dataclass(frozen=True)
 class PhysicsParams:
     """Physical description of the marbles and their operating speed.
@@ -118,8 +121,7 @@ class PhysicsParams:
                 f"v_merge ({self.v_merge!r})")
 
 
-@dataclass(frozen=True)
-class CollisionPolicy:
+class CollisionPolicy(NamedTuple):
     """Regime selection rule plus the resolution for the ambiguous midband."""
 
     kind: PolicyKind

@@ -90,8 +90,7 @@ class Event(NamedTuple):
         return (self.phase, self.node, self.port, self.marble_id)
 
 
-@dataclass(frozen=True)
-class Hazard:
+class Hazard(NamedTuple):
     phase: int
     node: str
     port: str
@@ -104,6 +103,7 @@ class Hazard:
                 f"{self.expected_phase}")
 
 
+# A dataclass, not a NamedTuple: it wraps ``node_kinds`` in a view when built.
 @dataclass(frozen=True)
 class Trace:
     """Ordered event list plus where every marble ended up.
@@ -132,15 +132,13 @@ class Trace:
         return tuple(sorted(self.met))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     mode: CollisionMode
     strict_timing: bool = False
     trace_enabled: bool = True
 
 
-@dataclass(frozen=True)
-class InjectionRecord:
+class InjectionRecord(NamedTuple):
     marble_id: int
     node: str
     kind: NodeKind
@@ -148,8 +146,7 @@ class InjectionRecord:
     mass: Fraction
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(NamedTuple):
     """Exact marble and mass accounting for one run."""
 
     input_marbles: int

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from marblesim import cli, sim
@@ -296,3 +301,21 @@ class TestParserReuse:
         capsys.readouterr()
         assert call(then) == fresh
         assert cli._build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_loads_every_module():
+    """A command's set-up imports the whole package: no module is left to
+    load on a command's first call, where its cost would hide in the
+    operation."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    expected = {"marblesim"} | {f"marblesim.{path.stem}"
+                                for path in (src / "marblesim").glob("*.py")
+                                if path.stem != "__init__"}
+    assert {"marblesim.errors", "marblesim.cli"} < expected
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, marblesim.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True).stdout.split()
+    assert {name for name in loaded
+            if name.partition(".")[0] == "marblesim"} == expected
