@@ -311,7 +311,6 @@ def test_importing_the_cli_loads_every_module():
     expected = {"marblesim"} | {f"marblesim.{path.stem}"
                                 for path in (src / "marblesim").glob("*.py")
                                 if path.stem != "__init__"}
-    assert {"marblesim.errors", "marblesim.cli"} < expected
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, marblesim.cli; print(*sorted(sys.modules))"],

@@ -104,7 +104,6 @@ def test_positional_and_keyword_construction_agree(case):
     positional, keyword, _, _ = CASES[case]
     assert type(positional).__name__ == case
     assert positional == keyword
-    assert tuple(positional) == tuple(keyword)
 
 
 @each_record
@@ -120,7 +119,6 @@ def test_equal_and_hashed_by_value(case):
     positional, keyword, _, changes = CASES[case]
     assert positional is not keyword
     assert hash(positional) == hash(keyword)
-    assert len({positional, keyword}) == 1
     assert positional._replace(**changes) != positional
 
 
