@@ -240,6 +240,8 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     single-occupancy port, the lowest such vector is simulated and raises
     the simulator's ``SimulationError``.
     """
+    if not isinstance(mode, CollisionMode):
+        raise ValueError(f"mode must be a CollisionMode, got {mode!r}")
     rows, _ = _tabulate(circuit, mode)
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
                       rows)

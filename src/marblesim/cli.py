@@ -174,7 +174,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     mode = _resolve_mode(args.mode, args.physics)
-    if os.path.exists(args.target):
+    if os.path.isfile(args.target):
         circuit = _load_circuit(args.target)
     else:
         try:

@@ -26,10 +26,12 @@ Traces list every marble placement as an ``Event``, a named tuple
 of the node that produced the marble, then one arrival event per hop.  A
 marble therefore never appears at two places in the same phase, so the
 first four fields tell events apart and the trace is in plain tuple order.
-Events are recorded only when the trace is enabled.  The ledger is kept
-during the run either way, from where each marble was created and where it
-ended, and balances exactly: input mass plus injected mass equals output
-mass plus waste mass, in exact rationals.
+Events are recorded only when the trace is enabled, and kept during the
+run as plain tuples, which cost a fraction of an ``Event`` to build; the
+run sorts them once at its end and only then makes them ``Event``s.  The
+ledger is kept during the run either way, from where each marble was
+created and where it ended, and balances exactly: input mass plus injected
+mass equals output mass plus waste mass, in exact rationals.
 """
 
 from __future__ import annotations
@@ -224,6 +226,17 @@ def run_ledger(trace: Trace) -> Ledger:
     return _ledger(created, trace.final_locations, trace.node_kinds)
 
 
+def _as_events(placements: list[tuple[int, str, str, int, Fraction]]
+               ) -> tuple[Event, ...]:
+    """Sort a traced run's placements and make each an ``Event``.
+    ``tuple.__new__`` builds the named tuple without running its
+    Python-level ``__new__``, for well under half of what ``Event(...)``
+    costs."""
+    placements.sort()
+    new = tuple.__new__
+    return tuple([new(Event, placement) for placement in placements])
+
+
 class _Run:
     def __init__(self, circuit: Circuit, bits: tuple[int, ...],
                  config: SimConfig):
@@ -232,7 +245,9 @@ class _Run:
         self.kinds = circuit._kinds
         self.out = circuit._out
         self.phases = circuit.phases
-        self.events: list[Event] | None = (
+        # A traced run's placements as plain (phase, node, port, marble,
+        # mass) tuples, made ``Event``s once at the end of the run.
+        self.events: list[tuple[int, str, str, int, Fraction]] | None = (
             [] if config.trace_enabled else None)
         # A marble is its id, numbered from 1 in creation order; its mass
         # is kept here only.
@@ -261,15 +276,19 @@ class _Run:
 
     def record(self, phase: int, node: str, port: str, marble: int) -> None:
         if self.events is not None:
-            self.events.append(Event(phase, node, port, marble,
-                                     self.created[marble][2]))
+            self.events.append((phase, node, port, marble,
+                                self.created[marble][2]))
 
     def emit(self, node: str, port: str, marble: int, phase: int) -> None:
         channel = self.out.get((node, port))
         if channel is None:
             raise SimulationError(f"no channel leaves {node}.{port}")
-        self.arrivals.setdefault(phase + 1, []).append(
-            (channel.dst, channel.dst_port, marble))
+        arrival = (channel.dst, channel.dst_port, marble)
+        batch = self.arrivals.get(phase + 1)
+        if batch is None:
+            self.arrivals[phase + 1] = [arrival]
+        else:
+            batch.append(arrival)
 
     def emit_new(self, node: str, port: str, mass: Fraction,
                  phase: int) -> None:
@@ -282,18 +301,25 @@ class _Run:
 
     def place_arrivals(self, phase: int,
                        batch: list[tuple[str, str, int]]) -> None:
+        kinds, phases, final = self.kinds, self.phases, self.final
+        held, agenda, events = self.held, self.agenda, self.events
+        created = self.created
         placed: set[tuple[str, str]] = set()
-        for node, port, marble in sorted(batch):
-            kind = self.kinds[node]
+        if len(batch) > 1:
+            batch.sort()
+        for node, port, marble in batch:
+            kind = kinds[node]
             if kind.single:
                 if (node, port) in placed:
                     raise SimulationError(
                         f"two marbles reached {node}.{port} in phase {phase}")
                 placed.add((node, port))
-            self.record(phase, node, port, marble)
-            self.final[marble] = (node, port)
+            if events is not None:
+                events.append((phase, node, port, marble,
+                               created[marble][2]))
+            final[marble] = (node, port)
             if kind is _JUNCTION or kind is _SYRINGE:
-                expected = self.phases[node]
+                expected = phases[node]
                 if phase != expected:
                     if self.config.strict_timing:
                         raise TimingViolationError(
@@ -305,20 +331,34 @@ class _Run:
             if kind is _SYRINGE:
                 # Diverted into the syringe's internal waste pocket one
                 # phase later; sensed only when it arrived on schedule.
-                if phase == self.phases[node]:
+                if phase == phases[node]:
                     self.syringe_sensed.add(node)
-                self.record(phase + 1, node, "waste", marble)
-                self.final[marble] = (node, "waste")
+                if events is not None:
+                    events.append((phase + 1, node, "waste", marble,
+                                   created[marble][2]))
+                final[marble] = (node, "waste")
             elif kind.outs:
                 # A sink keeps what reaches it; any other node parks the
                 # marble until it fires.  A marble that arrives after its
                 # node's phase stays parked, and the run fails at its end.
-                self.held.setdefault(node, {}).setdefault(port, []).append(
-                    marble)
+                ports = held.get(node)
+                if ports is None:
+                    held[node] = {port: [marble]}
+                elif port in ports:
+                    ports[port].append(marble)
+                else:
+                    ports[port] = [marble]
                 if kind is _JUNCTION:
-                    self.schedule(node, phase)
-                elif phase <= self.phases[node]:
-                    self.schedule(node, self.phases[node])
+                    at = phase
+                else:
+                    at = phases[node]
+                    if phase > at:
+                        continue
+                due = agenda.get(at)
+                if due is None:
+                    agenda[at] = {node}
+                else:
+                    due.add(node)
 
     def take(self, node: str, port: str) -> list[int]:
         """Unpark the marbles at ``node.port``.  A marble on a port its
@@ -376,16 +416,18 @@ class _Run:
 
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:
         last_phase = self.circuit.max_phase + 2
+        arrivals, agenda = self.arrivals, self.agenda
+        place_arrivals, fire = self.place_arrivals, self.fire
         # Most phases have nothing to place and nothing to fire.
         for phase in range(last_phase + 1):
-            batch = self.arrivals.pop(phase, None)
+            batch = arrivals.pop(phase, None)
             if batch:
-                self.place_arrivals(phase, batch)
-            due = self.agenda.pop(phase, None)
+                place_arrivals(phase, batch)
+            due = agenda.pop(phase, None)
             if due:
-                for node in sorted(due):
-                    self.fire(node, phase)
-        if self.arrivals:
+                for node in sorted(due) if len(due) > 1 else due:
+                    fire(node, phase)
+        if arrivals:
             raise SimulationError("marbles still in flight after the final "
                                   "phase")
         if self.held:
@@ -397,7 +439,7 @@ class _Run:
         reached = {node for node, _ in self.final.values()}
         outputs = tuple(1 if name in reached else 0
                         for name in self.circuit.outputs)
-        events = () if self.events is None else tuple(sorted(self.events))
+        events = () if self.events is None else _as_events(self.events)
         trace = Trace(events, dict(sorted(self.final.items())),
                       tuple(self.hazards), self.kinds, tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
@@ -416,4 +458,6 @@ def simulate(circuit: Circuit, bits: tuple[int, ...],
                          f"{len(circuit.inputs)} input bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"inputs must be bits, got {bits!r}")
+    if not isinstance(config.mode, CollisionMode):
+        raise ValueError(f"mode must be a CollisionMode, got {config.mode!r}")
     return _Run(circuit, tuple(bits), config).run()

@@ -47,6 +47,11 @@ class TestTruthTable:
                 "than 16$")):
             truth_table(circuit, CollisionMode.BOUNCE)
 
+    def test_mode_must_be_a_collision_mode(self):
+        with pytest.raises(ValueError, match=(
+                "^mode must be a CollisionMode, got 'bounce'$")):
+            truth_table(circuit_for("AND"), "bounce")
+
 
 def simulated_table(circuit, mode):
     """The oracle: one untraced simulation per input vector."""

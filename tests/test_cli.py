@@ -69,11 +69,11 @@ class TestRun:
         head, _, events = traced.partition(marker)
         assert events
 
-        class NoEvent(sim.Event):
-            def __init__(self, *args):
-                raise AssertionError("an untraced run built an Event")
+        def no_events(placements):
+            raise AssertionError("an untraced run built events")
 
-        monkeypatch.setattr(sim, "Event", NoEvent)
+        # A run's events are made only there, in one call at its end.
+        monkeypatch.setattr(sim, "_as_events", no_events)
         code, out, err = run_cli(capsys, *args)
         assert (code, out, err) == (0, head, "")
 
@@ -201,6 +201,16 @@ class TestTable:
                                str(fixtures / "and_gate.mnl"))
         assert code == 0
         assert "1 1 | 1" in out
+
+    def test_gate_name_shadowed_by_a_directory(self, capsys, golden,
+                                               tmp_path, monkeypatch):
+        # A directory is not a netlist: the name still means the gate.
+        (tmp_path / "XOR").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "table", "XOR", "--format",
+                                 "records")
+        assert (code, err) == (0, "")
+        assert out == golden_text(golden, "table_xor_records.txt")
 
     def test_unknown_target(self, capsys):
         code, _, err = run_cli(capsys, "table", "XNOR")

@@ -273,6 +273,13 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             simulate(circuit, (1, 2), BOUNCE)
 
+    def test_mode_must_be_a_collision_mode(self):
+        # The mode's string value once ran merge mode without a word.
+        circuit = circuit_for("AND")
+        with pytest.raises(ValueError, match=(
+                "^mode must be a CollisionMode, got 'bounce'$")):
+            simulate(circuit, (1, 1), SimConfig(mode="bounce"))
+
 
 class TestTraceContract:
     @pytest.mark.parametrize("name", sorted(m.name for m in library()))
@@ -313,11 +320,11 @@ class TestTraceContract:
         traced = [simulate(circuit, bits, SimConfig(mode=mode))
                   for circuit, bits, mode in runs]
 
-        class NoEvent(sim.Event):
-            def __init__(self, *args):
-                raise AssertionError("an untraced run built an Event")
+        def no_events(placements):
+            raise AssertionError("an untraced run built events")
 
-        monkeypatch.setattr(sim, "Event", NoEvent)
+        # A run's events are made only there, in one call at its end.
+        monkeypatch.setattr(sim, "_as_events", no_events)
         for (circuit, bits, mode), (outputs, trace, ledger) in zip(runs,
                                                                    traced):
             config = SimConfig(mode=mode, trace_enabled=False)
