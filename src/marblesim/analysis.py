@@ -38,13 +38,12 @@ from each run's ledger.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import product, repeat, zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
 from .gates import boolean_spec, get_macro
-from .netlist import Circuit, Diagnostic, _off_schedule, elaborate
+from .netlist import Circuit, Diagnostic, _skewed_junctions, elaborate
 from .physics import CollisionMode
 from .primitives import NodeKind, _presence_route
 from .sim import Ledger, SimConfig, simulate
@@ -68,10 +67,7 @@ _MODES = (CollisionMode.BOUNCE, CollisionMode.MERGE)
 _MAX_INPUTS = 16
 
 
-# A dataclass, not a NamedTuple: the differential tests tell a table from
-# an error pair by ``isinstance(..., tuple)``.
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(NamedTuple):
     """Simulated input/output map of one circuit under one mode.
 
     ``rows`` pairs each input vector with its outputs.  Their tuples may
@@ -324,9 +320,9 @@ def verify_gate(name: str) -> GateReport:
 def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
     """Flag junction inputs whose marbles miss the junction's firing phase.
 
-    The channels flagged and their hold lengths come from the schedule
-    rule that hold repair and the truth-table fallback read too
-    (``netlist._off_schedule``), so on a circuit elaborated with
+    The channels flagged and their hold lengths are the ones hold repair
+    takes (``netlist._skewed_junctions``, from the schedule rule the
+    truth-table fallback reads too), so on a circuit elaborated with
     ``insert_holds=False`` each hint is exactly the hold balanced
     elaboration inserts on that channel.  A channel that inlining made
     inside a gate instance cannot take a hold in the netlist, so its
@@ -336,12 +332,8 @@ def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
     their own.
     """
     nodes, phases = circuit.nodes, circuit.phases
-    skewed = sorted(
-        (item for item in _off_schedule(nodes, circuit.channels, phases)
-         if nodes[item[0].dst].kind is _JUNCTION),
-        key=lambda item: (item[0].dst, item[0].dst_port))
     diagnostics = []
-    for channel, early in skewed:
+    for channel, early in _skewed_junctions(nodes, circuit.channels, phases):
         fire = phases[channel.dst]
         message = (f"junction {channel.dst} fires at phase {fire} but "
                    f"input {channel.dst_port} arrives at phase "

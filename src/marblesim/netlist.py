@@ -379,8 +379,8 @@ def parse(text: str) -> CircuitAst:
         stmt = _split_statement(raw)
         if not stmt.strip():
             continue
-        keyword, _, rest = stmt.strip().partition(" ")
-        rest = rest.strip()
+        keyword, *tail = stmt.split(None, 1)
+        rest = tail[0].strip() if tail else ""
         if circuit_name is None and keyword != "circuit":
             raise ParseError("netlist must start with a circuit declaration",
                              lineno)
@@ -884,6 +884,16 @@ def _off_schedule(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
                 yield ch, early
 
 
+def _skewed_junctions(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
+                      phases: dict[str, int]) -> list[tuple[Channel, int]]:
+    """The off-schedule channels into junctions, by junction and port:
+    each one that hold repair inserts a hold on and ``timing_lint``
+    reports."""
+    return sorted((item for item in _off_schedule(nodes, channels, phases)
+                   if nodes[item[0].dst].kind is _JUNCTION),
+                  key=lambda item: (item[0].dst, item[0].dst_port))
+
+
 _SOURCE, _SOURCE_PORT = attrgetter("src"), attrgetter("src_port")
 
 
@@ -910,14 +920,10 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
                 phases[succ] = phase
 
     if insert_holds:
-        skewed = sorted(
-            (item for item in _off_schedule(nodes, channels, phases)
-             if nodes[item[0].dst].kind is _JUNCTION),
-            key=lambda item: (item[0].dst, item[0].dst_port))
         # Each hold takes the place of the channel it repairs, found by
         # identity, which is cheaper than hashing every channel.
         replaced: dict[int, Channel] = {}
-        for shallow, early in skewed:
+        for shallow, early in _skewed_junctions(nodes, channels, phases):
             jname, port, line = shallow.dst, shallow.dst_port, shallow.line
             hold_name = f"{jname}.{port}.sync"
             while hold_name in nodes:

@@ -36,10 +36,7 @@ mass equals output mass plus waste mass, in exact rationals.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import MarblesimError
@@ -88,9 +85,6 @@ class Event(NamedTuple):
     marble_id: int
     mass: Fraction
 
-    def sort_key(self) -> tuple[int, str, str, int]:
-        return (self.phase, self.node, self.port, self.marble_id)
-
 
 class Hazard(NamedTuple):
     phase: int
@@ -105,29 +99,18 @@ class Hazard(NamedTuple):
                 f"{self.expected_phase}")
 
 
-# A dataclass, not a NamedTuple: it wraps ``node_kinds`` in a view when built.
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Ordered event list plus where every marble ended up.
 
     The event list is empty when the run was not traced; the rest is kept
-    either way.  ``node_kinds`` is a read-only view of the circuit's table.
+    either way.  ``circuit`` is the circuit that ran.
     """
 
     events: tuple[Event, ...]
     final_locations: dict[int, tuple[str, str]]
     hazards: tuple[Hazard, ...]
-    node_kinds: Mapping[str, NodeKind]
+    circuit: Circuit
     met: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_kinds",
-                           MappingProxyType(self.node_kinds))
-
-    def __reduce__(self) -> tuple:
-        # A view cannot be pickled or deep-copied; a copy of its table can.
-        return Trace, (self.events, self.final_locations, self.hazards,
-                       dict(self.node_kinds), self.met)
 
     def collisions(self) -> tuple[tuple[int, str], ...]:
         """(phase, junction) pairs where two marbles actually met."""
@@ -186,7 +169,7 @@ def _total(masses: list[Fraction]) -> Fraction:
 
 
 def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
-            kinds: Mapping[str, NodeKind]) -> Ledger:
+            kinds: dict[str, NodeKind]) -> Ledger:
     """Account for every marble by the role of the node that created it
     and of the place where it ended.  A syringe's internal waste pocket is
     the port ``"waste"``, which no kind has as a real port."""
@@ -223,7 +206,7 @@ def run_ledger(trace: Trace) -> Ledger:
     created: _Origins = {}
     for ev in trace.events:  # a marble's first event is its creation
         created.setdefault(ev.marble_id, (ev.node, ev.phase, ev.mass))
-    return _ledger(created, trace.final_locations, trace.node_kinds)
+    return _ledger(created, trace.final_locations, trace.circuit._kinds)
 
 
 def _as_events(placements: list[tuple[int, str, str, int, Fraction]]
@@ -321,13 +304,10 @@ class _Run:
             if kind is _JUNCTION or kind is _SYRINGE:
                 expected = phases[node]
                 if phase != expected:
+                    hazard = Hazard(phase, node, port, marble, expected)
                     if self.config.strict_timing:
-                        raise TimingViolationError(
-                            f"marble {marble} reached {node}.{port} "
-                            f"at phase {phase}; scheduled firing is phase "
-                            f"{expected}")
-                    self.hazards.append(Hazard(phase, node, port,
-                                               marble, expected))
+                        raise TimingViolationError(str(hazard))
+                    self.hazards.append(hazard)
             if kind is _SYRINGE:
                 # Diverted into the syringe's internal waste pocket one
                 # phase later; sensed only when it arrived on schedule.
@@ -441,7 +421,7 @@ class _Run:
                         for name in self.circuit.outputs)
         events = () if self.events is None else _as_events(self.events)
         trace = Trace(events, dict(sorted(self.final.items())),
-                      tuple(self.hazards), self.kinds, tuple(self.met))
+                      tuple(self.hazards), self.circuit, tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 

@@ -94,7 +94,7 @@ class TestBitParallelTable:
                 expected = outcome(simulated_table, circuit, mode)
                 assert outcome(truth_table, circuit, mode) == expected, (
                     circuit.name, mode)
-                contended += (isinstance(expected, tuple)
+                contended += (not isinstance(expected, TruthTable)
                               and "two marbles reached" in expected[1])
         assert skewed and contended
 

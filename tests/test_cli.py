@@ -90,12 +90,13 @@ class TestRun:
         assert code == 0
         assert "hazard" not in out
 
-    def test_strict_mode_reports_error(self, capsys, fixtures):
-        code, _, err = run_cli(
+    def test_strict_mode_reports_error(self, capsys, fixtures, golden):
+        code, out, err = run_cli(
             capsys, "run", str(fixtures / "skew.mnl"),
             "--inputs", "11", "--no-repair", "--strict")
         assert code == 1
-        assert "error:" in err
+        assert out == ""
+        assert err == golden_text(golden, "run_skew_strict.txt")
 
     def test_bad_inputs_rejected(self, capsys, fixtures):
         for bad in ("2x", "1"):

@@ -130,6 +130,46 @@ class TestParse:
             assert decl.kind is kind
 
 
+class TestWhitespace:
+    """Any whitespace separates a statement's words, as a space does."""
+
+    def test_tab_separated_netlists_parse_alike(self, fixtures):
+        sources = [(fixtures / name).read_text()
+                   for name in ("and_gate.mnl", "skew.mnl")]
+        sources += [print_canonical(ast) for ast in sample_asts()]
+        for source in sources:
+            tabbed = source.replace(" ", "\t")
+            assert tabbed != source
+            assert parse(tabbed) == parse(source)
+
+    @pytest.mark.parametrize("source,line,col,message", [
+        ("circuit 9lives\n", 1, 9, "invalid circuit name '9lives'"),
+        ("circuit  c.d\n", 1, 10, "invalid circuit name 'c.d'"),
+        ("circuit c\nwobble foo\n", 2, 1, "unknown statement 'wobble'"),
+        ("circuit c\n  input   a.b\n", 2, 11, "invalid identifier 'a.b'"),
+        ("circuit c\ninput a\ninput a\n", 3, 7,
+         "duplicate name 'a' (already declared as input on line 2)"),
+        ("circuit c\nnode J : gearbox\n", 2, 10,
+         "unknown node kind 'gearbox'"),
+        ("circuit c\nnode H : hold(0)\n", 2, 15,
+         "hold phase count must be at least 1"),
+        ("circuit c\ngate G : 9x\n", 2, 10, "invalid macro name '9x'"),
+        ("circuit c\ninput a\nconnect a\n", 3, 9,
+         "expected '->' between endpoints"),
+        ("circuit c\ninput a\nconnect a ->\n", 3, 13,
+         "expected endpoint after '->'"),
+        ("circuit c\ninput a\nconnect a -> ghost.in\n", 3, 14,
+         "unknown name 'ghost'"),
+    ])
+    def test_errors_point_at_the_same_column(self, source, line, col,
+                                             message):
+        for text in (source, source.replace(" ", "\t")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.col) == (line, col)
+            assert str(err.value) == f"line {line}, col {col}: {message}"
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("source,line,fragment", [
         ("input a\ncircuit c\n", 1, "circuit"),

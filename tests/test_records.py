@@ -63,6 +63,13 @@ CASES = {
         "marble_id=5, node='C', kind=<NodeKind.CONST: 'const1'>, phase=2, "
         "mass=Fraction(1, 2)),))",
         {"waste_marbles": 0}),
+    "TruthTable": (
+        TABLE,
+        TruthTable(name="not_gate", mode=CollisionMode.BOUNCE, inputs=("a",),
+                   outputs=("y",), rows=(((0,), (1,)), ((1,), (0,)))),
+        "TruthTable(name='not_gate', mode=<CollisionMode.BOUNCE: 'bounce'>, "
+        "inputs=('a',), outputs=('y',), rows=(((0,), (1,)), ((1,), (0,))))",
+        {"mode": CollisionMode.MERGE}),
     "GateReport": (
         GateReport("NOT", (TABLE,), (True,), True, True, False, True, False,
                    (True,)),
@@ -179,6 +186,7 @@ def test_properties():
     assert report.claims_ok and report.ok
     assert not report._replace(conservative=True).claims_ok
     assert not report._replace(table_ok=(False,)).ok
+    assert CASES["TruthTable"][0].as_map() == {(0,): (1,), (1,): (0,)}
     macro = CASES["GateMacro"][0]
     assert (macro.inputs, macro.outputs) == (("a",), ("y",))
 
@@ -190,6 +198,8 @@ def test_records_are_tuples():
     assert (phase, node, expected_phase) == (3, "J", 2)
     assert CASES["Hazard"][0] == (3, "J", "A", 7, 2)
     assert CASES["SimConfig"][0][0] is CollisionMode.BOUNCE
+    name, mode, inputs, outputs, rows = CASES["TruthTable"][0]
+    assert (name, inputs, outputs) == ("not_gate", ("a",), ("y",))
     assert CASES["Diagnostic"][0]._asdict() == {
         "severity": "error", "message": "join M needs at least two inputs",
         "line": 4}
