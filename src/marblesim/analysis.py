@@ -17,11 +17,11 @@ The pass is compiled once per circuit and evaluated on every table:
 circuit, numbers a slot per channel and lists the nodes in phase order
 with the slots each reads and fills, or is None when the simulator must
 tabulate.  That is compiled-code simulation (Barzilai et al., "HSS -- A
-High-Speed Simulator", 1987).  The order also holds the circuit's input
-vectors, which every table of it pairs with its outputs; where a circuit
-has as many outputs as inputs, as reversible gates do (Fredkin & Toffoli,
-"Conservative Logic", 1982), each output row is one of those vectors too.
-Tables themselves are never cached.
+High-Speed Simulator", 1987).  Input vectors depend on the input count
+alone and are kept per width, not per circuit (``_input_vectors``): each
+table pairs them with its outputs, which are the vector of their code at
+the output width, as reversible gates map vectors to vectors (Fredkin &
+Toffoli, "Conservative Logic", 1982).  Tables are never cached.
 
 Verification compares a macro's tables in both collision modes against its
 reference Boolean function and checks the reversibility and
@@ -38,7 +38,8 @@ from each run's ledger.
 from __future__ import annotations
 
 import sys
-from itertools import product, repeat, zip_longest
+from functools import lru_cache
+from itertools import product, zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -71,9 +72,9 @@ class TruthTable(NamedTuple):
     """Simulated input/output map of one circuit under one mode.
 
     ``rows`` pairs each input vector with its outputs.  Their tuples may
-    be shared: every table of one circuit from the mask pass pairs the
-    same input-vector tuples, which the circuit keeps, and where it has
-    as many outputs as inputs each output tuple is one of them.
+    be shared: the mask pass takes both halves of every row from the
+    vectors kept per width, so its tables of circuits with as many inputs
+    share their input tuples, and its equal output tuples are one.
     """
 
     name: str
@@ -84,14 +85,6 @@ class TruthTable(NamedTuple):
 
     def as_map(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         return dict(self.rows)
-
-
-def _check_width(circuit: Circuit) -> int:
-    n = len(circuit.inputs)
-    if n > _MAX_INPUTS:
-        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
-                         f"refusing to enumerate more than {_MAX_INPUTS}")
-    return n
 
 
 # The kinds the mask pass compares per node, bound once: a ``NodeKind.X``
@@ -107,6 +100,14 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _LOW_BYTE = int(sys.byteorder == "big")
 
 _Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=2)
+def _input_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every vector of ``n`` bits, vector v at index v, first bit most
+    significant: 2**n tuples, about 0.6 MB at 12 bits and 11.5 MB at 16.
+    A table reads two widths at most, its inputs' and its outputs'."""
+    return tuple(product((0, 1), repeat=n))
 
 
 def _count(planes: list[int], mask: int) -> None:
@@ -125,7 +126,8 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
                    ) -> tuple[_Rows, int] | None:
     """Every row of the table from one pass over presence masks, with the
     mask of vectors whose run is not physically conservative, or None
-    when the simulator has to tabulate the circuit vector by vector.
+    when the simulator has to tabulate the circuit vector by vector: off
+    schedule, or with more than 16 outputs, which no kept width can code.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
     marbles on a single-occupancy port, or a marble on an out port with
@@ -140,9 +142,10 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     it either injects or swallows into its pocket.
     """
     order = circuit._mask_order
-    if order is None:
+    if order is None or len(circuit.outputs) > _MAX_INPUTS:
         return None
-    steps, inputs, outputs, wastes, open_slots, size, vectors = order
+    steps, inputs, outputs, wastes, open_slots, size = order
+    vectors = _input_vectors(n)
     count = 1 << n
     full = (1 << count) - 1
     slots = [(0, 0)] * size
@@ -184,28 +187,24 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         return None
     for cut, merge in zip_longest(cuts, merges, fillvalue=0):
         spoiled |= cut ^ merge
-    # One byte per vector for each output, vector 0 first.
+    # Row v's outputs are the vector of their code, first output most
+    # significant.  Each output's column, byte v for vector v, read as an
+    # int, adds byte by byte to each code's low byte (the last eight
+    # outputs) or high byte (the others); interleaved in host byte order,
+    # the two read as unsigned shorts.
     columns = [format(slots[slot][0], f"0{count}b")[::-1].encode()
                .translate(_DIGITS) for slot in outputs]
-    if n and len(outputs) == n:
-        # Each row's outputs are an input vector too: the one whose index
-        # is the output code, first output as its most significant bit.
-        # Read as ints, the columns add up byte by byte, byte v for
-        # vector v, to each code's low byte (from the last eight outputs)
-        # and high byte (from the others); interleaved in the host's byte
-        # order, the two read as the codes.
-        high = low = 0
-        for column in columns[:-8]:
-            high = high << 1 | int.from_bytes(column, "little")
-        for column in columns[-8:]:
-            low = low << 1 | int.from_bytes(column, "little")
-        codes = bytearray(2 * count)
-        codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
-        codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
-        # Two codes or more, so the getter returns a tuple.
-        rows = itemgetter(*memoryview(codes).cast("H"))(vectors)
-    else:
-        rows = zip(*columns) if columns else repeat((), count)
+    high = low = 0
+    for column in columns[:-8]:
+        high = high << 1 | int.from_bytes(column, "little")
+    for column in columns[-8:]:
+        low = low << 1 | int.from_bytes(column, "little")
+    codes = bytearray(2 * count)
+    codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
+    codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
+    images, shorts = _input_vectors(len(outputs)), memoryview(codes).cast("H")
+    # The getter returns a tuple for two codes or more, so for n >= 1.
+    rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
     return tuple(zip(vectors, rows)), spoiled
 
 
@@ -213,14 +212,17 @@ def _tabulate(circuit: Circuit, mode: CollisionMode) -> tuple[_Rows, bool]:
     """Every row of the table and whether every run is physically
     conservative: from one presence-mask pass where it applies, else from
     simulating each row."""
-    n = _check_width(circuit)
+    n = len(circuit.inputs)
+    if n > _MAX_INPUTS:
+        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
+                         f"refusing to enumerate more than {_MAX_INPUTS}")
     found = _presence_rows(circuit, mode, n)
     if found is not None:
         rows, spoiled = found
         return rows, not spoiled
     config = SimConfig(mode=mode, trace_enabled=False)
     runs = [(bits, *simulate(circuit, bits, config))
-            for bits in product((0, 1), repeat=n)]
+            for bits in _input_vectors(n)]
     return (tuple((bits, outputs) for bits, outputs, _, _ in runs),
             all(physically_conservative(ledger) for *_, ledger in runs))
 

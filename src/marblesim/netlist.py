@@ -37,7 +37,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import product, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -121,7 +121,7 @@ class Diagnostic(NamedTuple):
 # A declaration's source line says where it came from, not what it is, so
 # it takes no part in equality or hashing, which a NamedTuple cannot express.
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NodeDecl:
     name: str
     kind: NodeKind
@@ -143,7 +143,7 @@ class GateDecl:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Channel:
     """One directed channel between two ports."""
 
@@ -168,7 +168,7 @@ class Channel:
 # Elaboration builds these records by the thousand, and the ``__init__``
 # that ``dataclass`` writes for a frozen class calls ``object.__setattr__``
 # per field; filling each slot through its descriptor costs about a third
-# less.  The classes stay frozen: only their construction differs.
+# less (``init=False``: none is written).  They stay frozen all the same.
 _node_slots = tuple(getattr(NodeDecl, f.name).__set__
                     for f in fields(NodeDecl))
 _channel_slots = tuple(getattr(Channel, f.name).__set__
@@ -255,13 +255,9 @@ class Circuit:
         - the slot each circuit output reads;
         - the slots of the channels into waste nodes;
         - the slots of the out ports with no channel;
-        - the number of slots;
-        - the input vectors, vector v at index v with the first input as
-          its most significant bit: every table's input halves, and its
-          output halves where the circuit has as many outputs as inputs.
-          They live as long as the circuit, 2**n tuples of n ints: about
-          0.6 MB at 12 inputs and 11.5 MB at 16, so the truth table reads
-          this order only after capping the input count.
+        - the number of slots.
+
+        Nothing in it grows with 2**n: input vectors are kept per width.
 
         None when the pass cannot read every marble at its node's phase:
         a channel is off schedule by ``_off_schedule``, enters a port its
@@ -315,8 +311,7 @@ class Circuit:
         return (tuple(steps),
                 tuple(input_slots.get(name) for name in self.inputs),
                 tuple(into.get((name, "in"), 0) for name in self.outputs),
-                tuple(wastes), tuple(open_slots), size,
-                tuple(product((0, 1), repeat=len(self.inputs))))
+                tuple(wastes), tuple(open_slots), size)
 
 
 def _split_statement(raw: str) -> str:

@@ -164,14 +164,20 @@ class TestBitParallelTable:
             assert truth_table(circuit, mode) == tables[mode]
 
     def test_tabulated_circuit_pickles(self):
-        circuit = elaborate(get_macro("FREDKIN_DIRECT").expansion)
-        untabulated = repr(circuit)
-        tables = [truth_table(circuit, mode) for mode in CollisionMode]
-        assert repr(circuit) == untabulated
-        assert circuit == elaborate(get_macro("FREDKIN_DIRECT").expansion)
-        copy = pickle.loads(pickle.dumps(circuit))
-        assert copy == circuit
-        assert [truth_table(copy, mode) for mode in CollisionMode] == tables
+        for build in (lambda: circuit_for("FREDKIN_DIRECT"),
+                      lambda: twelve_wide()[0]):
+            circuit = build()
+            untabulated = repr(circuit), len(pickle.dumps(circuit))
+            tables = [truth_table(circuit, mode) for mode in CollisionMode]
+            assert repr(circuit) == untabulated[0]
+            assert circuit == build()
+            # The circuit keeps its mask pass order, but no input vectors.
+            assert "_mask_order" in vars(circuit)
+            assert len(pickle.dumps(circuit)) < 2 * untabulated[1]
+            copy = pickle.loads(pickle.dumps(circuit))
+            assert copy == circuit
+            assert [truth_table(copy, mode)
+                    for mode in CollisionMode] == tables
 
     def test_contention_raises_the_simulators_error(self, simulations):
         # Several vectors contend here, and the lowest one's error differs
@@ -276,9 +282,41 @@ def sixteen_wires():
     return circuit, lambda bits: tuple(bits[w] for w in order)
 
 
+def ripple_adder(bits):
+    """The ``bits``-bit ripple-carry adder, with its function: outputs
+    least significant first, then the carry."""
+    def function(vector):
+        a, b = (sum(bit << k for k, bit in enumerate(vector[start:][:bits]))
+                for start in (0, bits))
+        total = a + b + vector[-1]
+        return tuple(total >> k & 1 for k in range(bits + 1))
+    return elaborate(parse(composer.ripple_adder_source(bits))), function
+
+
+def fan_out(taps):
+    """One input copied onto ``taps + 1`` outputs by a chain of taps."""
+    lines = ["circuit fan", "input a",
+             "output " + ", ".join(f"y{k}" for k in range(taps + 1)),
+             "connect a -> T0.in"]
+    for k in range(taps):
+        lines += [f"node T{k} : tap", f"connect T{k}.copy -> y{k}",
+                  f"connect T{k}.out -> "
+                  + (f"T{k + 1}.in" if k + 1 < taps else f"y{taps}")]
+    circuit = elaborate(parse("\n".join(lines) + "\n"))
+    return circuit, lambda bits: bits * (taps + 1)
+
+
+def sink():
+    """Two inputs into a waste node: rows with no outputs."""
+    source = ("circuit sink\ninput a, b\nnode W : waste\n"
+              "connect a -> W.in\nconnect b -> W.in\n")
+    return elaborate(parse(source)), lambda bits: ()
+
+
 class TestEqualArityRows:
-    """Where a circuit has as many outputs as inputs, each row's outputs
-    are the input vector of their own code, read from the output masks."""
+    """Each row's outputs are the vector of their own code, read from the
+    output masks, whatever the circuit's arity: where it has as many
+    outputs as inputs, an input vector."""
 
     @pytest.mark.parametrize("build", [
         lambda: wire_network(1, [("NOT_SYRINGE", (0,))], [0]),
@@ -288,11 +326,16 @@ class TestEqualArityRows:
                                  ("FREDKIN_DIRECT", (1, 2, 0))], [2, 0, 1]),
         twelve_wide,
         sixteen_wires,
-    ], ids=["1", "2", "3", "12", "16"])
+        lambda: ripple_adder(1),
+        lambda: ripple_adder(6),
+        lambda: fan_out(1),
+        lambda: fan_out(16),
+        sink,
+    ], ids=["1", "2", "3", "12", "16", "3-to-2", "13-to-7", "1-to-2",
+            "1-to-17", "2-to-0"])
     def test_rows_match_a_product_and_zip_oracle(self, build):
         circuit, function = build()
         n = len(circuit.inputs)
-        assert len(circuit.outputs) == n
         assert circuit._mask_order is not None
         vectors = list(product((0, 1), repeat=n))
         expected = tuple(zip(vectors, map(function, vectors)))
@@ -320,20 +363,35 @@ class TestEqualArityRows:
             assert table == simulated_table(circuit, mode)
 
     def test_tables_share_the_circuits_input_vectors(self):
-        for circuit in (circuit_for("FREDKIN_DIRECT"), twelve_wide()[0],
-                        circuit_for("XOR")):
-            bounce, merge = (truth_table(circuit, mode)
-                             for mode in CollisionMode)
-            vectors = tuple(bits for bits, _ in bounce.rows)
-            again = truth_table(circuit, CollisionMode.BOUNCE)
-            for table in (merge, again):
-                assert all(bits is vector for (bits, _), vector
-                           in zip(table.rows, vectors))
-            if len(circuit.outputs) == len(circuit.inputs):
-                for table in (bounce, merge):
-                    assert all(
-                        outputs is vectors[int("".join(map(str, outputs)), 2)]
-                        for _, outputs in table.rows)
+        # Circuits of one input width share their input tuples, and every
+        # output tuple is the vector of its code at the output width.
+        for circuits in (
+                (circuit_for("FREDKIN_DIRECT"), circuit_for("TOFFOLI")),
+                (twelve_wide()[0],
+                 wire_network(12, [("FREDKIN_DIRECT", (0, 5, 11))],
+                              range(11, -1, -1))[0]),
+                (circuit_for("XOR"), circuit_for("AND")),
+                (ripple_adder(6)[0],)):
+            tables = [truth_table(circuit, mode) for circuit in circuits
+                      for mode in CollisionMode]
+            tables.append(truth_table(circuits[0], CollisionMode.BOUNCE))
+            vectors = analysis._input_vectors(len(circuits[0].inputs))
+            images = analysis._input_vectors(len(circuits[0].outputs))
+            for table in tables:
+                assert all(bits is vector and outputs
+                           is images[int("".join(map(str, outputs)), 2)]
+                           for (bits, outputs), vector
+                           in zip(table.rows, vectors, strict=True))
+
+    def test_vectors_are_kept_for_the_last_two_widths(self):
+        for name in ("NOT_SYRINGE", "XOR", "FULL_ADDER"):
+            truth_table(circuit_for(name), CollisionMode.BOUNCE)
+        kept = analysis._input_vectors.cache_info()
+        assert kept.currsize <= 2
+        # FULL_ADDER's widths, 3 inputs and 2 outputs.
+        analysis._input_vectors(3)
+        analysis._input_vectors(2)
+        assert analysis._input_vectors.cache_info().hits == kept.hits + 2
 
 
 def simulated_verdicts(circuit, mode):
