@@ -197,12 +197,6 @@ class TestTable:
         assert code == 0
         assert out == golden_text(golden, "table_fredkin_direct_records.txt")
 
-    def test_unequal_arity_records_format(self, capsys, golden):
-        code, out, _ = run_cli(capsys, "table", "FULL_ADDER", "--format",
-                               "records")
-        assert code == 0
-        assert out == golden_text(golden, "table_full_adder_records.txt")
-
     def test_netlist_file(self, capsys, fixtures):
         code, out, _ = run_cli(capsys, "table",
                                str(fixtures / "and_gate.mnl"))
