@@ -202,7 +202,8 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     codes = bytearray(2 * count)
     codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
     codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
-    images, shorts = _input_vectors(len(outputs)), memoryview(codes).cast("H")
+    images = _input_vectors(len(outputs))
+    shorts = memoryview(codes).cast("H")
     # The getter returns a tuple for two codes or more, so for n >= 1.
     rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
     return tuple(zip(vectors, rows)), spoiled
