@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import MarblesimError
@@ -104,9 +104,8 @@ class ElaborationError(MarblesimError):
 
 
 # Plain value records are NamedTuples, which define several times faster
-# than dataclasses and so cut every command's import; those that keep a
-# field out of equality, derive state or compare in their own way stay
-# dataclasses.
+# than dataclasses and so cut every command's import; those that derive
+# state or compare whatever their order stay dataclasses.
 
 class Diagnostic(NamedTuple):
     severity: str
@@ -119,60 +118,62 @@ class Diagnostic(NamedTuple):
 
 
 # A declaration's source line says where it came from, not what it is, so
-# it takes no part in equality or hashing, which a NamedTuple cannot express.
+# it is the last field and takes no part in equality or hashing: a record
+# equals only a record of its own class that matches it in every other
+# field, never a plain tuple, which hashes its last item too.  Tuple's own
+# ``__ne__`` would compare the line, so it is replaced too.  Elaboration
+# builds these records by the thousand with ``tuple.__new__``, which skips
+# the named tuple's Python-level ``__new__``.
 
-@dataclass(frozen=True, slots=True, init=False)
-class NodeDecl:
+def _same(self, other: object) -> bool:
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+def _differ(self, other: object) -> bool:
+    return not _same(self, other)
+
+
+def _hash(self) -> int:
+    return hash(self[:-1])
+
+
+class NodeDecl(NamedTuple):
     name: str
     kind: NodeKind
     hold_phases: int = 0
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
-    def __init__(self, name: str, kind: NodeKind, hold_phases: int = 0,
-                 line: int = 0) -> None:
-        _node_slots[0](self, name)
-        _node_slots[1](self, kind)
-        _node_slots[2](self, hold_phases)
-        _node_slots[3](self, line)
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True, slots=True)
-class GateDecl:
+class GateDecl(NamedTuple):
     name: str
     macro: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Channel:
+class Channel(NamedTuple):
     """One directed channel between two ports."""
 
     src: str
     src_port: str
     dst: str
     dst_port: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
-    def __init__(self, src: str, src_port: str, dst: str, dst_port: str,
-                 line: int = 0) -> None:
-        _channel_slots[0](self, src)
-        _channel_slots[1](self, src_port)
-        _channel_slots[2](self, dst)
-        _channel_slots[3](self, dst_port)
-        _channel_slots[4](self, line)
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
     def key(self) -> tuple[str, str, str, str]:
-        return (self.src, self.src_port, self.dst, self.dst_port)
+        return self[:4]
 
 
-# Elaboration builds these records by the thousand, and the ``__init__``
-# that ``dataclass`` writes for a frozen class calls ``object.__setattr__``
-# per field; filling each slot through its descriptor costs about a third
-# less (``init=False``: none is written).  They stay frozen all the same.
-_node_slots = tuple(getattr(NodeDecl, f.name).__set__
-                    for f in fields(NodeDecl))
-_channel_slots = tuple(getattr(Channel, f.name).__set__
-                       for f in fields(Channel))
+_new = tuple.__new__
+# Sort keys and getters for C-level maps: a named tuple's field costs more
+# to read by name than a slot, but no more by ``itemgetter``.
+_SOURCE, _SOURCE_PORT, _SOURCE_END, _KIND = (
+    itemgetter(0), itemgetter(1), itemgetter(0, 1), itemgetter(1))
 
 
 # Equal whatever its node and channel order, unlike a tuple.
@@ -205,7 +206,7 @@ class CircuitAst:
 
 
 # Builds tables from its fields at construction, which a tuple cannot hold.
-@dataclass(eq=True)
+@dataclass(eq=True, frozen=True)
 class Circuit:
     """Elaborated, primitive-only circuit with a firing phase per node.
 
@@ -216,7 +217,8 @@ class Circuit:
     The tables a run reads (``max_phase``, the channel leaving each out
     port, each node's kind and the nodes that start on their own) are built
     once, at construction, and the mask pass's order on the circuit's first
-    truth table, so mutate no ``Circuit`` after it.
+    truth table.  Its fields cannot be rebound, but an edit of ``nodes`` or
+    ``phases`` in place leaves those tables stale, so mutate no ``Circuit``.
     """
 
     name: str
@@ -233,11 +235,13 @@ class Circuit:
     _starts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.max_phase = max(self.phases.values(), default=0)
-        self._out = {(ch.src, ch.src_port): ch for ch in self.channels}
-        self._kinds = {name: node.kind for name, node in self.nodes.items()}
-        self._starts = tuple(name for name, kind in self._kinds.items()
-                             if kind.starts)
+        init, channels = object.__setattr__, self.channels
+        init(self, "max_phase", max(self.phases.values(), default=0))
+        init(self, "_out", dict(zip(map(_SOURCE_END, channels), channels)))
+        kinds = dict(zip(self.nodes, map(_KIND, self.nodes.values())))
+        init(self, "_kinds", kinds)
+        init(self, "_starts", tuple(name for name, kind in kinds.items()
+                                    if kind.starts))
 
     @cached_property
     def _mask_order(self) -> tuple | None:
@@ -271,12 +275,12 @@ class Circuit:
         # The slot each out port fills: its channel's, the last one if a
         # hand-built circuit has two, as ``_out`` keeps.
         leaving: dict[tuple[str, str], int] = {}
-        for slot, ch in enumerate(channels, 1):
-            dst, port = key = ch.dst, ch.dst_port
+        for slot, (src, src_port, dst, port, _) in enumerate(channels, 1):
+            key = dst, port
             kind = kinds[dst]
             if kind.ins and port not in kind.ins:
                 return None
-            leaving[ch.src, ch.src_port] = slot
+            leaving[src, src_port] = slot
             if kind is _WASTE:
                 wastes.append(slot)
                 continue
@@ -399,7 +403,7 @@ def parse(text: str) -> CircuitAst:
                 raise ParseError("expected ':' after node name", lineno)
             declare(name, "node", lineno, raw)
             kind, hold_phases = _parse_node_kind(spec, lineno, raw)
-            nodes.append(NodeDecl(name, kind, hold_phases, lineno))
+            nodes.append(_new(NodeDecl, (name, kind, hold_phases, lineno)))
         elif keyword == "gate":
             name, colon, macro = rest.partition(":")
             name = name.strip()
@@ -410,7 +414,7 @@ def parse(text: str) -> CircuitAst:
             if not _IDENT.fullmatch(macro):
                 raise ParseError(f"invalid macro name {macro!r}", lineno,
                                  _col_of(raw, macro) if macro else None)
-            gates.append(GateDecl(name, macro, lineno))
+            gates.append(_new(GateDecl, (name, macro, lineno)))
         elif keyword == "connect":
             connect_stmts.append((lineno, raw, rest))
         else:
@@ -460,7 +464,7 @@ def parse(text: str) -> CircuitAst:
                              (col + 2) if col else None)
         src, src_port = endpoint(left, lineno, raw, "source")
         dst, dst_port = endpoint(right, lineno, raw, "destination")
-        channels.append(Channel(src, src_port, dst, dst_port, lineno))
+        channels.append(_new(Channel, (src, src_port, dst, dst_port, lineno)))
 
     return CircuitAst(circuit_name, tuple(inputs), tuple(outputs),
                       tuple(nodes), tuple(gates), tuple(channels))
@@ -538,26 +542,25 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                 duplicate(name, None)
             else:
                 decls[name] = decl
-    for nd in ast.nodes:
-        kind = nd.kind
+    for name, kind, hold_phases, line in ast.nodes:
         if kind is _HOLD:
-            if nd.hold_phases < 1:
-                err(f"node {nd.name!r}: hold phase count must be at least 1",
-                    nd.line or None)
+            if hold_phases < 1:
+                err(f"node {name!r}: hold phase count must be at least 1",
+                    line or None)
         else:
             if kind is _INPUT or kind is _OUTPUT:
                 # Only an AST built in code holds one: such a node never
                 # emits, and its printed form does not parse.
-                err(f"node {nd.name!r} cannot be of kind {kind.value}; "
-                    f"declare it on the {kind.value} line", nd.line or None)
-            if nd.hold_phases:
+                err(f"node {name!r} cannot be of kind {kind.value}; "
+                    f"declare it on the {kind.value} line", line or None)
+            if hold_phases:
                 # print_canonical writes a phase count for a hold only.
-                err(f"node {nd.name!r}: only a hold takes a phase count",
-                    nd.line or None)
-        if nd.name in decls:
-            duplicate(nd.name, nd.line)
+                err(f"node {name!r}: only a hold takes a phase count",
+                    line or None)
+        if name in decls:
+            duplicate(name, line)
         else:
-            decls[nd.name] = (kind, nd.line, kind.ins, kind.outs)
+            decls[name] = (kind, line, kind.ins, kind.outs)
     gates = []
     for gd in ast.gates:
         if gd.name in decls:
@@ -589,8 +592,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     # The first channel of each (src, src_port, dst, dst_port).
     seen: dict[tuple[str, str, str, str], Channel] = {}
     for ch in ast.channels:
-        src, src_port, dst, dst_port = key = (
-            ch.src, ch.src_port, ch.dst, ch.dst_port)
+        src, src_port, dst, dst_port = key = ch[:4]
         src_decl, dst_decl = decls.get(src), decls.get(dst)
         if src_decl is None or dst_decl is None:
             err(f"unknown name {src if src_decl is None else dst!r}",
@@ -729,14 +731,14 @@ def _template(macro: str, lib: dict, bodies: dict[str, _Template],
     inner: list[tuple[int, str, int, str]] = []
     enter: dict[str, tuple[int | None, str]] = {}
     leave: dict[str, tuple[int, str]] = {}
-    for ch in channels:
-        src, dst = number.get(ch.src), number.get(ch.dst)
+    for src_name, src_port, dst_name, dst_port, _ in channels:
+        src, dst = number.get(src_name), number.get(dst_name)
         if src is None:
-            enter[ch.src] = (dst, ch.dst if dst is None else ch.dst_port)
+            enter[src_name] = (dst, dst_name if dst is None else dst_port)
         elif dst is None:
-            leave[ch.dst] = (src, ch.src_port)
+            leave[dst_name] = (src, src_port)
         else:
-            inner.append((src, ch.src_port, dst, ch.dst_port))
+            inner.append((src, src_port, dst, dst_port))
     template = bodies[macro] = _Template(
         tuple(names), tuple(nodes[name].kind for name in names),
         tuple(nodes[name].hold_phases for name in names), tuple(inner),
@@ -782,9 +784,10 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
     onward: dict[tuple[str, str], Channel] = {}  # leaves an instance port
     into: list[Channel] = []  # enters an instance from outside any
     for ch in ast.channels:
-        if ch.src in stamps:
-            onward[(ch.src, ch.src_port)] = ch
-        elif ch.dst in stamps:
+        src, src_port, dst, _, _ = ch
+        if src in stamps:
+            onward[src, src_port] = ch
+        elif dst in stamps:
             into.append(ch)
         else:
             channels.append(ch)
@@ -798,24 +801,23 @@ def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
             _, template, full = stamps[dst]
             at, port = template.enter[dst_port]
             if at is not None:
-                return Channel(src, src_port, full[at], port, line)
-            out = onward[(dst, port)]
-            dst, dst_port = out.dst, out.dst_port
-        return Channel(src, src_port, dst, dst_port, line)
+                return _new(Channel, (src, src_port, full[at], port, line))
+            _, _, dst, dst_port, _ = onward[dst, port]
+        return _new(Channel, (src, src_port, dst, dst_port, line))
 
     for name in sorted(stamps):
         gd, template, full = stamps[name]
+        _, kinds, holds, inner, _, leave = template
         line = gd.line
-        nodes.update(zip(full, map(NodeDecl, full, template.kinds,
-                                   template.holds, repeat(line))))
-        channels += [Channel(full[src], src_port, full[dst], dst_port, line)
-                     for src, src_port, dst, dst_port in template.inner]
-        for port, (src, src_port) in template.leave.items():
-            out = onward[(name, port)]
-            channels.append(splice(full[src], src_port, out.dst,
-                                   out.dst_port, line))
-    channels += [splice(ch.src, ch.src_port, ch.dst, ch.dst_port, ch.line)
-                 for ch in into]
+        nodes.update(zip(full, map(_new, repeat(NodeDecl), zip(
+            full, kinds, holds, repeat(line)))))
+        channels += [_new(Channel, (full[src], src_port, full[dst], dst_port,
+                                    line))
+                     for src, src_port, dst, dst_port in inner]
+        for port, (src, src_port) in leave.items():
+            _, _, dst, dst_port, _ = onward[name, port]
+            channels.append(splice(full[src], src_port, dst, dst_port, line))
+    channels += [splice(*ch) for ch in into]
     return nodes, channels
 
 
@@ -831,9 +833,9 @@ def _toposort(names: Iterable[str], channels: Iterable[Channel]
     """
     successors: dict[str, list[str]] = {name: [] for name in names}
     indegree = dict.fromkeys(successors, 0)
-    for ch in channels:
-        successors[ch.src].append(ch.dst)
-        indegree[ch.dst] += 1
+    for src, _, dst, _, _ in channels:
+        successors[src].append(dst)
+        indegree[dst] += 1
     # The order is also the queue: a name joins it when its last
     # predecessor has been visited.
     order = [name for name, deg in indegree.items() if not deg]
@@ -889,9 +891,6 @@ def _skewed_junctions(nodes: dict[str, NodeDecl], channels: Iterable[Channel],
                   key=lambda item: (item[0].dst, item[0].dst_port))
 
 
-_SOURCE, _SOURCE_PORT = attrgetter("src"), attrgetter("src_port")
-
-
 def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
               channels: list[Channel], insert_holds: bool) -> Circuit:
     """Phase every node of a flat circuit, repair junction skew and sort
@@ -919,15 +918,16 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
         # identity, which is cheaper than hashing every channel.
         replaced: dict[int, Channel] = {}
         for shallow, early in _skewed_junctions(nodes, channels, phases):
-            jname, port, line = shallow.dst, shallow.dst_port, shallow.line
+            src, src_port, jname, port, line = shallow
             hold_name = f"{jname}.{port}.sync"
             while hold_name in nodes:
                 hold_name += "_"
-            nodes[hold_name] = NodeDecl(hold_name, _HOLD, early, line)
+            nodes[hold_name] = _new(NodeDecl, (hold_name, _HOLD, early, line))
             phases[hold_name] = phases[jname] - 1
-            replaced[id(shallow)] = Channel(shallow.src, shallow.src_port,
-                                            hold_name, "in", line)
-            channels.append(Channel(hold_name, "out", jname, port, line))
+            replaced[id(shallow)] = _new(Channel, (src, src_port, hold_name,
+                                                   "in", line))
+            channels.append(_new(Channel, (hold_name, "out", jname, port,
+                                           line)))
         if replaced:
             channels = [replaced.get(id(ch), ch) for ch in channels]
 

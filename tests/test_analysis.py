@@ -155,7 +155,7 @@ class TestBitParallelTable:
         # Swap the outputs that the lone marbles' exits O1 and O5 feed.
         swap = {"o1": "o5", "o5": "o1"}
         rewired = dataclasses.replace(circuit, channels=tuple(
-            dataclasses.replace(ch, dst=swap.get(ch.dst, ch.dst))
+            ch._replace(dst=swap.get(ch.dst, ch.dst))
             for ch in circuit.channels))
         for mode in CollisionMode:
             table = truth_table(rewired, mode)

@@ -108,13 +108,33 @@ class TestParse:
         assert {ch.line for ch in ast.channels} == {7, 8}
 
     def test_line_is_not_part_of_equality(self):
-        for at_3, at_7 in (
+        for at_3, others in (
                 (NodeDecl("H", NodeKind.HOLD, 1, 3),
-                 NodeDecl("H", NodeKind.HOLD, 1, 7)),
-                (GateDecl("G", "AND", 3), GateDecl("G", "AND", 7)),
+                 [NodeDecl("K", NodeKind.HOLD, 1, 3),
+                  NodeDecl("H", NodeKind.TAP, 1, 3),
+                  NodeDecl("H", NodeKind.HOLD, 2, 3)]),
+                (GateDecl("G", "AND", 3),
+                 [GateDecl("F", "AND", 3), GateDecl("G", "OR", 3)]),
                 (Channel("a", "out", "y", "in", 3),
-                 Channel("a", "out", "y", "in", 7))):
-            assert at_3 == at_7 and hash(at_3) == hash(at_7)
+                 [Channel("b", "out", "y", "in", 3),
+                  Channel("a", "x", "y", "in", 3),
+                  Channel("a", "out", "z", "in", 3),
+                  Channel("a", "out", "y", "x", 3)])):
+            at_7 = at_3._replace(line=7)
+            # Tuple's own comparisons would see the line; these must not.
+            assert at_3 == at_7 and not at_3 != at_7
+            assert hash(at_3) == hash(at_7)
+            assert len({at_3, at_7}) == len(frozenset([at_7, at_3])) == 1
+            assert frozenset([at_3]) == frozenset([at_7])
+            for other in others:
+                assert at_3 != other and not at_3 == other
+                assert len({at_3, other}) == 2
+            # A record equals no plain tuple, on either side: the one with
+            # its line hashes the line too, and one rule serves every tuple.
+            for plain in (tuple(at_3), tuple(at_3)[:-1]):
+                assert at_3 != plain and plain != at_3
+                assert not at_3 == plain and not plain == at_3
+                assert plain not in {at_3} and at_3 not in {plain}
 
     @pytest.mark.parametrize("kind", list(NodeKind))
     def test_node_keyword_of_every_kind(self, kind):

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from marblesim import (Channel, CircuitAst, CollisionMode, CollisionPolicy,
-                       Diagnostic, GateMacro, GateReport, Hazard,
-                       InjectionRecord, Ledger, NodeKind, PolicyKind,
-                       SimConfig, TruthTable, get_macro)
+                       Diagnostic, GateDecl, GateMacro, GateReport, Hazard,
+                       InjectionRecord, Ledger, NodeDecl, NodeKind,
+                       PolicyKind, SimConfig, TruthTable, get_macro)
 from marblesim.physics import MidbandRule
 
 INJECTION = InjectionRecord(5, "C", NodeKind.CONST, 2, Fraction(1, 2))
@@ -21,8 +21,26 @@ WIRE = CircuitAst("wire", ("a",), ("y",),
                   channels=(Channel("a", "out", "y", "in", 3),))
 
 # Each record built by position and by keyword, the repr it had as a
-# frozen dataclass, and one field to change with ``_replace``.
+# frozen dataclass, and one field to change with ``_replace``.  The three
+# declaration records leave ``line`` out of equality (tests/test_netlist.py).
 CASES = {
+    "NodeDecl": (
+        NodeDecl("H", NodeKind.HOLD, 2, 4),
+        NodeDecl(name="H", kind=NodeKind.HOLD, hold_phases=2, line=4),
+        "NodeDecl(name='H', kind=<NodeKind.HOLD: 'hold'>, hold_phases=2, "
+        "line=4)",
+        {"hold_phases": 3}),
+    "GateDecl": (
+        GateDecl("G1", "FULL_ADDER", 6),
+        GateDecl(name="G1", macro="FULL_ADDER", line=6),
+        "GateDecl(name='G1', macro='FULL_ADDER', line=6)",
+        {"macro": "XOR"}),
+    "Channel": (
+        Channel("G1", "cout", "G2", "cin", 9),
+        Channel(src="G1", src_port="cout", dst="G2", dst_port="cin", line=9),
+        "Channel(src='G1', src_port='cout', dst='G2', dst_port='cin', "
+        "line=9)",
+        {"dst": "G3"}),
     "Diagnostic": (
         Diagnostic("error", "join M needs at least two inputs", 4),
         Diagnostic(severity="error", message="join M needs at least two "
@@ -170,6 +188,8 @@ def test_defaults():
     assert CollisionPolicy(PolicyKind.THRESHOLD).midband_rule is (
         MidbandRule.FORCE_BOUNCE)
     assert Diagnostic("warning", "unused node W").line is None
+    assert NodeDecl("T", NodeKind.TAP)[2:] == (0, 0)
+    assert GateDecl("G", "AND").line == Channel("a", "out", "y", "in").line == 0
     assert repr(SimConfig(mode=CollisionMode.MERGE)) == (
         "SimConfig(mode=<CollisionMode.MERGE: 'merge'>, "
         "strict_timing=False, trace_enabled=True)")
@@ -193,13 +213,16 @@ def test_properties():
 
 def test_records_are_tuples():
     """What the change from dataclasses gives callers: unpacking, indexing
-    and equality with plain tuples."""
+    and, but for the declaration records, equality with plain tuples."""
     phase, node, port, marble_id, expected_phase = CASES["Hazard"][0]
     assert (phase, node, expected_phase) == (3, "J", 2)
     assert CASES["Hazard"][0] == (3, "J", "A", 7, 2)
     assert CASES["SimConfig"][0][0] is CollisionMode.BOUNCE
     name, mode, inputs, outputs, rows = CASES["TruthTable"][0]
     assert (name, inputs, outputs) == ("not_gate", ("a",), ("y",))
+    src, src_port, dst, dst_port, line = CASES["Channel"][0]
+    assert CASES["Channel"][0].key() == (src, src_port, dst, dst_port)
+    assert CASES["NodeDecl"][0][1] is NodeKind.HOLD
     assert CASES["Diagnostic"][0]._asdict() == {
         "severity": "error", "message": "join M needs at least two inputs",
         "line": 4}

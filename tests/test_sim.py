@@ -407,6 +407,24 @@ class TestTraceContract:
             assert trace.final_locations == {1: ("y", "in")}
             assert ledger.injected == 1 and ledger.balanced
 
+    def test_circuit_fields_cannot_be_rebound(self, fixtures):
+        # Rebinding a field would leave the tables built from it stale; a
+        # replaced circuit builds its own, here a last phase 3 later.
+        circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
+        later = {name: phase + 3 for name, phase in circuit.phases.items()}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.phases = later
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.max_phase = 0
+        moved = dataclasses.replace(circuit, phases=later)
+        assert moved.phases is later and circuit.phases != later
+        assert moved.max_phase == circuit.max_phase + 3
+        assert moved._out == circuit._out and moved._out is not circuit._out
+        for bits in all_vectors(2):
+            outputs, trace, ledger = simulate(moved, bits, MERGE)
+            assert outputs == simulate(circuit, bits, MERGE)[0]
+            assert ledger.balanced
+
     def test_ledger_sums_non_unit_masses(self):
         # Merged masses 2 and 3, then a scalpel's halves of 3/2.
         circuit = elaborate(parse("""\
