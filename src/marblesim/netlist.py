@@ -170,8 +170,8 @@ class Channel(NamedTuple):
 
 
 _new = tuple.__new__
-# Sort keys and getters for C-level maps: a named tuple's field costs more
-# to read by name than a slot, but no more by ``itemgetter``.
+# Field getters for sort keys and C-level maps, cheaper than reading a
+# named tuple's field by name.
 _SOURCE, _SOURCE_PORT, _SOURCE_END, _KIND = (
     itemgetter(0), itemgetter(1), itemgetter(0, 1), itemgetter(1))
 
@@ -592,7 +592,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     # The first channel of each (src, src_port, dst, dst_port).
     seen: dict[tuple[str, str, str, str], Channel] = {}
     for ch in ast.channels:
-        src, src_port, dst, dst_port = key = ch[:4]
+        src, src_port, dst, dst_port = key = ch.key()
         src_decl, dst_decl = decls.get(src), decls.get(dst)
         if src_decl is None or dst_decl is None:
             err(f"unknown name {src if src_decl is None else dst!r}",
