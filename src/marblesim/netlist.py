@@ -592,7 +592,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     # The first channel of each (src, src_port, dst, dst_port).
     seen: dict[tuple[str, str, str, str], Channel] = {}
     for ch in ast.channels:
-        src, src_port, dst, dst_port = key = ch.key()
+        src, src_port, dst, dst_port = key = ch[:4]
         src_decl, dst_decl = decls.get(src), decls.get(dst)
         if src_decl is None or dst_decl is None:
             err(f"unknown name {src if src_decl is None else dst!r}",
@@ -833,9 +833,9 @@ def _toposort(names: Iterable[str], channels: Iterable[Channel]
     """
     successors: dict[str, list[str]] = {name: [] for name in names}
     indegree = dict.fromkeys(successors, 0)
-    for src, _, dst, _, _ in channels:
-        successors[src].append(dst)
-        indegree[dst] += 1
+    for ch in channels:
+        successors[ch.src].append(ch.dst)
+        indegree[ch.dst] += 1
     # The order is also the queue: a name joins it when its last
     # predecessor has been visited.
     order = [name for name, deg in indegree.items() if not deg]
@@ -929,7 +929,7 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
             channels.append(_new(Channel, (hold_name, "out", jname, port,
                                            line)))
         if replaced:
-            channels = [replaced.get(id(ch), ch) for ch in channels]
+            channels = list(map(replaced.get, map(id, channels), channels))
 
     # Each out port carries one channel, so sorting by source port and
     # then, stably, by source orders channels by key without building a
