@@ -189,7 +189,8 @@ def test_defaults():
         MidbandRule.FORCE_BOUNCE)
     assert Diagnostic("warning", "unused node W").line is None
     assert NodeDecl("T", NodeKind.TAP)[2:] == (0, 0)
-    assert GateDecl("G", "AND").line == Channel("a", "out", "y", "in").line == 0
+    assert GateDecl("G", "AND").line == 0
+    assert Channel("a", "out", "y", "in").line == 0
     assert repr(SimConfig(mode=CollisionMode.MERGE)) == (
         "SimConfig(mode=<CollisionMode.MERGE: 'merge'>, "
         "strict_timing=False, trace_enabled=True)")
