@@ -170,10 +170,8 @@ class Channel(NamedTuple):
 
 
 _new = tuple.__new__
-# Field getters for sort keys and C-level maps, cheaper than reading a
-# named tuple's field by name.
-_SOURCE, _SOURCE_PORT, _SOURCE_END, _KIND = (
-    itemgetter(0), itemgetter(1), itemgetter(0, 1), itemgetter(1))
+# Sort keys, cheaper than reading a named tuple's field by name.
+_SOURCE, _SOURCE_PORT = itemgetter(0), itemgetter(1)
 
 
 # Equal whatever its node and channel order, unlike a tuple.
@@ -235,10 +233,10 @@ class Circuit:
     _starts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        init, channels = object.__setattr__, self.channels
+        init = object.__setattr__
         init(self, "max_phase", max(self.phases.values(), default=0))
-        init(self, "_out", dict(zip(map(_SOURCE_END, channels), channels)))
-        kinds = dict(zip(self.nodes, map(_KIND, self.nodes.values())))
+        init(self, "_out", {ch[:2]: ch for ch in self.channels})
+        kinds = {name: node.kind for name, node in self.nodes.items()}
         init(self, "_kinds", kinds)
         init(self, "_starts", tuple(name for name, kind in kinds.items()
                                     if kind.starts))
