@@ -19,9 +19,11 @@ with the slots each reads and fills, or is None when the simulator must
 tabulate.  That is compiled-code simulation (Barzilai et al., "HSS -- A
 High-Speed Simulator", 1987).  Input vectors depend on the input count
 alone and are kept per width, not per circuit (``_input_vectors``): each
-table pairs them with its outputs, which are the vector of their code at
-the output width, as reversible gates map vectors to vectors (Fredkin &
-Toffoli, "Conservative Logic", 1982).  Tables are never cached.
+table pairs them with its outputs.  Where a circuit has no more outputs
+than inputs, those are the vector of their code at the output width, as
+reversible gates map vectors to vectors (Fredkin & Toffoli, "Conservative
+Logic", 1982); with more, each row is read from the output columns.
+Tables are never cached.
 
 Verification compares a macro's tables in both collision modes against its
 reference Boolean function and checks the reversibility and
@@ -31,8 +33,8 @@ waste, and exactly as many marbles left as entered (const sources count as
 entering).  That is the marble-by-marble form of conservative logic
 (Fredkin & Toffoli, "Conservative Logic", 1982).  The same mask pass that
 gives the tables decides it per vector, by counting scalpel cuts against
-merges; a circuit the pass cannot take is simulated row by row and judged
-from each run's ledger.
+merges, a count ``truth_table`` skips; a circuit the pass cannot take is
+simulated row by row and judged from each run's ledger.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ class TruthTable(NamedTuple):
     """Simulated input/output map of one circuit under one mode.
 
     ``rows`` pairs each input vector with its outputs.  Their tuples may
-    be shared: the mask pass takes both halves of every row from the
-    vectors kept per width, so its tables of circuits with as many inputs
-    share their input tuples, and its equal output tuples are one.
+    be shared: the mask pass takes input tuples from the vectors kept per
+    width, shared by tables of one width, and, unless there are more
+    outputs than inputs, output tuples too, so equal ones are one.
     """
 
     name: str
@@ -94,9 +96,9 @@ _JUNCTION, _SCALPEL, _SYRINGE, _TAP = (
 
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-# Where the host keeps an unsigned short's low byte, at index 0 or 1: a
-# table's output codes, at most 16 bits by ``_MAX_INPUTS``, are read as
-# unsigned shorts (a memoryview cast to ``H``).
+# Where the host keeps an unsigned short's low byte, at index 0 or 1: the
+# output codes of a table with no more outputs than its at most 16 inputs
+# are read as unsigned shorts (a memoryview cast to ``H``).
 _LOW_BYTE = int(sys.byteorder == "big")
 
 _Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -106,7 +108,8 @@ _Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 def _input_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     """Every vector of ``n`` bits, vector v at index v, first bit most
     significant: 2**n tuples, about 0.6 MB at 12 bits and 11.5 MB at 16.
-    A table reads two widths at most, its inputs' and its outputs'."""
+    A table reads two widths at most, its inputs' and, unless it has more
+    outputs than inputs, its outputs'."""
     return tuple(product((0, 1), repeat=n))
 
 
@@ -122,12 +125,12 @@ def _count(planes: list[int], mask: int) -> None:
         planes.append(mask)
 
 
-def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
-                   ) -> tuple[_Rows, int] | None:
+def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int,
+                   physical: bool = True) -> tuple[_Rows, int] | None:
     """Every row of the table from one pass over presence masks, with the
-    mask of vectors whose run is not physically conservative, or None
-    when the simulator has to tabulate the circuit vector by vector: off
-    schedule, or with more than 16 outputs, which no kept width can code.
+    mask of vectors whose run is not physically conservative (0 unless
+    ``physical``), or None when the circuit is off schedule and the
+    simulator has to tabulate it vector by vector.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
     marbles on a single-occupancy port, or a marble on an out port with
@@ -142,19 +145,21 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     it either injects or swallows into its pocket.
     """
     order = circuit._mask_order
-    if order is None or len(circuit.outputs) > _MAX_INPUTS:
+    if order is None:
         return None
     steps, inputs, outputs, wastes, open_slots, size = order
-    vectors = _input_vectors(n)
     count = 1 << n
     full = (1 << count) - 1
     slots = [(0, 0)] * size
     for k, slot in enumerate(inputs):
         if slot is not None:
-            # Runs of ``span`` vectors without the input, then ``span`` with.
+            # Runs of ``span`` vectors without the input, then ``span``
+            # with, doubled until they cover every vector.
             span = 1 << (n - 1 - k)
-            run = ((1 << span) - 1) << span
-            slots[slot] = (run * (full // ((1 << 2 * span) - 1)), 0)
+            mask = ((1 << span) - 1) << span
+            while (span := 2 * span) < count:
+                mask |= mask << span
+            slots[slot] = (mask, 0)
     flagged = spoiled = 0
     cuts: list[int] = []
     merges: list[int] = []
@@ -164,20 +169,20 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
             for _, two in got:
                 flagged |= two
         routed = _presence_route(kind, got, mode, full)
-        if kind is _JUNCTION:
-            _count(merges, routed[2][0])
-        elif kind is _SCALPEL:
-            _count(cuts, got[0][0])
-        elif kind is _TAP:
-            spoiled |= got[0][0]
-        elif kind is _SYRINGE:
-            spoiled = full
+        if physical:
+            if kind is _JUNCTION:
+                _count(merges, routed[2][0])
+            elif kind is _SCALPEL:
+                _count(cuts, got[0][0])
+            elif kind is _TAP:
+                spoiled |= got[0][0]
+            elif kind is _SYRINGE:
+                spoiled = full
         for slot, mask in zip(outs, routed):
             slots[slot] = mask
     for slot in open_slots:
         flagged |= slots[slot][0]
-    for slot in wastes:
-        spoiled |= slots[slot][0]
+    vectors = _input_vectors(n)
     if flagged:
         first = (flagged & -flagged).bit_length() - 1
         simulate(circuit, vectors[first],
@@ -185,39 +190,52 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         # It raises unless the mask rule and the simulator disagree, in
         # which case the simulator tabulates.
         return None
-    for cut, merge in zip_longest(cuts, merges, fillvalue=0):
-        spoiled |= cut ^ merge
-    # Row v's outputs are the vector of their code, first output most
-    # significant.  Each output's column, byte v for vector v, read as an
-    # int, adds byte by byte to each code's low byte (the last eight
-    # outputs) or high byte (the others); interleaved in host byte order,
-    # the two read as unsigned shorts.
-    columns = [format(slots[slot][0], f"0{count}b")[::-1].encode()
+    if physical:
+        for slot in wastes:
+            spoiled |= slots[slot][0]
+        for cut, merge in zip_longest(cuts, merges, fillvalue=0):
+            spoiled |= cut ^ merge
+    # Each output's column holds one digit byte per vector, vector v at
+    # byte count - 1 - v, so read as a big-endian int byte v is vector v's.
+    columns = [format(slots[slot][0], f"0{count}b").encode()
                .translate(_DIGITS) for slot in outputs]
-    high = low = 0
-    for column in columns[:-8]:
-        high = high << 1 | int.from_bytes(column, "little")
-    for column in columns[-8:]:
-        low = low << 1 | int.from_bytes(column, "little")
-    codes = bytearray(2 * count)
-    codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
-    codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
-    images = _input_vectors(len(outputs))
-    shorts = memoryview(codes).cast("H")
-    # The getter returns a tuple for two codes or more, so for n >= 1.
-    rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
-    return tuple(zip(vectors, rows)), spoiled
+    if len(outputs) > n:
+        # More outputs than inputs: each row's outputs straight from the
+        # columns.
+        rows = list(zip(*columns))[::-1]
+    else:
+        # Row v's outputs are the vector of their code, first output most
+        # significant.  The columns, as ints, add byte by byte to each
+        # code's low byte (the last eight outputs) or high byte (the
+        # others); interleaved in host byte order, the two read as
+        # unsigned shorts.
+        high = low = 0
+        for column in columns[:-8]:
+            high = high << 1 | int.from_bytes(column, "big")
+        for column in columns[-8:]:
+            low = low << 1 | int.from_bytes(column, "big")
+        codes = bytearray(2 * count)
+        codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
+        codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
+        images = _input_vectors(len(outputs))
+        shorts = memoryview(codes).cast("H")
+        # The getter returns a tuple for two codes or more, so for n >= 1.
+        rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
+    # Built as a list: a tuple grown from an iterator is re-tracked per resize.
+    return tuple(list(zip(vectors, rows))), spoiled
 
 
-def _tabulate(circuit: Circuit, mode: CollisionMode) -> tuple[_Rows, bool]:
+def _tabulate(circuit: Circuit, mode: CollisionMode, physical: bool = True
+              ) -> tuple[_Rows, bool]:
     """Every row of the table and whether every run is physically
     conservative: from one presence-mask pass where it applies, else from
-    simulating each row."""
+    simulating each row.  Without ``physical`` the pass skips its cut,
+    merge, tap and waste accounting, and the verdict means nothing."""
     n = len(circuit.inputs)
     if n > _MAX_INPUTS:
         raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
                          f"refusing to enumerate more than {_MAX_INPUTS}")
-    found = _presence_rows(circuit, mode, n)
+    found = _presence_rows(circuit, mode, n, physical)
     if found is not None:
         rows, spoiled = found
         return rows, not spoiled
@@ -241,7 +259,7 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     """
     if not isinstance(mode, CollisionMode):
         raise ValueError(f"mode must be a CollisionMode, got {mode!r}")
-    rows, _ = _tabulate(circuit, mode)
+    rows, _ = _tabulate(circuit, mode, physical=False)
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
                       rows)
 

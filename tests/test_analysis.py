@@ -52,6 +52,19 @@ class TestTruthTable:
                 "^mode must be a CollisionMode, got 'bounce'$")):
             truth_table(circuit_for("AND"), "bounce")
 
+    def test_skips_the_physical_count(self, monkeypatch):
+        # FREDKIN_DIRECT cuts and merges marbles; only verify_gate reads
+        # the count of both.
+        def refuse(*args):
+            raise AssertionError("truth_table counted cuts or merges")
+        monkeypatch.setattr(analysis, "_count", refuse)
+        circuit = circuit_for("FREDKIN_DIRECT")
+        table = truth_table(circuit, CollisionMode.MERGE)
+        assert all(boolean_spec("FREDKIN_DIRECT", bits) == outputs
+                   for bits, outputs in table.rows)
+        with pytest.raises(AssertionError, match="counted"):
+            verify_gate("FREDKIN_DIRECT")
+
 
 def simulated_table(circuit, mode):
     """The oracle: one untraced simulation per input vector."""
@@ -266,16 +279,16 @@ def twelve_wide():
     return wire_network(12, stages, rng.sample(range(12), 12))
 
 
-def sixteen_wires():
-    """A hand-built permutation of 16 wires: output k is input 5k mod 16,
-    so the all-ones vector's output code is 0xFFFF."""
-    order = [5 * k % 16 for k in range(16)]
-    inputs = tuple(f"x{k}" for k in range(16))
-    outputs = tuple(f"y{k}" for k in range(16))
+def wires(n):
+    """A hand-built permutation of ``n`` wires in a seeded order, so the
+    all-ones vector's output code is all ones."""
+    order = random.Random(n).sample(range(n), n)
+    inputs = tuple(f"x{k}" for k in range(n))
+    outputs = tuple(f"y{k}" for k in range(n))
     nodes = {name: NodeDecl(name, NodeKind.INPUT) for name in inputs}
     nodes.update((name, NodeDecl(name, NodeKind.OUTPUT)) for name in outputs)
     circuit = Circuit(
-        "perm16", inputs, outputs, nodes,
+        f"perm{n}", inputs, outputs, nodes,
         tuple(Channel(inputs[wire], "out", y, "in")
               for y, wire in zip(outputs, order)),
         dict.fromkeys(inputs, 0) | dict.fromkeys(outputs, 1))
@@ -306,6 +319,20 @@ def fan_out(taps):
     return circuit, lambda bits: bits * (taps + 1)
 
 
+def tapped_twelve():
+    """Twelve inputs, the first five also copied by taps: 17 outputs."""
+    lines = ["circuit tapped", "input " + ", ".join(f"x{k}" for k in
+                                                   range(12)),
+             "output " + ", ".join([f"y{k}" for k in range(12)]
+                                   + [f"c{k}" for k in range(5)])]
+    for k in range(5):
+        lines += [f"node T{k} : tap", f"connect x{k} -> T{k}.in",
+                  f"connect T{k}.out -> y{k}", f"connect T{k}.copy -> c{k}"]
+    lines += [f"connect x{k} -> y{k}" for k in range(5, 12)]
+    circuit = elaborate(parse("\n".join(lines) + "\n"))
+    return circuit, lambda bits: bits + bits[:5]
+
+
 def sink():
     """Two inputs into a waste node: rows with no outputs."""
     source = ("circuit sink\ninput a, b\nnode W : waste\n"
@@ -314,9 +341,10 @@ def sink():
 
 
 class TestEqualArityRows:
-    """Each row's outputs are the vector of their own code, read from the
-    output masks, whatever the circuit's arity: where it has as many
-    outputs as inputs, an input vector."""
+    """Each row's outputs are read from the output masks, whatever the
+    circuit's arity, and none is simulated: with no more outputs than
+    inputs they are the vector of their own code, and where the circuit
+    has as many outputs as inputs, an input vector."""
 
     @pytest.mark.parametrize("build", [
         lambda: wire_network(1, [("NOT_SYRINGE", (0,))], [0]),
@@ -325,15 +353,19 @@ class TestEqualArityRows:
                                  ("FREDKIN_CHAINED", (2, 0, 1)),
                                  ("FREDKIN_DIRECT", (1, 2, 0))], [2, 0, 1]),
         twelve_wide,
-        sixteen_wires,
+        lambda: wires(16),
         lambda: ripple_adder(1),
         lambda: ripple_adder(6),
         lambda: fan_out(1),
         lambda: fan_out(16),
+        tapped_twelve,
         sink,
     ], ids=["1", "2", "3", "12", "16", "3-to-2", "13-to-7", "1-to-2",
-            "1-to-17", "2-to-0"])
-    def test_rows_match_a_product_and_zip_oracle(self, build):
+            "1-to-17", "12-to-17", "2-to-0"])
+    def test_rows_match_a_product_and_zip_oracle(self, build, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("truth_table ran the simulator")
+        monkeypatch.setattr(analysis, "simulate", refuse)
         circuit, function = build()
         n = len(circuit.inputs)
         assert circuit._mask_order is not None
@@ -346,6 +378,30 @@ class TestEqualArityRows:
                 assert table == simulated_table(circuit, mode)
         if n == 16:
             assert expected[-1] == ((1,) * 16, (1,) * 16)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_permutations_of_every_width(self, n):
+        # The pass builds each input's presence mask by doubling a run,
+        # so every width takes its own number of steps.
+        circuit, function = wires(n)
+        vectors = list(product((0, 1), repeat=n))
+        expected = tuple(zip(vectors, map(function, vectors)))
+        for mode in CollisionMode:
+            assert truth_table(circuit, mode).rows == expected
+
+    def test_more_outputs_than_inputs_read_only_the_input_width(
+            self, monkeypatch):
+        kept, widths = analysis._input_vectors, []
+
+        def recorded(n):
+            widths.append(n)
+            return kept(n)
+        monkeypatch.setattr(analysis, "_input_vectors", recorded)
+        circuit, _ = fan_out(15)
+        for mode in CollisionMode:
+            assert truth_table(circuit, mode).rows == (
+                ((0,), (0,) * 16), ((1,), (1,) * 16))
+        assert set(widths) == {1}
 
     @pytest.mark.parametrize("source, rows", [
         ("circuit k\noutput y\nnode K : const1\nconnect K.out -> y\n",

@@ -191,6 +191,13 @@ class TestTable:
         assert code == 0
         assert out == golden_text(golden, "table_xor_records.txt")
 
+    def test_fan_out_records_format(self, capsys, fixtures, golden):
+        # One input onto 17 outputs: rows read from the output columns.
+        code, out, _ = run_cli(capsys, "table", str(fixtures / "fan_out.mnl"),
+                               "--format", "records")
+        assert code == 0
+        assert out == golden_text(golden, "table_fan_out_records.txt")
+
     def test_equal_arity_records_format(self, capsys, golden):
         code, out, _ = run_cli(capsys, "table", "FREDKIN_DIRECT", "--mode",
                                "merge", "--format", "records")
