@@ -31,10 +31,10 @@ conservativeness claims, plus physical conservativity: a run is physically
 conservative when no syringe or tap added a marble, nothing landed in
 waste, and exactly as many marbles left as entered (const sources count as
 entering).  That is the marble-by-marble form of conservative logic
-(Fredkin & Toffoli, "Conservative Logic", 1982).  The same mask pass that
-gives the tables decides it per vector, by counting scalpel cuts against
-merges, a count ``truth_table`` skips; a circuit the pass cannot take is
-simulated row by row and judged from each run's ledger.
+(Fredkin & Toffoli, "Conservative Logic", 1982).  It is read per vector
+from the masks the table pass leaves, by counting scalpel cuts against
+merges (``_spoiled``), which ``truth_table`` never does.  A library gate
+the pass cannot take is an error: no simulated fallback judges it.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ from itertools import product, zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
+from .errors import MarblesimError
 from .gates import boolean_spec, get_macro
 from .netlist import Circuit, Diagnostic, _skewed_junctions, elaborate
 from .physics import CollisionMode
-from .primitives import NodeKind, _presence_route
+from .primitives import (_CONST, _JUNCTION, _SCALPEL, _SYRINGE, _TAP,
+                         _Presence, _presence_route)
 from .sim import Ledger, SimConfig, simulate
 
 __all__ = [
@@ -89,11 +91,6 @@ class TruthTable(NamedTuple):
         return dict(self.rows)
 
 
-# The kinds the mask pass compares per node, bound once: a ``NodeKind.X``
-# lookup costs about ten times a module-level name.
-_JUNCTION, _SCALPEL, _SYRINGE, _TAP = (
-    NodeKind.JUNCTION, NodeKind.SCALPEL, NodeKind.SYRINGE, NodeKind.TAP)
-
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 # Where the host keeps an unsigned short's low byte, at index 0 or 1: the
@@ -125,29 +122,21 @@ def _count(planes: list[int], mask: int) -> None:
         planes.append(mask)
 
 
-def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int,
-                   physical: bool = True) -> tuple[_Rows, int] | None:
+def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
+                   ) -> tuple[_Rows, list[_Presence]] | None:
     """Every row of the table from one pass over presence masks, with the
-    mask of vectors whose run is not physically conservative (0 unless
-    ``physical``), or None when the circuit is off schedule and the
-    simulator has to tabulate it vector by vector.
+    slots as the pass left them, or None when the circuit is off schedule
+    and the simulator has to tabulate it vector by vector.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
     marbles on a single-occupancy port, or a marble on an out port with
     no channel, the lowest such vector is simulated, which raises the
     simulator's error for it.
-
-    On schedule and without contention every marble ends at an output or
-    a waste node, and a scalpel turns one marble into two while a merge
-    turns two into one.  So a run that no syringe, firing tap or waste
-    node touches is conservative exactly when it cut as many marbles as
-    it merged; both are counted per vector.  A syringe spoils every run:
-    it either injects or swallows into its pocket.
     """
     order = circuit._mask_order
     if order is None:
         return None
-    steps, inputs, outputs, wastes, open_slots, size = order
+    steps, inputs, outputs, _, open_slots, size = order
     count = 1 << n
     full = (1 << count) - 1
     slots = [(0, 0)] * size
@@ -160,25 +149,13 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int,
             while (span := 2 * span) < count:
                 mask |= mask << span
             slots[slot] = (mask, 0)
-    flagged = spoiled = 0
-    cuts: list[int] = []
-    merges: list[int] = []
+    flagged = 0
     for kind, ins, outs in steps:
         got = [slots[slot] for slot in ins]
         if kind.single:
             for _, two in got:
                 flagged |= two
-        routed = _presence_route(kind, got, mode, full)
-        if physical:
-            if kind is _JUNCTION:
-                _count(merges, routed[2][0])
-            elif kind is _SCALPEL:
-                _count(cuts, got[0][0])
-            elif kind is _TAP:
-                spoiled |= got[0][0]
-            elif kind is _SYRINGE:
-                spoiled = full
-        for slot, mask in zip(outs, routed):
+        for slot, mask in zip(outs, _presence_route(kind, got, mode, full)):
             slots[slot] = mask
     for slot in open_slots:
         flagged |= slots[slot][0]
@@ -190,11 +167,6 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int,
         # It raises unless the mask rule and the simulator disagree, in
         # which case the simulator tabulates.
         return None
-    if physical:
-        for slot in wastes:
-            spoiled |= slots[slot][0]
-        for cut, merge in zip_longest(cuts, merges, fillvalue=0):
-            spoiled |= cut ^ merge
     # Each output's column holds one digit byte per vector, vector v at
     # byte count - 1 - v, so read as a big-endian int byte v is vector v's.
     columns = [format(slots[slot][0], f"0{count}b").encode()
@@ -222,28 +194,39 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int,
         # The getter returns a tuple for two codes or more, so for n >= 1.
         rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
     # Built as a list: a tuple grown from an iterator is re-tracked per resize.
-    return tuple(list(zip(vectors, rows))), spoiled
+    return tuple(list(zip(vectors, rows))), slots
 
 
-def _tabulate(circuit: Circuit, mode: CollisionMode, physical: bool = True
-              ) -> tuple[_Rows, bool]:
-    """Every row of the table and whether every run is physically
-    conservative: from one presence-mask pass where it applies, else from
-    simulating each row.  Without ``physical`` the pass skips its cut,
-    merge, tap and waste accounting, and the verdict means nothing."""
-    n = len(circuit.inputs)
-    if n > _MAX_INPUTS:
-        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
-                         f"refusing to enumerate more than {_MAX_INPUTS}")
-    found = _presence_rows(circuit, mode, n, physical)
-    if found is not None:
-        rows, spoiled = found
-        return rows, not spoiled
-    config = SimConfig(mode=mode, trace_enabled=False)
-    runs = [(bits, *simulate(circuit, bits, config))
-            for bits in _input_vectors(n)]
-    return (tuple((bits, outputs) for bits, outputs, _, _ in runs),
-            all(physically_conservative(ledger) for *_, ledger in runs))
+def _spoiled(circuit: Circuit, slots: list[_Presence]) -> int:
+    """The mask of vectors whose run is not physically conservative, read
+    from the slots a mask pass over ``circuit`` left without contention.
+    That is exact: each slot is written once, before any node reads it.
+
+    On schedule and without contention every marble ends at an output or
+    a waste node, and a scalpel turns one marble into two while a merge
+    turns two into one.  So a run that no syringe, firing tap or waste
+    node touches is conservative exactly when it cut as many marbles as
+    it merged; both are counted per vector.  A syringe spoils every run:
+    it either injects or swallows into its pocket.
+    """
+    steps, _, _, wastes, _, _ = circuit._mask_order
+    spoiled = 0
+    cuts: list[int] = []
+    merges: list[int] = []
+    for kind, ins, outs in steps:
+        if kind is _JUNCTION:
+            _count(merges, slots[outs[2]][0])
+        elif kind is _SCALPEL:
+            _count(cuts, slots[ins[0]][0])
+        elif kind is _TAP:
+            spoiled |= slots[ins[0]][0]
+        elif kind is _SYRINGE:
+            return (1 << (1 << len(circuit.inputs))) - 1
+    for slot in wastes:
+        spoiled |= slots[slot][0]
+    for cut, merge in zip_longest(cuts, merges, fillvalue=0):
+        spoiled |= cut ^ merge
+    return spoiled
 
 
 def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
@@ -259,7 +242,17 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     """
     if not isinstance(mode, CollisionMode):
         raise ValueError(f"mode must be a CollisionMode, got {mode!r}")
-    rows, _ = _tabulate(circuit, mode, physical=False)
+    n = len(circuit.inputs)
+    if n > _MAX_INPUTS:
+        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
+                         f"refusing to enumerate more than {_MAX_INPUTS}")
+    found = _presence_rows(circuit, mode, n)
+    if found is None:
+        config = SimConfig(mode=mode, trace_enabled=False)
+        rows = tuple([(bits, simulate(circuit, bits, config)[0])
+                      for bits in _input_vectors(n)])
+    else:
+        rows = found[0]
     return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
                       rows)
 
@@ -284,7 +277,7 @@ def physically_conservative(ledger: Ledger) -> bool:
     their marbles count as entering the circuit rather than as injections.
     """
     active = [rec for rec in ledger.injections
-              if rec.kind is not NodeKind.CONST]
+              if rec.kind is not _CONST]
     const_marbles = len(ledger.injections) - len(active)
     return (not active and ledger.waste_marbles == 0
             and ledger.output_marbles
@@ -315,18 +308,26 @@ class GateReport(NamedTuple):
 
 
 def verify_gate(name: str) -> GateReport:
-    """Check one library gate in both collision modes."""
+    """Check one library gate in both collision modes.  Each table and
+    its physical verdict come from one mask pass; a gate the pass cannot
+    take is an error."""
     macro = get_macro(name)
     circuit = elaborate(macro.expansion)
-    found = [_tabulate(circuit, mode) for mode in _MODES]
-    tables = tuple(TruthTable(circuit.name, mode, circuit.inputs,
-                              circuit.outputs, rows)
-                   for mode, (rows, _) in zip(_MODES, found))
+    tables, physical = [], []
+    for mode in _MODES:
+        found = _presence_rows(circuit, mode, len(circuit.inputs))
+        if found is None:
+            raise MarblesimError(f"gate {name!r}: the mask pass cannot "
+                                 f"tabulate its circuit")
+        rows, slots = found
+        tables.append(TruthTable(circuit.name, mode, circuit.inputs,
+                                 circuit.outputs, rows))
+        physical.append(not _spoiled(circuit, slots))
     # Both modes tabulate the same input vectors in the same order.
     expected = [boolean_spec(name, bits) for bits, _ in tables[0].rows]
     return GateReport(
         name=name,
-        tables=tables,
+        tables=tuple(tables),
         table_ok=tuple([outputs for _, outputs in table.rows] == expected
                        for table in tables),
         modes_agree=tables[0].rows == tables[1].rows,
@@ -334,7 +335,7 @@ def verify_gate(name: str) -> GateReport:
         conservative=check_conservative(tables[0]),
         reversible_claim=macro.reversible_claim,
         conservative_claim=macro.conservative_claim,
-        physical=tuple(conservative for _, conservative in found),
+        physical=tuple(physical),
     )
 
 

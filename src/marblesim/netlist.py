@@ -42,7 +42,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import MarblesimError
-from .primitives import JOIN_PORT_PATTERN, NodeKind
+from .primitives import (_HOLD, _INPUT, _JOIN, _JUNCTION, _OUTPUT, _SYRINGE,
+                         _WASTE, JOIN_PORT_PATTERN, NodeKind)
 
 __all__ = [
     "Channel",
@@ -70,13 +71,8 @@ _JOIN_IN = re.compile(JOIN_PORT_PATTERN + r"\Z")
 
 # Kinds a node statement names by keyword alone: inputs and outputs are
 # declared by their own statements, and a hold needs its phase count.
-_KIND_KEYWORDS = {kind.value: kind for kind in NodeKind if kind not in
-                  (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD)}
-# The kinds validate and the schedule rule compare, bound once: a
-# ``NodeKind.X`` lookup costs about ten times a module-level name.
-_INPUT, _OUTPUT, _HOLD, _JOIN, _JUNCTION, _SYRINGE, _WASTE = (
-    NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.HOLD, NodeKind.JOIN,
-    NodeKind.JUNCTION, NodeKind.SYRINGE, NodeKind.WASTE)
+_KIND_KEYWORDS = {kind.value: kind for kind in NodeKind
+                  if kind not in (_INPUT, _OUTPUT, _HOLD)}
 # What validate records for a circuit input and a circuit output.
 _INPUT_DECL = (_INPUT, None, _INPUT.ins, _INPUT.outs)
 _OUTPUT_DECL = (_OUTPUT, None, _OUTPUT.ins, _OUTPUT.outs)
@@ -333,7 +329,7 @@ def _parse_node_kind(spec: str, lineno: int, raw: str) -> tuple[NodeKind, int]:
         if k < 1:
             raise ParseError("hold phase count must be at least 1", lineno,
                              _col_of(raw, m.group(1)))
-        return NodeKind.HOLD, k
+        return _HOLD, k
     if spec == "hold":
         raise ParseError("hold requires a phase count, e.g. hold(2)", lineno,
                          _col_of(raw, "hold"))
@@ -481,7 +477,7 @@ def print_canonical(ast: CircuitAst) -> str:
     if ast.outputs:
         out.append("output " + ", ".join(ast.outputs))
     for nd in sorted(ast.nodes, key=lambda n: n.name):
-        kind = (f"hold({nd.hold_phases})" if nd.kind is NodeKind.HOLD
+        kind = (f"hold({nd.hold_phases})" if nd.kind is _HOLD
                 else nd.kind.value)
         out.append(f"node {nd.name} : {kind}")
     for gd in sorted(ast.gates, key=lambda g: g.name):
@@ -961,6 +957,6 @@ def elaborate(ast: CircuitAst, library: dict | None = None, *,
 def circuit_to_ast(circuit: Circuit) -> CircuitAst:
     """Lower an elaborated circuit back to an AST (no gate instances)."""
     decls = tuple(nd for nd in circuit.nodes.values()
-                  if nd.kind not in (NodeKind.INPUT, NodeKind.OUTPUT))
+                  if nd.kind not in (_INPUT, _OUTPUT))
     return CircuitAst(circuit.name, circuit.inputs, circuit.outputs,
                       decls, (), circuit.channels)

@@ -26,9 +26,10 @@ Each evaluator states the devices' behaviour once, in its own terms:
 time, and ``_presence_route`` here says what every kind does to presence
 masks, bit v of which stands for input vector v, so that truth tables can
 evaluate all vectors at once.  Gate verification's physical check reads
-the same masks: per vector, it counts the scalpels a marble reached and the
-junctions whose O3 mask says two marbles merged, so a change to this rule
-changes both the tables and that count.
+the masks that pass leaves: per vector, it counts the scalpels a marble
+reached and the junctions whose O3 mask says two marbles merged, so a
+change to this rule changes both the tables and that count.  The kinds
+are bound to module names here once, and the evaluators import them.
 """
 
 from __future__ import annotations
@@ -85,12 +86,14 @@ class NodeKind(enum.Enum):
 
 JOIN_PORT_PATTERN = r"in[1-9][0-9]*"
 
-# The kinds and the mode the presence rule compares, bound once: a
-# ``NodeKind.X`` lookup costs about ten times a module-level name.
-_JUNCTION, _SYRINGE, _CONST, _JOIN, _BOUNCE = (
-    NodeKind.JUNCTION, NodeKind.SYRINGE, NodeKind.CONST, NodeKind.JOIN,
-    CollisionMode.BOUNCE)
-_COPIES = (NodeKind.SCALPEL, NodeKind.TAP, NodeKind.HOLD)
+# The kinds, bound once here for every module that compares them, and
+# the mode the presence rule compares: a ``NodeKind.X`` lookup costs about
+# ten times a module-level name.
+(_INPUT, _CONST, _HOLD, _JUNCTION, _SCALPEL, _SYRINGE, _TAP, _JOIN, _OUTPUT,
+ _WASTE) = (NodeKind.INPUT, NodeKind.CONST, NodeKind.HOLD, NodeKind.JUNCTION,
+            NodeKind.SCALPEL, NodeKind.SYRINGE, NodeKind.TAP, NodeKind.JOIN,
+            NodeKind.OUTPUT, NodeKind.WASTE)
+_BOUNCE = CollisionMode.BOUNCE
 
 
 # What a channel holds over many input vectors at once: bit v of ``one``
@@ -110,8 +113,9 @@ def _presence_route(kind: NodeKind, ins: list[_Presence],
     collision to O2 and O4 (bounce) or O3 (merge); a syringe injects where
     nothing arrived; a const always injects; scalpel, tap and hold copy
     their input to every out port; a join funnels its inputs, so it is the
-    one kind that can put two marbles on a channel.  Inputs are set from
-    the vectors and sinks route nothing.  Two marbles on a single-occupancy
+    one kind that can put two marbles on a channel.  Inputs and sinks
+    never fire here: the pass sets inputs from the vectors and reads what
+    reaches a sink from its channel.  Two marbles on a single-occupancy
     port are contention, which the caller checks.
     """
     if kind is _JUNCTION:
@@ -130,7 +134,6 @@ def _presence_route(kind: NodeKind, ins: list[_Presence],
             two |= in_two | (one & in_one)
             one |= in_one
         return ((one, two),)
-    if kind in _COPIES:
-        return (ins[0],) * len(kind.outs)
-    return ()
+    # Scalpel, tap and hold.
+    return (ins[0],) * len(kind.outs)
 

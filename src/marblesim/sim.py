@@ -42,7 +42,8 @@ from typing import NamedTuple
 from .errors import MarblesimError
 from .netlist import Circuit
 from .physics import CollisionMode
-from .primitives import NodeKind
+from .primitives import (_CONST, _HOLD, _INPUT, _JOIN, _JUNCTION, _SCALPEL,
+                         _SYRINGE, _TAP, NodeKind)
 
 __all__ = [
     "Event",
@@ -59,12 +60,6 @@ __all__ = [
 ]
 
 _UNIT = Fraction(1)
-
-# The kinds the per-arrival and per-fire paths compare, bound once: a
-# ``NodeKind.X`` lookup costs about ten times a module-level name.
-_INPUT, _CONST, _HOLD, _JUNCTION, _SCALPEL, _SYRINGE, _TAP, _JOIN = (
-    NodeKind.INPUT, NodeKind.CONST, NodeKind.HOLD, NodeKind.JUNCTION,
-    NodeKind.SCALPEL, NodeKind.SYRINGE, NodeKind.TAP, NodeKind.JOIN)
 
 
 class SimulationError(MarblesimError):
@@ -389,9 +384,9 @@ class _Run:
             for marble in self.take(node, "in"):
                 self.emit(node, "out", marble, phase)
         elif kind is _JOIN:
-            ports = self.held.pop(node, {})
-            for port in sorted(ports, key=lambda p: int(p[2:])):
-                for marble in ports[port]:
+            # Arrivals are sorted when placed, so port order does not show.
+            for marbles in self.held.pop(node, {}).values():
+                for marble in marbles:
                     self.emit(node, "out", marble, phase)
 
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:

@@ -462,14 +462,16 @@ def mask_verdicts(circuit, mode):
     found = analysis._presence_rows(circuit, mode, len(circuit.inputs))
     if found is None:
         return None
-    rows, spoiled = found
+    rows, slots = found
+    spoiled = analysis._spoiled(circuit, slots)
     return [(bits, outputs, not (spoiled >> v) & 1)
             for v, (bits, outputs) in enumerate(rows)]
 
 
 class TestPhysicalVerdict:
     """``verify_gate`` judges physical conservativity per vector from the
-    mask pass; each row's simulated ledger is what it must agree with."""
+    slots the mask pass leaves; each row's simulated ledger is what it
+    must agree with."""
 
     def test_agrees_with_simulation_row_by_row(self):
         masked = fell_back = 0
@@ -485,11 +487,6 @@ class TestPhysicalVerdict:
                     masked += 1
                     if isinstance(got, list):
                         verdicts.update(ok for *_, ok in got)
-                if isinstance(expected, list):
-                    expected = (tuple(row[:2] for row in expected),
-                                all(ok for *_, ok in expected))
-                assert (outcome(analysis._tabulate, circuit, mode)
-                        == expected), (circuit.name, mode)
         assert masked and fell_back and verdicts == {True, False}
 
     @pytest.mark.parametrize("inputs, outputs, kinds, channels, phases", [
@@ -549,18 +546,24 @@ class TestPhysicalVerdict:
         for mode in CollisionMode:
             assert mask_verdicts(circuit, mode) is None
             expected = simulated_verdicts(circuit, mode)
-            assert analysis._tabulate(circuit, mode) == (
-                tuple(row[:2] for row in expected),
-                all(ok for *_, ok in expected))
+            assert truth_table(circuit, mode).rows == tuple(
+                row[:2] for row in expected)
 
     def test_library_reports_match_the_per_row_path(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("verify_gate ran the simulator")
         monkeypatch.setattr(analysis, "simulate", refuse)
-        fast = [verify_gate(macro.name) for macro in library()]
+        reports = [verify_gate(macro.name) for macro in library()]
         monkeypatch.setattr(analysis, "simulate", simulate)
-        monkeypatch.setattr(analysis, "_presence_rows", lambda *args: None)
-        assert [verify_gate(macro.name) for macro in library()] == fast
+        for report in reports:
+            circuit = circuit_for(report.name)
+            for mode, table, physical in zip(
+                    (CollisionMode.BOUNCE, CollisionMode.MERGE),
+                    report.tables, report.physical, strict=True):
+                assert table == simulated_table(circuit, mode)
+                assert physical == all(
+                    ok for *_, ok in simulated_verdicts(circuit, mode)), (
+                    report.name, mode)
 
 
 class TestTableProperties:
@@ -621,20 +624,27 @@ class TestVerifyGate:
         assert not report.conservative
 
     def test_each_mode_is_checked_against_the_spec(self, monkeypatch):
-        tabulate = analysis._tabulate
+        presence_rows = analysis._presence_rows
 
-        def flip_merge(circuit, mode):
-            rows, conservative = tabulate(circuit, mode)
+        def flip_merge(circuit, mode, n):
+            rows, slots = presence_rows(circuit, mode, n)
             if mode is CollisionMode.MERGE:
                 (bits, (out,)), *rest = rows
                 rows = ((bits, (1 - out,)), *rest)
-            return rows, conservative
+            return rows, slots
 
-        monkeypatch.setattr(analysis, "_tabulate", flip_merge)
+        monkeypatch.setattr(analysis, "_presence_rows", flip_merge)
         report = verify_gate("AND")
         assert report.table_ok == (True, False)
         assert not report.modes_agree
         assert not report.ok
+
+    def test_gate_the_mask_pass_cannot_take_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_presence_rows", lambda *args: None)
+        with pytest.raises(MarblesimError, match=(
+                "^gate 'FREDKIN_DIRECT': the mask pass cannot tabulate its "
+                "circuit$")):
+            verify_gate("FREDKIN_DIRECT")
 
     def test_claims_ok_detects_library_drift(self):
         report = verify_gate("NOR_ALT")

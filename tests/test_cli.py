@@ -84,6 +84,25 @@ class TestRun:
         assert code == 1
         assert out == golden_text(golden, "run_skew_hazard.txt")
 
+    def test_hazard_records_match_golden(self, capsys, fixtures, golden):
+        code, out, _ = run_cli(
+            capsys, "run", str(fixtures / "skew.mnl"),
+            "--inputs", "11", "--no-repair", "--format", "records")
+        assert code == 1
+        assert out == golden_text(golden, "run_skew_hazard_records.txt")
+
+    @pytest.mark.parametrize("fmt, name", [
+        ("text", "run_not_interaction.txt"),
+        ("records", "run_not_interaction_records.txt")])
+    def test_injection_matches_golden(self, capsys, fixtures, golden, fmt,
+                                      name):
+        # The const source injects the marble that leaves on y.
+        code, out, err = run_cli(
+            capsys, "run", str(fixtures / "not_interaction.mnl"),
+            "--inputs", "0", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == golden_text(golden, name)
+
     def test_repaired_run_is_clean(self, capsys, fixtures):
         code, out, _ = run_cli(
             capsys, "run", str(fixtures / "skew.mnl"), "--inputs", "11")

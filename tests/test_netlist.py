@@ -212,6 +212,11 @@ class TestParseErrors:
         ("circuit c\ngate G.H : AND\n", 2, "invalid identifier"),
         ("circuit c\nnode J. : junction\n", 2, "invalid identifier"),
         ("circuit c\ninput a\nconnect a -> J..A\n", 3, "malformed"),
+        ("circuit c\ninput\n", 2, "input needs at least one name"),
+        ("circuit c\nnode J junction\n", 2, "':' after node name"),
+        ("circuit c\ngate G AND\n", 2, "':' after gate name"),
+        ("", 1, "missing circuit declaration"),
+        ("circuit c\ninput a\nconnect -> a\n", 3, "endpoint before '->'"),
     ])
     def test_position_and_message(self, source, line, fragment):
         with pytest.raises(ParseError) as err:
@@ -430,6 +435,22 @@ class TestValidate:
                                  Channel("T", "copy", "W", "in", 8))),
                      [(4, "node 'T': only a hold takes a phase count")],
                      id="phase-count-on-a-tap"),
+        # Built in code: parse rejects a name declared twice.
+        pytest.param(CircuitAst("c", ("a", "a"), ("y", "y"), (), (),
+                                (Channel("a", "out", "y", "in", 3),)),
+                     [(None, "duplicate name 'a' (already declared as "
+                             "input)"),
+                      (None, "duplicate name 'y' (already declared as "
+                             "output)")],
+                     id="duplicate-circuit-ports"),
+        pytest.param(CircuitAst("c", ("a",), ("y",), (),
+                                (GateDecl("G", "NOT_SYRINGE", 3),
+                                 GateDecl("G", "AND", 4)),
+                                (Channel("a", "out", "G", "a", 5),
+                                 Channel("G", "y", "y", "in", 6))),
+                     [(4, "duplicate name 'G' (already declared as gate "
+                          "on line 3)")],
+                     id="duplicate-gate"),
     ])
     def test_each_diagnostic(self, source, expected):
         ast = (self.channel_to_nowhere() if source is None else

@@ -57,6 +57,13 @@ def test_weber_number_rejects_bad_domains(kwargs):
         weber_number(**kwargs)
 
 
+@pytest.mark.parametrize("args, name", [((-0.072, 0.002), "surface_tension"),
+                                        ((0.072, -0.002), "diameter")])
+def test_surface_energy_rejects_negative_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+        surface_energy(*args)
+
+
 def _params(velocity: float, **extra) -> PhysicsParams:
     return PhysicsParams(velocity=velocity, **WATER, **extra)
 

@@ -367,6 +367,15 @@ class TestTraceContract:
             "events": trace.events, "final_locations": trace.final_locations,
             "hazards": trace.hazards, "circuit": circuit, "met": trace.met}
 
+    def test_ledger_needs_a_traced_run(self):
+        circuit = circuit_for("AND")
+        _, trace, _ = simulate(circuit, (1, 1),
+                               SimConfig(mode=CollisionMode.MERGE,
+                                         trace_enabled=False))
+        with pytest.raises(ValueError, match=(
+                "^ledger needs a trace recorded with events$")):
+            run_ledger(trace)
+
     def test_trace_pickles_and_copies(self):
         circuit = circuit_for("AND")
         order = circuit._mask_order
