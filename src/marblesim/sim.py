@@ -3,9 +3,11 @@
 Marbles advance one channel per phase, and a node fires only when it has
 work.  Inputs carrying a 1, consts and sensor+syringes fire at their
 levelized phase; a node a marble reaches fires at its levelized phase if
-that phase has not yet passed.  Electromagnet capture parks early arrivals
-at holds, joins, scalpels and taps until their scheduled release, which is
-how paths of different depth re-synchronize.  Junctions are the exception:
+that phase has not yet passed.  A run keeps one schedule, from each phase
+to the nodes that fire then and the marbles parked for each firing: an
+arriving marble goes straight into the slot of the phase its node fires
+in, which is how electromagnet capture at holds, joins, scalpels and taps
+re-synchronizes paths of different depth.  Junctions are the exception:
 a junction fires in the phase a marble reaches it, so a marble that arrives
 at any phase other than the junction's own rolls straight through and is
 routed on its own (the lone-marble crossing), which is exactly the
@@ -37,6 +39,8 @@ mass equals output mass plus waste mass, in exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from math import lcm
 from typing import NamedTuple
 
 from .errors import MarblesimError
@@ -158,9 +162,13 @@ _Origins = dict[int, tuple[str, int, Fraction]]
 
 def _total(masses: list[Fraction]) -> Fraction:
     """Sum exact masses.  Those that are ``_UNIT`` itself, almost all, are
-    counted, not added: a ``Fraction`` addition costs microseconds."""
+    counted; the rest are added as integers over their common denominator,
+    since a ``Fraction`` addition costs microseconds."""
     others = [mass for mass in masses if mass is not _UNIT]
-    return sum(others, Fraction(len(masses) - len(others)))
+    common = lcm(*[mass.denominator for mass in others])
+    return Fraction((len(masses) - len(others)) * common
+                    + sum([mass.numerator * (common // mass.denominator)
+                           for mass in others]), common)
 
 
 def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
@@ -172,8 +180,7 @@ def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
     inputs, injected, outputs, waste = [], [], [], []
     injections: list[InjectionRecord] = []
 
-    for marble_id in sorted(created):
-        node, phase, mass = created[marble_id]
+    for marble_id, (node, phase, mass) in created.items():  # ids ascend
         kind = kinds[node]
         if kind.role == "input":
             inputs.append(mass)
@@ -209,10 +216,9 @@ def _as_events(placements: list[tuple[int, str, str, int, Fraction]]
     """Sort a traced run's placements and make each an ``Event``.
     ``tuple.__new__`` builds the named tuple without running its
     Python-level ``__new__``, for well under half of what ``Event(...)``
-    costs."""
+    costs, and ``map`` calls it without a Python-level loop."""
     placements.sort()
-    new = tuple.__new__
-    return tuple([new(Event, placement) for placement in placements])
+    return tuple(list(map(tuple.__new__, repeat(Event), placements)))
 
 
 class _Run:
@@ -233,21 +239,17 @@ class _Run:
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
         self.met: list[tuple[int, str]] = []
-        # node -> port -> marbles parked there, in arrival order
-        self.held: dict[str, dict[str, list[int]]] = {}
         # phase -> marbles reaching a port then, as (node, port, marble)
         self.arrivals: dict[int, list[tuple[str, str, int]]] = {}
-        # phase -> nodes that fire then
-        self.agenda: dict[int, set[str]] = {}
+        # phase -> node that fires then -> port -> marbles parked for that
+        # firing, in arrival order
+        self.due: dict[int, dict[str, dict[str, list[int]]]] = {}
+        # The ports where a marble stays parked for good: it came after its
+        # node fired, or its node's kind never reads that port.
+        self.stuck: set[tuple[str, str]] = set()
         self.syringe_sensed: set[str] = set()
-        for name in circuit._starts:
-            self.schedule(name, self.phases[name])
-        for name, bit in zip(circuit.inputs, bits):
-            if bit:
-                self.schedule(name, self.phases[name])
-
-    def schedule(self, node: str, phase: int) -> None:
-        self.agenda.setdefault(phase, set()).add(node)
+        for name in chain(circuit._starts, compress(circuit.inputs, bits)):
+            self.due.setdefault(self.phases[name], {})[name] = {}
 
     def mass(self, marble: int) -> Fraction:
         return self.created[marble][2]
@@ -280,22 +282,22 @@ class _Run:
     def place_arrivals(self, phase: int,
                        batch: list[tuple[str, str, int]]) -> None:
         kinds, phases, final = self.kinds, self.phases, self.final
-        held, agenda, events = self.held, self.agenda, self.events
-        created = self.created
+        due, events, created = self.due, self.events, self.created
         placed: set[tuple[str, str]] = set()
         if len(batch) > 1:
             batch.sort()
         for node, port, marble in batch:
             kind = kinds[node]
+            key = node, port
             if kind.single:
-                if (node, port) in placed:
+                if key in placed:
                     raise SimulationError(
                         f"two marbles reached {node}.{port} in phase {phase}")
-                placed.add((node, port))
+                placed.add(key)
             if events is not None:
                 events.append((phase, node, port, marble,
                                created[marble][2]))
-            final[marble] = (node, port)
+            final[marble] = key
             if kind is _JUNCTION or kind is _SYRINGE:
                 expected = phases[node]
                 if phase != expected:
@@ -314,48 +316,32 @@ class _Run:
                 final[marble] = (node, "waste")
             elif kind.outs:
                 # A sink keeps what reaches it; any other node parks the
-                # marble until it fires.  A marble that arrives after its
-                # node's phase stays parked, and the run fails at its end.
-                ports = held.get(node)
-                if ports is None:
-                    held[node] = {port: [marble]}
-                elif port in ports:
-                    ports[port].append(marble)
+                # marble for the phase it fires in, a junction's being now,
+                # unless that phase has passed.
+                at = phase if kind is _JUNCTION else phases[node]
+                if phase > at:
+                    self.stuck.add(key)
                 else:
-                    ports[port] = [marble]
-                if kind is _JUNCTION:
-                    at = phase
-                else:
-                    at = phases[node]
-                    if phase > at:
-                        continue
-                due = agenda.get(at)
-                if due is None:
-                    agenda[at] = {node}
-                else:
-                    due.add(node)
+                    due.setdefault(at, {}).setdefault(node, {}).setdefault(
+                        port, []).append(marble)
 
-    def take(self, node: str, port: str) -> list[int]:
-        """Unpark the marbles at ``node.port``.  A marble on a port its
-        kind never reads (possible only in a hand-built ``Circuit``) stays
-        parked, so the run fails at its end."""
-        ports = self.held.get(node)
-        if ports is None:
-            return []
-        taken = ports.pop(port, [])
-        if not ports:
-            del self.held[node]
-        return taken
-
-    def fire(self, node: str, phase: int) -> None:
+    def fire(self, node: str, phase: int,
+             ports: dict[str, list[int]]) -> None:
+        """Fire ``node`` on the marbles parked at its ``ports``.  A marble
+        on a port its kind never reads (possible only in a hand-built
+        ``Circuit``) stays parked, so the run fails at its end."""
         kind = self.kinds[node]
-        if kind is _INPUT or kind is _CONST:
-            self.emit_new(node, "out", _UNIT, phase)
-        elif kind is _JUNCTION:
+        if kind is _JOIN:
+            # Arrivals are sorted when placed, so port order does not show.
+            for marbles in ports.values():
+                for marble in marbles:
+                    self.emit(node, "out", marble, phase)
+            return
+        if kind is _JUNCTION:
             # A junction fires in the phase its marbles arrive, so what is
             # parked there arrived now, at most one marble per port.
-            a = self.take(node, "A")
-            b = self.take(node, "B")
+            a = ports.pop("A", None)
+            b = ports.pop("B", None)
             if a and b:
                 self.met.append((phase, node))
                 if self.config.mode is CollisionMode.BOUNCE:
@@ -369,46 +355,44 @@ class _Run:
             elif b:
                 self.emit(node, "O1", b[0], phase)
         elif kind is _SCALPEL:
-            for marble in self.take(node, "in"):
+            for marble in ports.pop("in", ()):
                 half = self.mass(marble) / 2
                 self.emit_new(node, "out1", half, phase)
                 self.emit_new(node, "out2", half, phase)
+        elif kind is _HOLD:
+            for marble in ports.pop("in", ()):
+                self.emit(node, "out", marble, phase)
+        elif kind is _INPUT or kind is _CONST:
+            self.emit_new(node, "out", _UNIT, phase)
         elif kind is _SYRINGE:
             if node not in self.syringe_sensed:
                 self.emit_new(node, "out", _UNIT, phase)
         elif kind is _TAP:
-            for marble in self.take(node, "in"):
+            for marble in ports.pop("in", ()):
                 self.emit(node, "out", marble, phase)
                 self.emit_new(node, "copy", _UNIT, phase)
-        elif kind is _HOLD:
-            for marble in self.take(node, "in"):
-                self.emit(node, "out", marble, phase)
-        elif kind is _JOIN:
-            # Arrivals are sorted when placed, so port order does not show.
-            for marbles in self.held.pop(node, {}).values():
-                for marble in marbles:
-                    self.emit(node, "out", marble, phase)
+        if ports:
+            self.stuck.update([(node, port) for port in ports])
 
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:
         last_phase = self.circuit.max_phase + 2
-        arrivals, agenda = self.arrivals, self.agenda
+        arrivals, due = self.arrivals, self.due
         place_arrivals, fire = self.place_arrivals, self.fire
         # Most phases have nothing to place and nothing to fire.
         for phase in range(last_phase + 1):
             batch = arrivals.pop(phase, None)
             if batch:
                 place_arrivals(phase, batch)
-            due = agenda.pop(phase, None)
-            if due:
-                for node in sorted(due) if len(due) > 1 else due:
-                    fire(node, phase)
+            nodes = due.pop(phase, None)
+            if nodes:
+                for node in sorted(nodes) if len(nodes) > 1 else nodes:
+                    fire(node, phase, nodes[node])
         if arrivals:
             raise SimulationError("marbles still in flight after the final "
                                   "phase")
-        if self.held:
+        if self.stuck:
             parked = ", ".join(f"{node}.{port}"
-                               for node, ports in sorted(self.held.items())
-                               for port in sorted(ports))
+                               for node, port in sorted(self.stuck))
             raise SimulationError("marbles still parked after the final "
                                   f"phase at {parked}")
         reached = {node for node, _ in self.final.values()}

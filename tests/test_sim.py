@@ -4,6 +4,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from marblesim import (Channel, Circuit, CollisionMode, NodeDecl, NodeKind,
                        SimConfig, SimulationError, TimingViolationError,
@@ -22,6 +24,16 @@ def circuit_for(name):
 def all_vectors(n):
     return [tuple((value >> (n - 1 - k)) & 1 for k in range(n))
             for value in range(2 ** n)]
+
+
+# Masses as a run makes them: the unit marble itself, unit masses that are
+# other objects, halvings and merges of those, and a non-dyadic mass that
+# no netlist makes but a sum must still get right.
+MASSES = st.recursive(
+    st.sampled_from([sim._UNIT, Fraction(1), Fraction(2, 2), Fraction(1, 3)]),
+    lambda masses: st.one_of(
+        masses.map(lambda mass: mass / 2),
+        st.tuples(masses, masses).map(lambda pair: pair[0] + pair[1])))
 
 
 class TestAndGate:
@@ -274,7 +286,22 @@ class TestEndOfRun:
         with pytest.raises(SimulationError, match=(
                 "^marbles still parked after the final phase at H.bogus$")):
             simulate(hold, (1, 1), BOUNCE)
-        for circuit, bits in ((const, (0,)), (hold, (1, 0))):
+        # A junction fires in the phase its marbles arrive and reads A and
+        # B only.
+        junction = Circuit(
+            "bogus_junction_port", ("a", "b"), ("y",),
+            {"a": NodeDecl("a", NodeKind.INPUT),
+             "b": NodeDecl("b", NodeKind.INPUT),
+             "J": NodeDecl("J", NodeKind.JUNCTION),
+             "y": NodeDecl("y", NodeKind.OUTPUT)},
+            (Channel("a", "out", "J", "A"), Channel("b", "out", "J", "bogus"),
+             Channel("J", "O5", "y", "in")),
+            {"a": 0, "b": 0, "J": 1, "y": 2})
+        with pytest.raises(SimulationError, match=(
+                "^marbles still parked after the final phase at J.bogus$")):
+            simulate(junction, (1, 1), BOUNCE)
+        for circuit, bits in ((const, (0,)), (hold, (1, 0)),
+                              (junction, (1, 0))):
             outputs, _, ledger = simulate(circuit, bits, BOUNCE)
             assert outputs == (1,) and ledger.balanced
 
@@ -485,6 +512,13 @@ connect J2.O5 -> W.in
                 len(waste), total(waste))
             assert ledger.injected == 0 and ledger.injected_mass == 0
         assert ledger.output_mass == ledger.waste_mass == Fraction(3, 2)
+
+    @given(st.lists(MASSES, max_size=40))
+    @example([])
+    def test_total_adds_exactly(self, masses):
+        total = sim._total(masses)
+        assert type(total) is Fraction
+        assert total == sum(masses, Fraction(0))
 
     def test_format_trace_is_stable(self, fixtures):
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
