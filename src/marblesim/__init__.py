@@ -9,7 +9,8 @@ Typical use::
         circuit, (1, 0), SimConfig(mode=CollisionMode.BOUNCE))
 
 The per-kind node records live in :mod:`marblesim.primitives`; what each
-kind does to marbles is stated in :mod:`marblesim.sim`.
+kind does to marbles is stated in :mod:`marblesim.sim`, and to the
+presence masks of a truth table in :mod:`marblesim.analysis`.
 """
 
 from .analysis import (GateReport, TruthTable, check_conservative,

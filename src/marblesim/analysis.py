@@ -3,20 +3,20 @@
 A truth table is evaluated bit-parallel: each channel carries presence
 masks over every input vector at once (bit v is set when a marble is there
 under vector v, and a second mask says two or more), and the nodes fire in
-phase order by the per-kind rule in :mod:`marblesim.primitives`.  That is
+phase order by the per-kind rule ``_presence_route``.  That is
 parallel-pattern logic simulation (Waicukauski et al., "Fault Simulation
 for Structured VLSI", 1985).  The simulator stays the oracle: a circuit
-whose marbles do not all arrive on schedule is tabulated one simulated
-vector at a time, and where two marbles can reach a single-occupancy port
-the lowest such vector is simulated, so the error raised is the
-simulator's own.  The input count is capped at 16, so this is meant for
-gate-sized circuits.
+whose marbles do not all arrive on schedule, or one built in code with
+wiring ``validate`` refuses, is tabulated one simulated vector at a time,
+and where two marbles can reach a single-occupancy port the lowest such
+vector is simulated, so the error raised is the simulator's own.  The
+input count is capped at 16, so this is meant for gate-sized circuits.
 
 The pass is compiled once per circuit and evaluated on every table:
-``Circuit._mask_order``, built on the first table and kept with the
-circuit, numbers a slot per channel and lists the nodes in phase order
-with the slots each reads and fills, or is None when the simulator must
-tabulate.  That is compiled-code simulation (Barzilai et al., "HSS -- A
+``_compile`` gives channel i slot i and lists the nodes in phase order
+with the slots each reads and fills, or None when the simulator must
+tabulate, and ``Circuit._mask_order`` keeps that from the first table
+on.  That is compiled-code simulation (Barzilai et al., "HSS -- A
 High-Speed Simulator", 1987).  Input vectors depend on the input count
 alone and are kept per width, not per circuit (``_input_vectors``): each
 table pairs them with its outputs.  Where a circuit has no more outputs
@@ -47,10 +47,11 @@ from typing import NamedTuple
 
 from .errors import MarblesimError
 from .gates import boolean_spec, get_macro
-from .netlist import Circuit, Diagnostic, _skewed_junctions, elaborate
+from .netlist import (Circuit, Diagnostic, _off_schedule, _skewed_junctions,
+                      elaborate)
 from .physics import CollisionMode
-from .primitives import (_CONST, _JUNCTION, _SCALPEL, _SYRINGE, _TAP,
-                         _Presence, _presence_route)
+from .primitives import (_CONST, _INPUT, _JOIN, _JUNCTION, _OUTPUT, _SCALPEL,
+                         _SYRINGE, _TAP, _WASTE, NodeKind)
 from .sim import Ledger, SimConfig, simulate
 
 __all__ = [
@@ -66,7 +67,8 @@ __all__ = [
     "verify_gate",
 ]
 
-_MODES = (CollisionMode.BOUNCE, CollisionMode.MERGE)
+_BOUNCE = CollisionMode.BOUNCE
+_MODES = (_BOUNCE, CollisionMode.MERGE)
 
 # The most inputs a table enumerates: 2**16 rows.
 _MAX_INPUTS = 16
@@ -110,6 +112,113 @@ def _input_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product((0, 1), repeat=n))
 
 
+# What a channel holds over many input vectors at once: bit v of ``one``
+# is set when at least one marble is on it under vector v, bit v of
+# ``two`` when at least two are.
+_Presence = tuple[int, int]
+
+
+def _compile(circuit: Circuit) -> tuple | None:
+    """The circuit as the mask pass reads it, kept by the circuit as
+    ``Circuit._mask_order``, in numbered slots that each hold one
+    presence pair: channel i of ``channels`` fills slot i.  A plain tuple,
+    since a NamedTuple class would add import time to every command, of
+
+    - the nodes with out ports in phase order, circuit inputs left out:
+      each one's kind, the slots it reads (``kind.ins`` order, a join's
+      channels in channel order) and the slots it fills;
+    - the slot each circuit input fills;
+    - the slot each circuit output reads;
+    - the slots of the channels into waste nodes.
+
+    Nothing in it grows with 2**n: input vectors are kept per width.
+
+    None unless, as in any elaborated circuit on schedule, the pass can
+    read every marble at its node's phase: the circuit's inputs are
+    distinct input nodes and its outputs output nodes; each in port a node
+    reads has exactly one channel (a waste node's any number); each out
+    port of a node that fires has exactly one; no channel enters a port
+    its kind never reads; and ``_off_schedule`` finds no channel.  The
+    simulator tabulates anything else.
+    """
+    kinds, channels, phases = circuit._kinds, circuit.channels, circuit.phases
+    inputs, outputs = circuit.inputs, circuit.outputs
+    if (len(set(inputs)) < len(inputs)
+            or any(kinds.get(name) is not _INPUT for name in inputs)
+            or any(kinds.get(name) is not _OUTPUT for name in outputs)):
+        return None
+    into: dict[tuple[str, str], int] = {}
+    leaving: dict[tuple[str, str], int] = {}
+    joins: dict[str, list[int]] = {}
+    wastes = []
+    for slot, (src, src_port, dst, port, _) in enumerate(channels):
+        kind = kinds[dst]
+        if ((src, src_port) in leaving
+                or port not in kind.ins and kind is not _JOIN):
+            return None
+        leaving[src, src_port] = slot
+        if kind is _WASTE:
+            wastes.append(slot)
+            continue
+        if (dst, port) in into:
+            return None
+        into[dst, port] = slot
+        if kind is _JOIN:
+            joins.setdefault(dst, []).append(slot)
+    if next(_off_schedule(circuit.nodes, channels, phases), None) is not None:
+        return None
+    firing = [name for name, kind in kinds.items()
+              if kind.outs and kind is not _INPUT]
+    steps = []
+    try:
+        for name in sorted(firing, key=phases.__getitem__):
+            kind = kinds[name]
+            ins = (joins.get(name, ()) if kind is _JOIN else
+                   [into[name, port] for port in kind.ins])
+            steps.append((kind, tuple(ins),
+                          tuple([leaving[name, port] for port in kind.outs])))
+        return (tuple(steps), tuple([leaving[name, "out"] for name in inputs]),
+                tuple([into[name, "in"] for name in outputs]), tuple(wastes))
+    except KeyError:  # a port that a node reads or fills has no channel
+        return None
+
+
+def _presence_route(kind: NodeKind, ins: list[_Presence],
+                    mode: CollisionMode, full: int) -> tuple[_Presence, ...]:
+    """Route one firing of ``kind`` over presence masks: one pair per port
+    of ``kind.outs``, from one pair per in port (``kind.ins`` order; a
+    join's in ports in any order).  ``full`` has every vector's bit set.
+
+    This is the simulator's node behaviour for a circuit whose marbles
+    all arrive on schedule.  A junction crosses lone marbles and sends a
+    collision to O2 and O4 (bounce) or O3 (merge); a syringe injects where
+    nothing arrived; a const always injects; scalpel, tap and hold copy
+    their input to every out port; a join funnels its inputs, so it is the
+    one kind that can put two marbles on a channel.  Inputs and sinks
+    never fire here: the pass sets inputs from the vectors and reads what
+    reaches a sink from its channel.  Two marbles on a single-occupancy
+    port are contention, which the caller checks.
+    """
+    if kind is _JUNCTION:
+        (a, _), (b, _) = ins
+        both = a & b
+        bounce = both if mode is _BOUNCE else 0
+        return ((b & ~a, 0), (bounce, 0), (both ^ bounce, 0), (bounce, 0),
+                (a & ~b, 0))
+    if kind is _SYRINGE:
+        return ((full ^ ins[0][0], 0),)
+    if kind is _CONST:
+        return ((full, 0),)
+    if kind is _JOIN:
+        one = two = 0
+        for in_one, in_two in ins:
+            two |= in_two | (one & in_one)
+            one |= in_one
+        return ((one, two),)
+    # Scalpel, tap and hold.
+    return (ins[0],) * len(kind.outs)
+
+
 def _count(planes: list[int], mask: int) -> None:
     """Add one, in every vector of ``mask``, to the bit-sliced counter
     ``planes``: plane i holds binary digit i of every vector's count."""
@@ -129,26 +238,24 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     and the simulator has to tabulate it vector by vector.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
-    marbles on a single-occupancy port, or a marble on an out port with
-    no channel, the lowest such vector is simulated, which raises the
-    simulator's error for it.
+    marbles on a single-occupancy port, the lowest such vector is
+    simulated, which raises the simulator's error for it.
     """
     order = circuit._mask_order
     if order is None:
         return None
-    steps, inputs, outputs, _, open_slots, size = order
+    steps, inputs, outputs, _ = order
     count = 1 << n
     full = (1 << count) - 1
-    slots = [(0, 0)] * size
+    slots = [(0, 0)] * len(circuit.channels)
     for k, slot in enumerate(inputs):
-        if slot is not None:
-            # Runs of ``span`` vectors without the input, then ``span``
-            # with, doubled until they cover every vector.
-            span = 1 << (n - 1 - k)
-            mask = ((1 << span) - 1) << span
-            while (span := 2 * span) < count:
-                mask |= mask << span
-            slots[slot] = (mask, 0)
+        # Runs of ``span`` vectors without the input, then ``span`` with,
+        # doubled until they cover every vector.
+        span = 1 << (n - 1 - k)
+        mask = ((1 << span) - 1) << span
+        while (span := 2 * span) < count:
+            mask |= mask << span
+        slots[slot] = (mask, 0)
     flagged = 0
     for kind, ins, outs in steps:
         got = [slots[slot] for slot in ins]
@@ -157,8 +264,6 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
                 flagged |= two
         for slot, mask in zip(outs, _presence_route(kind, got, mode, full)):
             slots[slot] = mask
-    for slot in open_slots:
-        flagged |= slots[slot][0]
     vectors = _input_vectors(n)
     if flagged:
         first = (flagged & -flagged).bit_length() - 1
@@ -209,7 +314,7 @@ def _spoiled(circuit: Circuit, slots: list[_Presence]) -> int:
     it merged; both are counted per vector.  A syringe spoils every run:
     it either injects or swallows into its pocket.
     """
-    steps, _, _, wastes, _, _ = circuit._mask_order
+    steps, _, _, wastes = circuit._mask_order
     spoiled = 0
     cuts: list[int] = []
     merges: list[int] = []
@@ -235,8 +340,9 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
 
     One bit-parallel pass over presence masks gives every row when all
     marbles arrive on schedule, which balanced elaboration ensures.
-    Otherwise (``insert_holds=False`` can leave a junction input early)
-    every vector is simulated.  Where two marbles can reach a
+    Otherwise (``insert_holds=False`` can leave a junction input early),
+    or where ``_compile`` refuses a circuit built in code, every vector
+    is simulated.  Where two marbles can reach a
     single-occupancy port, the lowest such vector is simulated and raises
     the simulator's ``SimulationError``.
     """

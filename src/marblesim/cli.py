@@ -123,7 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     mode = _resolve_mode(args.mode, args.physics)
     circuit = _load_circuit(args.file, insert_holds=not args.no_repair)
     try:
-        bits = tuple(int(ch) for ch in args.inputs)
+        bits = tuple(["01".index(ch) for ch in args.inputs])
     except ValueError:
         raise MarblesimError(f"--inputs must be 0s and 1s, "
                              f"got {args.inputs!r}") from None

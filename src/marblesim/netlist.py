@@ -210,9 +210,11 @@ class Circuit:
 
     The tables a run reads (``max_phase``, the channel leaving each out
     port, each node's kind and the nodes that start on their own) are built
-    once, at construction, and the mask pass's order on the circuit's first
-    truth table.  Its fields cannot be rebound, but an edit of ``nodes`` or
-    ``phases`` in place leaves those tables stale, so mutate no ``Circuit``.
+    once, at construction.  ``_mask_order`` keeps what
+    :mod:`marblesim.analysis` compiles for the truth table's mask pass,
+    built on the circuit's first table.  Its fields cannot be rebound, but
+    an edit of ``nodes`` or ``phases`` in place leaves those tables stale,
+    so mutate no ``Circuit``.
     """
 
     name: str
@@ -239,77 +241,10 @@ class Circuit:
 
     @cached_property
     def _mask_order(self) -> tuple | None:
-        """The circuit as the truth table's mask pass reads it, built on
-        first use and outside equality, in numbered slots that each hold
-        one presence pair: slot 0 holds nothing, channel i of ``channels``
-        fills slot i + 1 and each out port with no channel a slot after
-        those.  A plain tuple, since a NamedTuple class would add import
-        time to every command, of
-
-        - the nodes with out ports in phase order, circuit inputs left
-          out: each one's kind, the slots it reads (``kind.ins`` order, a
-          join's channels in channel order) and the slots it fills;
-        - the slot each circuit input fills (None if it is no input node);
-        - the slot each circuit output reads;
-        - the slots of the channels into waste nodes;
-        - the slots of the out ports with no channel;
-        - the number of slots.
-
-        Nothing in it grows with 2**n: input vectors are kept per width.
-
-        None when the pass cannot read every marble at its node's phase:
-        a channel is off schedule by ``_off_schedule``, enters a port its
-        kind never reads (the pass reads a hold's ``in``, not its ``x``)
-        or shares an in port other than a waste node's.
-        """
-        kinds, channels, phases = self._kinds, self.channels, self.phases
-        into: dict[tuple[str, str], int] = {}
-        joins: dict[str, list[int]] = {}
-        wastes = []
-        # The slot each out port fills: its channel's, the last one if a
-        # hand-built circuit has two, as ``_out`` keeps.
-        leaving: dict[tuple[str, str], int] = {}
-        for slot, (src, src_port, dst, port, _) in enumerate(channels, 1):
-            key = dst, port
-            kind = kinds[dst]
-            if kind.ins and port not in kind.ins:
-                return None
-            leaving[src, src_port] = slot
-            if kind is _WASTE:
-                wastes.append(slot)
-                continue
-            if key in into:
-                return None
-            into[key] = slot
-            if kind is _JOIN:
-                joins.setdefault(dst, []).append(slot)
-        if next(_off_schedule(self.nodes, channels, phases), None) is not None:
-            return None
-        size = len(channels) + 1
-        open_slots = []
-        steps = []
-        input_slots = {}
-        firing = [name for name, kind in kinds.items() if kind.outs]
-        for name in sorted(firing, key=phases.__getitem__):
-            kind = kinds[name]
-            outs = []
-            for port in kind.outs:
-                slot = leaving.get((name, port))
-                if slot is None:
-                    slot = size
-                    size += 1
-                    open_slots.append(slot)
-                outs.append(slot)
-            if kind is _INPUT:
-                input_slots[name] = outs[0]
-                continue
-            ins = (joins.get(name, ()) if kind is _JOIN else
-                   [into.get((name, port), 0) for port in kind.ins])
-            steps.append((kind, tuple(ins), tuple(outs)))
-        return (tuple(steps),
-                tuple(input_slots.get(name) for name in self.inputs),
-                tuple(into.get((name, "in"), 0) for name in self.outputs),
-                tuple(wastes), tuple(open_slots), size)
+        """The truth table's mask pass order, ``analysis._compile``'s,
+        built on the circuit's first table and kept outside equality."""
+        from .analysis import _compile
+        return _compile(self)
 
 
 def _split_statement(raw: str) -> str:

@@ -14,7 +14,7 @@ from marblesim import (Channel, Circuit, CollisionMode, MarblesimError,
                        circuit_to_ast, elaborate, get_macro, library, parse,
                        physically_conservative, print_canonical, simulate,
                        timing_lint, truth_table, validate, verify_gate)
-from marblesim import analysis
+from marblesim import analysis, netlist
 from marblesim.analysis import format_report, format_table
 
 
@@ -205,38 +205,74 @@ class TestBitParallelTable:
         # Only the lowest contending vector, once per mode.
         assert len(simulations) == 2
 
-    @pytest.mark.parametrize("channels, phases", [
+    @pytest.mark.parametrize("channels, phases, inputs, outputs", [
         # The hold releases at phase 0, before a's marble reaches it.
         ((("a", "out", "H", "in"), ("H", "out", "y", "in")),
-         {"a": 0, "H": 0, "y": 1}),
+         {"a": 0, "H": 0, "y": 1}, ("a",), ("y",)),
         # Two channels into one port.
         ((("a", "out", "H", "in"), ("b", "out", "H", "in"),
           ("H", "out", "y", "in")),
-         {"a": 0, "b": 0, "H": 1, "y": 2}),
+         {"a": 0, "b": 0, "H": 1, "y": 2}, ("a", "b"), ("y",)),
         # A tap's copy has no channel to leave on.
         ((("a", "out", "T", "in"), ("T", "out", "y", "in")),
-         {"a": 0, "T": 1, "y": 2}),
+         {"a": 0, "T": 1, "y": 2}, ("a",), ("y",)),
         # Channels into ports their kinds never read: the simulator parks
         # a's marble at H.x, a syringe injects although a marble reached
         # S.x, and an output counts a marble on y.x.
         ((("a", "out", "H", "x"), ("H", "out", "y", "in")),
-         {"a": 0, "H": 1, "y": 2}),
+         {"a": 0, "H": 1, "y": 2}, ("a",), ("y",)),
         ((("a", "out", "S", "x"), ("S", "out", "y", "in")),
-         {"a": 0, "S": 1, "y": 2}),
-        ((("a", "out", "y", "x"),), {"a": 0, "y": 1}),
+         {"a": 0, "S": 1, "y": 2}, ("a",), ("y",)),
+        ((("a", "out", "y", "x"),), {"a": 0, "y": 1}, ("a",), ("y",)),
+        # An output that names a hold, which a's marble only passes.
+        ((("a", "out", "H", "in"), ("H", "out", "y", "in")),
+         {"a": 0, "H": 1, "y": 2}, ("a",), ("H",)),
+        # An output that names the waste node a's marble ends in.
+        ((("a", "out", "W", "in"),), {"a": 0, "W": 1}, ("a",), ("W",)),
+        # An input that names a hold, which fires with nothing to release.
+        ((("H", "out", "y", "in"),), {"H": 0, "y": 1}, ("H",), ("y",)),
+        # A hold that is never fed.
+        ((("a", "out", "W", "in"), ("H", "out", "W", "in"),
+          ("b", "out", "y", "in")),
+         {"a": 0, "b": 0, "H": 0, "W": 1, "y": 1}, ("a", "b"), ("y",)),
+        # Two channels from one out port: the simulator takes the last.
+        ((("a", "out", "y", "in"), ("a", "out", "z", "in")),
+         {"a": 0, "y": 1, "z": 1}, ("a",), ("y", "z")),
+        # One input named twice: its marble comes when either bit is set.
+        ((("a", "out", "y", "in"),), {"a": 0, "y": 1}, ("a", "a"), ("y",)),
+        # Marbles into an input node and into a const, which never read
+        # them, so the simulator leaves them parked.
+        ((("K", "out", "a", "in"), ("a", "out", "y", "in")),
+         {"K": 0, "a": 1, "y": 2}, ("a",), ("y",)),
+        ((("a", "out", "K", "in"), ("K", "out", "y", "in")),
+         {"a": 0, "K": 1, "y": 2}, ("a",), ("y",)),
     ])
     def test_hand_built_circuits_agree_with_simulation(self, channels,
-                                                       phases):
+                                                       phases, inputs,
+                                                       outputs):
+        # The mask pass takes none of these: each goes to the simulator.
         kinds = {"a": NodeKind.INPUT, "b": NodeKind.INPUT,
-                 "H": NodeKind.HOLD, "S": NodeKind.SYRINGE,
-                 "T": NodeKind.TAP, "y": NodeKind.OUTPUT}
+                 "H": NodeKind.HOLD, "K": NodeKind.CONST,
+                 "S": NodeKind.SYRINGE, "T": NodeKind.TAP,
+                 "W": NodeKind.WASTE, "y": NodeKind.OUTPUT,
+                 "z": NodeKind.OUTPUT}
         circuit = Circuit(
-            "hand", tuple(name for name in "ab" if name in phases), ("y",),
+            "hand", inputs, outputs,
             {name: NodeDecl(name, kinds[name]) for name in phases},
             tuple(Channel(*ends) for ends in channels), phases)
+        assert circuit._mask_order is None
         for mode in CollisionMode:
             assert (outcome(truth_table, circuit, mode)
                     == outcome(simulated_table, circuit, mode))
+
+    def test_only_off_schedule_circuits_are_simulated(self):
+        # Every circuit the differential run elaborates is wired as
+        # validate accepts it, so the pass refuses only a schedule miss.
+        for circuit in differential_circuits():
+            off = next(netlist._off_schedule(
+                circuit.nodes, circuit.channels, circuit.phases), None)
+            assert (circuit._mask_order is None) == (off is not None), (
+                circuit.name)
 
 
 def wire_network(width, stages, order):
@@ -490,15 +526,14 @@ class TestPhysicalVerdict:
         assert masked and fell_back and verdicts == {True, False}
 
     @pytest.mark.parametrize("inputs, outputs, kinds, channels, phases", [
-        # Two channels into one waste node: the hold is never fed, so the
-        # channel the pass reaches last carries nothing and only a's
-        # marble is wasted.
-        (("a", "b"), ("y",),
-         {"a": NodeKind.INPUT, "b": NodeKind.INPUT, "H": NodeKind.HOLD,
+        # Two channels into one waste node: a run is spoiled where either
+        # brings a marble.
+        (("a", "b", "c"), ("y",),
+         {"a": NodeKind.INPUT, "b": NodeKind.INPUT, "c": NodeKind.INPUT,
           "W": NodeKind.WASTE, "y": NodeKind.OUTPUT},
-         (("a", "out", "W", "in"), ("H", "out", "W", "in"),
-          ("b", "out", "y", "in")),
-         {"a": 0, "b": 0, "H": 0, "W": 1, "y": 1}),
+         (("a", "out", "W", "in"), ("b", "out", "W", "in"),
+          ("c", "out", "y", "in")),
+         {"a": 0, "b": 0, "c": 0, "W": 1, "y": 1}),
         # A tap injects only where its input is present.
         (("a",), ("y", "z"),
          {"a": NodeKind.INPUT, "T": NodeKind.TAP, "y": NodeKind.OUTPUT,

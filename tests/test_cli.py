@@ -118,7 +118,7 @@ class TestRun:
         assert err == golden_text(golden, "run_skew_strict.txt")
 
     def test_bad_inputs_rejected(self, capsys, fixtures):
-        for bad in ("2x", "1"):
+        for bad in ("2x", "1", "١١", "１0"):
             code, _, err = run_cli(
                 capsys, "run", str(fixtures / "and_gate.mnl"),
                 "--inputs", bad)

@@ -1,7 +1,8 @@
 import pytest
 
 from marblesim import CollisionMode, SimConfig, elaborate, parse, simulate
-from marblesim.primitives import NodeKind, _presence_route
+from marblesim.analysis import _presence_route
+from marblesim.primitives import NodeKind
 
 
 class TestPortTables:
