@@ -231,6 +231,21 @@ def _count(planes: list[int], mask: int) -> None:
         planes.append(mask)
 
 
+def _route(steps: tuple, slots: list, mode: CollisionMode, full):
+    """Fire ``steps`` over ``slots`` in place and return the contention
+    value: the vectors with two marbles on a single-occupancy port.  Any
+    type with ``& | ^ ~``, ``0`` and ``full`` can stand in for int masks."""
+    flagged = 0
+    for kind, ins, outs in steps:
+        got = [slots[slot] for slot in ins]
+        if kind.single:
+            for _, two in got:
+                flagged |= two
+        for slot, mask in zip(outs, _presence_route(kind, got, mode, full)):
+            slots[slot] = mask
+    return flagged
+
+
 def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
                    ) -> tuple[_Rows, list[_Presence]] | None:
     """Every row of the table from one pass over presence masks, with the
@@ -256,14 +271,7 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         while (span := 2 * span) < count:
             mask |= mask << span
         slots[slot] = (mask, 0)
-    flagged = 0
-    for kind, ins, outs in steps:
-        got = [slots[slot] for slot in ins]
-        if kind.single:
-            for _, two in got:
-                flagged |= two
-        for slot, mask in zip(outs, _presence_route(kind, got, mode, full)):
-            slots[slot] = mask
+    flagged = _route(steps, slots, mode, full)
     vectors = _input_vectors(n)
     if flagged:
         first = (flagged & -flagged).bit_length() - 1

@@ -28,6 +28,7 @@ one of these names.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import MarblesimError
@@ -405,18 +406,11 @@ _DEFS: dict[str, tuple[str, Callable, bool, bool]] = {
     "FULL_ADDER": (_FULL_ADDER, _spec_full_adder, False, False),
 }
 
-_LIBRARY: dict[str, GateMacro] | None = None
-
-
+@cache
 def library_map() -> dict[str, GateMacro]:
     """The built-in macros keyed by name (built once, cached)."""
-    global _LIBRARY
-    if _LIBRARY is None:
-        built: dict[str, GateMacro] = {}
-        for name, (source, spec_fn, rev, cons) in _DEFS.items():
-            built[name] = GateMacro(name, parse(source), spec_fn, rev, cons)
-        _LIBRARY = built
-    return _LIBRARY
+    return {name: GateMacro(name, parse(source), spec_fn, rev, cons)
+            for name, (source, spec_fn, rev, cons) in _DEFS.items()}
 
 
 def library() -> tuple[GateMacro, ...]:

@@ -14,14 +14,15 @@ routed on its own (the lone-marble crossing), which is exactly the
 misinterpretation an unbalanced circuit risks.  Such an arrival records a
 hazard diagnostic, or raises under ``strict_timing``.  Sensor+syringe nodes
 watch their input during their firing phase only: whatever arrives is
-diverted to an internal waste pocket, and a fresh unit marble is injected
-exactly when nothing arrived on time.  The nodes due in one phase fire in
-name order, which fixes the marble ids; a run reads the tables its
-``Circuit`` built at construction.  ``_Run.fire`` is the one place that
-says what each kind does to marbles; for the junction that is the table
-in :mod:`marblesim.primitives`: a lone A leaves on O5, a lone B on O1, and
-two marbles that meet bounce to O2 (A) and O4 (B) or merge into one new
-marble on O3 that carries both masses.
+diverted to an internal waste pocket, one that arrives on time also fills
+the syringe's ``in`` slot, and the firing injects a fresh unit marble
+exactly when that slot is empty.  The nodes due in one phase fire in name
+order, which fixes the marble ids and the (phase, junction) order of the
+collisions; a run reads the tables its ``Circuit`` built at construction.
+``_Run.fire`` is the one place that says what each kind does to marbles;
+for the junction that is the table in :mod:`marblesim.primitives`: a lone
+A leaves on O5, a lone B on O1, and two marbles that meet bounce to O2 (A)
+and O4 (B) or merge into one new marble on O3 that carries both masses.
 
 Traces list every marble placement as an ``Event``, a named tuple
 ``(phase, node, port, marble_id, mass)``: a creation event at the out port
@@ -30,10 +31,12 @@ marble therefore never appears at two places in the same phase, so the
 first four fields tell events apart and the trace is in plain tuple order.
 Events are recorded only when the trace is enabled, and kept during the
 run as plain tuples, which cost a fraction of an ``Event`` to build; the
-run sorts them once at its end and only then makes them ``Event``s.  The
-ledger is kept during the run either way, from where each marble was
-created and where it ended, and balances exactly: input mass plus injected
-mass equals output mass plus waste mass, in exact rationals.
+run sorts them once at its end and only then makes them ``Event``s.  A
+marble's creation is written once, by ``_Run.emit_new``, which also enters
+it in the final locations, so they come in marble-id order.  The ledger is
+kept either way, from where each marble was created and where it ended,
+and balances exactly: input mass plus injected mass equals output mass
+plus waste mass, in exact rationals.
 """
 
 from __future__ import annotations
@@ -112,8 +115,8 @@ class Trace(NamedTuple):
     met: tuple[tuple[int, str], ...]
 
     def collisions(self) -> tuple[tuple[int, str], ...]:
-        """(phase, junction) pairs where two marbles actually met."""
-        return tuple(sorted(self.met))
+        """(phase, junction) pairs where two marbles met, in that order."""
+        return self.met
 
 
 class SimConfig(NamedTuple):
@@ -188,13 +191,12 @@ def _ledger(created: _Origins, final: dict[int, tuple[str, str]],
             injected.append(mass)
             injections.append(InjectionRecord(marble_id, node, kind, phase,
                                               mass))
-
-    for marble_id, (node, port) in final.items():
-        role = kinds[node].role
+        end, port = final[marble_id]
+        role = kinds[end].role
         if role == "output":
-            outputs.append(created[marble_id][2])
+            outputs.append(mass)
         elif role == "waste" or port == "waste":
-            waste.append(created[marble_id][2])
+            waste.append(mass)
 
     return Ledger(len(inputs), len(injected), len(outputs), len(waste),
                   _total(inputs), _total(injected), _total(outputs),
@@ -236,6 +238,7 @@ class _Run:
         # A marble is its id, numbered from 1 in creation order; its mass
         # is kept here only.
         self.created: _Origins = {}
+        # Where each marble is, in id order: entered where it was made.
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
         self.met: list[tuple[int, str]] = []
@@ -247,17 +250,8 @@ class _Run:
         # The ports where a marble stays parked for good: it came after its
         # node fired, or its node's kind never reads that port.
         self.stuck: set[tuple[str, str]] = set()
-        self.syringe_sensed: set[str] = set()
         for name in chain(circuit._starts, compress(circuit.inputs, bits)):
             self.due.setdefault(self.phases[name], {})[name] = {}
-
-    def mass(self, marble: int) -> Fraction:
-        return self.created[marble][2]
-
-    def record(self, phase: int, node: str, port: str, marble: int) -> None:
-        if self.events is not None:
-            self.events.append((phase, node, port, marble,
-                                self.created[marble][2]))
 
     def emit(self, node: str, port: str, marble: int, phase: int) -> None:
         channel = self.out.get((node, port))
@@ -276,7 +270,9 @@ class _Run:
         ``node.port``."""
         marble = len(self.created) + 1
         self.created[marble] = (node, phase, mass)
-        self.record(phase, node, port, marble)
+        self.final[marble] = (node, port)
+        if self.events is not None:
+            self.events.append((phase, node, port, marble, mass))
         self.emit(node, port, marble, phase)
 
     def place_arrivals(self, phase: int,
@@ -307,9 +303,10 @@ class _Run:
                     self.hazards.append(hazard)
             if kind is _SYRINGE:
                 # Diverted into the syringe's internal waste pocket one
-                # phase later; sensed only when it arrived on schedule.
+                # phase later; sensed, in the ``in`` slot whatever port it
+                # came on, only when it arrived on schedule.
                 if phase == phases[node]:
-                    self.syringe_sensed.add(node)
+                    due[phase][node]["in"] = [marble]
                 if events is not None:
                     events.append((phase + 1, node, "waste", marble,
                                    created[marble][2]))
@@ -348,15 +345,15 @@ class _Run:
                     self.emit(node, "O2", a[0], phase)
                     self.emit(node, "O4", b[0], phase)
                 else:
-                    self.emit_new(node, "O3",
-                                  self.mass(a[0]) + self.mass(b[0]), phase)
+                    self.emit_new(node, "O3", self.created[a[0]][2]
+                                  + self.created[b[0]][2], phase)
             elif a:
                 self.emit(node, "O5", a[0], phase)
             elif b:
                 self.emit(node, "O1", b[0], phase)
         elif kind is _SCALPEL:
             for marble in ports.pop("in", ()):
-                half = self.mass(marble) / 2
+                half = self.created[marble][2] / 2
                 self.emit_new(node, "out1", half, phase)
                 self.emit_new(node, "out2", half, phase)
         elif kind is _HOLD:
@@ -365,7 +362,7 @@ class _Run:
         elif kind is _INPUT or kind is _CONST:
             self.emit_new(node, "out", _UNIT, phase)
         elif kind is _SYRINGE:
-            if node not in self.syringe_sensed:
+            if ports.pop("in", None) is None:
                 self.emit_new(node, "out", _UNIT, phase)
         elif kind is _TAP:
             for marble in ports.pop("in", ()):
@@ -399,7 +396,7 @@ class _Run:
         outputs = tuple(1 if name in reached else 0
                         for name in self.circuit.outputs)
         events = () if self.events is None else _as_events(self.events)
-        trace = Trace(events, dict(sorted(self.final.items())),
+        trace = Trace(events, self.final,
                       tuple(self.hazards), self.circuit, tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 

@@ -2,7 +2,9 @@
 compositions of library gates, and netlists of primitive nodes.  Every wire
 is used exactly once: an output port either feeds a later gate or node or
 becomes a circuit output (primitive netlists may also send it to a waste
-node), so the generated netlists are always well-formed."""
+node), so the generated netlists are always well-formed.  Each generator
+draws from the ``random.Random`` it is given, so hypothesis can hand it one
+whose draws it shrinks; the seed forms pass ``random.Random(seed)``."""
 
 from __future__ import annotations
 
@@ -15,7 +17,12 @@ MAX_DEPTH = 4
 
 
 def compose_source(seed: int) -> str:
-    rng = random.Random(seed)
+    return compose_from(random.Random(seed), f"rnd_{seed}")
+
+
+def compose_from(rng: random.Random, circuit_name: str) -> str:
+    """A random composition of library gates named ``circuit_name``, drawn
+    from ``rng``."""
     n_inputs = rng.randint(2, 4)
     inputs = [f"i{k}" for k in range(n_inputs)]
     available = list(inputs)
@@ -38,7 +45,7 @@ def compose_source(seed: int) -> str:
     outputs = [f"o{k}" for k in range(len(available))]
     connects.extend(f"connect {signal} -> {sink}"
                     for signal, sink in zip(available, outputs))
-    lines = [f"circuit rnd_{seed}",
+    lines = [f"circuit {circuit_name}",
              f"input {', '.join(inputs)}",
              f"output {', '.join(outputs)}"]
     return "\n".join(lines + decls + connects) + "\n"
@@ -70,12 +77,16 @@ MAX_OUTPUTS = 4
 
 
 def primitive_source(seed: int) -> str:
-    """A random well-formed netlist of primitive nodes: 1-8 inputs and up
-    to MAX_PRIMITIVES junctions, joins, taps, syringes, scalpels, holds and
+    return primitives_from(random.Random(seed), f"prim_{seed}")
+
+
+def primitives_from(rng: random.Random, circuit_name: str) -> str:
+    """A random well-formed netlist of primitive nodes named
+    ``circuit_name``, drawn from ``rng``: 1-8 inputs and up to
+    MAX_PRIMITIVES junctions, joins, taps, syringes, scalpels, holds and
     consts.  Joins can bring two marbles onto one channel in one phase, and
     junction feeds can differ in depth, so runs may fail with contention or
     show timing hazards unless elaboration inserts holds."""
-    rng = random.Random(seed)
     inputs = [f"i{k}" for k in range(rng.randint(1, 8))]
     signals = list(inputs)  # out endpoints not yet wired
     decls: list[str] = []
@@ -118,7 +129,7 @@ def primitive_source(seed: int) -> str:
                     for signal in signals[len(outputs):])
     if any(line.endswith(" -> W.in") for line in connects):
         decls.append("node W : waste")
-    lines = [f"circuit prim_{seed}",
+    lines = [f"circuit {circuit_name}",
              f"input {', '.join(inputs)}",
              f"output {', '.join(outputs)}"]
     return "\n".join(lines + decls + connects) + "\n"

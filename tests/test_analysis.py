@@ -601,6 +601,91 @@ class TestPhysicalVerdict:
                     report.name, mode)
 
 
+class _Vectors(frozenset):
+    """Presence as the set of vector numbers it holds, out of ``count``:
+    a stand-in for int masks that shares no arithmetic with them.  The
+    pass also meets the ints 0, no vector, and -1, every vector."""
+
+    count = 0
+
+    def _set(self, other):
+        if isinstance(other, frozenset):
+            return other
+        assert other in (0, -1)
+        return frozenset(range(self.count) if other else ())
+
+    def __and__(self, other):
+        return type(self)(frozenset.__and__(self, self._set(other)))
+
+    def __or__(self, other):
+        return type(self)(frozenset.__or__(self, self._set(other)))
+
+    def __xor__(self, other):
+        return type(self)(frozenset.__xor__(self, self._set(other)))
+
+    def __invert__(self):
+        return type(self)(frozenset(range(self.count)).difference(self))
+
+    __rand__, __ror__, __rxor__ = __and__, __or__, __xor__
+
+
+def routed(circuit, mode, presence):
+    """The slots and contention value of ``analysis._route`` over the
+    circuit, its inputs seeded as ``_presence_rows`` seeds them, in the
+    value type ``presence`` makes from a set of vector numbers."""
+    steps, inputs, _, _ = circuit._mask_order
+    n = len(circuit.inputs)
+    count = 1 << n
+    none = presence(frozenset())
+    slots = [(none, none)] * len(circuit.channels)
+    for k, slot in enumerate(inputs):
+        slots[slot] = (presence(frozenset(
+            [v for v in range(count) if v >> (n - 1 - k) & 1])), none)
+    flagged = analysis._route(steps, slots, mode,
+                              presence(frozenset(range(count))))
+    return slots, flagged
+
+
+def as_mask(value, count):
+    if isinstance(value, frozenset):
+        return sum(1 << v for v in value)
+    return (1 << count) - 1 if value == -1 else value
+
+
+class TestGenericRoute:
+    """The mask pass's loop takes any value type with the mask operators,
+    as a symbolic pass would use it; over sets of vector numbers it must
+    route exactly as over int masks."""
+
+    def route_both(self, circuit, mode):
+        count = 1 << len(circuit.inputs)
+        sets = type("Vectors", (_Vectors,), {"count": count})
+        slots, flagged = routed(circuit, mode, sets)
+        ints = routed(circuit, mode,
+                      lambda vectors: sum(1 << v for v in vectors))
+        converted = [(as_mask(one, count), as_mask(two, count))
+                     for one, two in slots]
+        return (converted, as_mask(flagged, count)), ints
+
+    def test_sets_route_as_int_masks(self):
+        circuits = [elaborate(macro.expansion) for macro in library()]
+        circuits += [twelve_wide()[0], tapped_twelve()[0]]
+        for circuit in circuits:
+            for mode in CollisionMode:
+                (slots, flagged), ints = self.route_both(circuit, mode)
+                assert (slots, flagged) == ints, (circuit.name, mode)
+                assert flagged == 0
+                assert slots == analysis._presence_rows(
+                    circuit, mode, len(circuit.inputs))[1]
+
+    def test_sets_find_the_same_contention(self):
+        circuit = elaborate(parse(composer.primitive_source(107)))
+        for mode in CollisionMode:
+            found, ints = self.route_both(circuit, mode)
+            assert found == ints
+            assert found[1]
+
+
 class TestTableProperties:
     def synthetic(self, n_in, n_out, mapping):
         rows = tuple((bits, mapping[bits]) for bits in sorted(mapping))

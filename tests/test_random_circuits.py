@@ -2,16 +2,19 @@
 Boolean function, and mass must balance exactly in every run.  Randomized
 primitive netlists: a run either fails with a simulation error or balances,
 and the untraced run agrees with the traced one.  Seeds are fixed so
-failures replay."""
+failures replay.  The property tests draw netlists from a ``Random`` that
+hypothesis controls, derandomized, so a failure replays and shrinks to a
+small netlist."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composer
-from marblesim import (CollisionMode, SimConfig, SimulationError,
-                       TimingViolationError, elaborate, parse, run_ledger,
-                       simulate, validate)
+from marblesim import (CollisionMode, MarblesimError, SimConfig,
+                       SimulationError, TimingViolationError, TruthTable,
+                       elaborate, parse, run_ledger, simulate, truth_table,
+                       validate)
 
 BOUNCE = SimConfig(mode=CollisionMode.BOUNCE, trace_enabled=False)
 MERGE = SimConfig(mode=CollisionMode.MERGE, trace_enabled=False)
@@ -78,6 +81,63 @@ def test_primitive_netlists_run_alike_traced_and_untraced(seed):
                             u_trace.hazards, u_ledger) == (
                         outputs, trace.final_locations, trace.hazards,
                         ledger)
+
+
+def drawn_circuits(rng):
+    """A primitive netlist and a gate composition drawn from ``rng``, each
+    elaborated with and without hold repair."""
+    for source in (composer.primitives_from(rng, "prim"),
+                   composer.compose_from(rng, "rnd")):
+        ast = parse(source)
+        for insert_holds in (True, False):
+            yield elaborate(ast, insert_holds=insert_holds)
+
+
+def outcome(function, *args):
+    """What ``function(*args)`` returns, or the class and text of the
+    error it raises."""
+    try:
+        return function(*args)
+    except MarblesimError as err:
+        return type(err), str(err)
+
+
+def observed(circuit, bits, config):
+    """Everything a run shows but its events, orders included."""
+    outputs, trace, ledger = simulate(circuit, bits, config)
+    return (outputs, list(trace.final_locations.items()), trace.hazards,
+            trace.collisions(), ledger)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_drawn_netlists_run_alike_traced_and_untraced(rng):
+    for circuit in drawn_circuits(rng):
+        for bits in composer.input_vectors(circuit, limit=8):
+            for mode in CollisionMode:
+                for strict in (False, True):
+                    traced = SimConfig(mode, strict)
+                    untraced = SimConfig(mode, strict, trace_enabled=False)
+                    assert (outcome(observed, circuit, bits, untraced)
+                            == outcome(observed, circuit, bits, traced))
+
+
+def simulated_rows(circuit, mode):
+    """One untraced simulation per vector, as ``truth_table`` orders
+    them; the first vector that fails raises."""
+    config = SimConfig(mode, trace_enabled=False)
+    return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
+                      tuple([(bits, simulate(circuit, bits, config)[0])
+                             for bits in composer.input_vectors(circuit)]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_drawn_netlists_tabulate_as_they_simulate(rng):
+    for circuit in drawn_circuits(rng):
+        for mode in CollisionMode:
+            assert (outcome(truth_table, circuit, mode)
+                    == outcome(simulated_rows, circuit, mode))
 
 
 def test_input_vectors_sample_circuits_wider_than_62_inputs():

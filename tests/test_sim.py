@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import composer
 from marblesim import (Channel, Circuit, CollisionMode, NodeDecl, NodeKind,
                        SimConfig, SimulationError, TimingViolationError,
                        elaborate, format_trace, get_macro, library, parse,
@@ -168,6 +169,51 @@ class TestSyringe:
         for bit in (0, 1):
             outputs, _, _ = simulate(circuit, (bit,), MERGE)
             assert outputs == (bit,)
+
+
+    # a -> S -> y built by hand with S fed early, late, and on time on a
+    # port other than ``in``: an early or late marble goes only to the
+    # pocket, so S injects; one on time is sensed whatever port it came on.
+    @pytest.mark.parametrize("port, phases, outputs, final, hazards, "
+                             "injected", [
+        ("in", {"a": 0, "S": 3, "y": 4}, (1,),
+         {1: ("S", "waste"), 2: ("y", "in")}, ((1, "S", "in", 1, 3),),
+         [(2, 3)]),
+        ("in", {"a": 2, "S": 1, "y": 2}, (1,),
+         {1: ("y", "in"), 2: ("S", "waste")}, ((3, "S", "in", 2, 1),),
+         [(1, 1)]),
+        ("x", {"a": 0, "S": 1, "y": 2}, (0,), {1: ("S", "waste")}, (), []),
+    ], ids=["early", "late", "on-time-at-x"])
+    def test_hand_built_arrivals(self, port, phases, outputs, final, hazards,
+                                 injected):
+        kinds = {"a": NodeKind.INPUT, "S": NodeKind.SYRINGE,
+                 "y": NodeKind.OUTPUT}
+        circuit = Circuit(
+            "hand", ("a",), ("y",),
+            {name: NodeDecl(name, kind) for name, kind in kinds.items()},
+            (Channel("a", "out", "S", port), Channel("S", "out", "y", "in")),
+            phases)
+        for mode in CollisionMode:
+            for traced in (True, False):
+                config = SimConfig(mode, trace_enabled=traced)
+                got, trace, ledger = simulate(circuit, (1,), config)
+                assert got == outputs
+                assert trace.final_locations == final
+                assert trace.hazards == hazards
+                assert [(record.marble_id, record.phase)
+                        for record in ledger.injections] == injected
+                assert ledger.balanced
+                got, trace, ledger = simulate(circuit, (0,), config)
+                assert got == (1,) and trace.hazards == ()
+                assert trace.final_locations == {1: ("y", "in")}
+                assert [(record.marble_id, record.phase)
+                        for record in ledger.injections] == [(1, phases["S"])]
+            strict = SimConfig(mode, strict_timing=True)
+            if hazards:
+                with pytest.raises(TimingViolationError):
+                    simulate(circuit, (1,), strict)
+            else:
+                assert simulate(circuit, (1,), strict)[0] == outputs
 
 
 class TestHazards:
@@ -527,6 +573,36 @@ connect J2.O5 -> W.in
             "0\ta\tout\t1\t1\n"
             "1\tJ\tA\t1\t1\n"
             "2\tW\tin\t1\t1")
+
+
+class TestOrders:
+    """Final locations come in marble-id order, and collisions in
+    (phase, junction) order, as the run makes them, traced or not."""
+
+    def runs(self):
+        for macro in library():
+            circuit = elaborate(macro.expansion)
+            for bits in all_vectors(len(circuit.inputs)):
+                yield circuit, bits
+        for seed in range(40):
+            circuit = composer.compose_circuit(seed)
+            for bits in composer.input_vectors(circuit):
+                yield circuit, bits
+
+    def test_final_locations_and_collisions_come_in_order(self):
+        shared = 0  # runs with two collisions in one phase
+        for circuit, bits in self.runs():
+            for mode in CollisionMode:
+                for traced in (True, False):
+                    _, trace, _ = simulate(
+                        circuit, bits, SimConfig(mode, trace_enabled=traced))
+                    marbles = list(trace.final_locations)
+                    assert marbles == sorted(marbles)
+                    collisions = trace.collisions()
+                    assert collisions == tuple(sorted(collisions))
+                    phases = [phase for phase, _ in collisions]
+                    shared += len(set(phases)) < len(phases)
+        assert shared
 
 
 class TestAdderMassFlow:
