@@ -170,7 +170,6 @@ class TestSyringe:
             outputs, _, _ = simulate(circuit, (bit,), MERGE)
             assert outputs == (bit,)
 
-
     # a -> S -> y built by hand with S fed early, late, and on time on a
     # port other than ``in``: an early or late marble goes only to the
     # pocket, so S injects; one on time is sensed whatever port it came on.
