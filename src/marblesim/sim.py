@@ -4,34 +4,34 @@ Marbles advance one channel per phase, and a node fires only when it has
 work.  Inputs carrying a 1, consts and sensor+syringes fire at their
 levelized phase; a node a marble reaches fires at its levelized phase if
 that phase has not yet passed.  A run keeps one schedule, from each phase
-to the nodes that fire then and the marbles parked for each firing: an
-arriving marble goes straight into the slot of the phase its node fires
-in, which is how electromagnet capture at holds, joins, scalpels and taps
-re-synchronizes paths of different depth.  Junctions are the exception:
-a junction fires in the phase a marble reaches it, so a marble that arrives
-at any phase other than the junction's own rolls straight through and is
-routed on its own (the lone-marble crossing), which is exactly the
-misinterpretation an unbalanced circuit risks.  Such an arrival records a
-hazard diagnostic, or raises under ``strict_timing``.  Sensor+syringe nodes
-watch their input during their firing phase only: whatever arrives is
-diverted to an internal waste pocket, one that arrives on time also fills
-the syringe's ``in`` slot, and the firing injects a fresh unit marble
-exactly when that slot is empty.  The nodes due in one phase fire in name
-order, which fixes the marble ids and the (phase, junction) order of the
-collisions; a run reads the tables its ``Circuit`` built at construction.
-``_Run.fire`` is the one place that says what each kind does to marbles;
-for the junction that is the table in :mod:`marblesim.primitives`: a lone
-A leaves on O5, a lone B on O1, and two marbles that meet bounce to O2 (A)
-and O4 (B) or merge into one new marble on O3 that carries both masses.
+to the nodes that fire then and the marbles parked for each firing.  A
+marble is placed as it is emitted, straight into the slot of the phase its
+node fires in, which is how electromagnet capture at holds, joins,
+scalpels and taps re-synchronizes paths of different depth.  Junctions are
+the exception: a junction fires in the phase a marble reaches it, so a
+marble that arrives off the junction's phase rolls straight through on its
+own (the lone-marble crossing), the misinterpretation an unbalanced
+circuit risks; it records a hazard, or is an error under
+``strict_timing``.  Sensor+syringe nodes watch their input during their
+firing phase only: whatever arrives is diverted to an internal waste
+pocket, one that arrives on time also fills the syringe's ``in`` slot, and
+the firing injects a fresh unit marble exactly when that slot is empty.
+The nodes due in one phase fire in name order, which fixes the marble ids
+and the (phase, junction) order of the collisions; hazards come in (phase,
+node, port, marble) order.  Of the errors met placing one phase's marbles,
+the run raises, once the phase before has fired, the one at the least
+(node, port), where a strict timing error, naming the lowest marble id,
+comes before contention.  ``_Run.fire`` is the one place that says what
+each kind does to marbles; for the junction that is the table in
+:mod:`marblesim.primitives`: a lone A leaves on O5, a lone B on O1, and
+two marbles that meet bounce to O2 (A) and O4 (B) or merge into one new
+marble on O3 that carries both masses.
 
 Traces list every marble placement as an ``Event``, a named tuple
 ``(phase, node, port, marble_id, mass)``: a creation event at the out port
 of the node that produced the marble, then one arrival event per hop.  A
-marble therefore never appears at two places in the same phase, so the
-first four fields tell events apart and the trace is in plain tuple order.
-Events are recorded only when the trace is enabled, and kept during the
-run as plain tuples, which cost a fraction of an ``Event`` to build; the
-run sorts them once at its end and only then makes them ``Event``s.  A
+marble never appears at two places in one phase, so the first four fields
+tell events apart, and a traced run sorts them once, at its end.  A
 marble's creation is written once, by ``_Run.emit_new``, which also enters
 it in the final locations, so they come in marble-id order.  The ledger is
 kept either way, from where each marble was created and where it ended,
@@ -231,8 +231,7 @@ class _Run:
         self.kinds = circuit._kinds
         self.out = circuit._out
         self.phases = circuit.phases
-        # A traced run's placements as plain (phase, node, port, marble,
-        # mass) tuples, made ``Event``s once at the end of the run.
+        # A traced run's placements, made ``Event``s at the end of the run.
         self.events: list[tuple[int, str, str, int, Fraction]] | None = (
             [] if config.trace_enabled else None)
         # A marble is its id, numbered from 1 in creation order; its mass
@@ -242,8 +241,12 @@ class _Run:
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
         self.met: list[tuple[int, str]] = []
-        # phase -> marbles reaching a port then, as (node, port, marble)
-        self.arrivals: dict[int, list[tuple[str, str, int]]] = {}
+        # A marble emitted in the last phase is in flight when the run ends.
+        self.last_phase = circuit.max_phase + 2
+        self.in_flight = False
+        # Single-occupancy ports reached next phase, and the errors met there.
+        self.placed: set[tuple[str, str]] = set()
+        self.faults: list[tuple[str, str, bool, int, str]] = []
         # phase -> node that fires then -> port -> marbles parked for that
         # firing, in arrival order
         self.due: dict[int, dict[str, dict[str, list[int]]]] = {}
@@ -254,73 +257,67 @@ class _Run:
             self.due.setdefault(self.phases[name], {})[name] = {}
 
     def emit(self, node: str, port: str, marble: int, phase: int) -> None:
+        """Send ``marble`` from ``node.port`` and place it a phase later."""
         channel = self.out.get((node, port))
         if channel is None:
             raise SimulationError(f"no channel leaves {node}.{port}")
-        arrival = (channel.dst, channel.dst_port, marble)
-        batch = self.arrivals.get(phase + 1)
-        if batch is None:
-            self.arrivals[phase + 1] = [arrival]
-        else:
-            batch.append(arrival)
+        phase += 1
+        if phase > self.last_phase:
+            self.in_flight = True
+            return
+        node = channel.dst
+        port = channel.dst_port
+        key = node, port
+        kind = self.kinds[node]
+        if kind.single:
+            if key in self.placed:
+                self.faults.append((node, port, True, 0,
+                                    f"two marbles reached {node}.{port} in "
+                                    f"phase {phase}"))
+            self.placed.add(key)
+        events = self.events
+        if events is not None:
+            events.append((phase, node, port, marble,
+                           self.created[marble][2]))
+        self.final[marble] = key
+        if kind is _JUNCTION or kind is _SYRINGE:
+            expected = self.phases[node]
+            if phase != expected:
+                hazard = Hazard(phase, node, port, marble, expected)
+                if self.config.strict_timing:
+                    self.faults.append((node, port, False, marble,
+                                        str(hazard)))
+                self.hazards.append(hazard)
+        if kind is _SYRINGE:
+            # Diverted into the syringe's internal waste pocket one phase
+            # later; sensed, in the ``in`` slot whatever port it came on,
+            # only when it arrived on schedule.
+            if phase == expected:
+                self.due[phase][node]["in"] = [marble]
+            if events is not None:
+                events.append((phase + 1, node, "waste", marble,
+                               self.created[marble][2]))
+            self.final[marble] = (node, "waste")
+        elif kind.outs:
+            # A sink keeps what reaches it; any other node parks the
+            # marble for the phase it fires in, a junction's being now,
+            # unless that phase has passed.
+            at = phase if kind is _JUNCTION else self.phases[node]
+            if phase > at:
+                self.stuck.add(key)
+            else:
+                self.due.setdefault(at, {}).setdefault(node, {}).setdefault(
+                    port, []).append(marble)
 
     def emit_new(self, node: str, port: str, mass: Fraction,
                  phase: int) -> None:
-        """Emit a new marble of ``mass`` that came into being at
-        ``node.port``."""
+        """Emit a new marble of ``mass``, made at ``node.port``."""
         marble = len(self.created) + 1
         self.created[marble] = (node, phase, mass)
         self.final[marble] = (node, port)
         if self.events is not None:
             self.events.append((phase, node, port, marble, mass))
         self.emit(node, port, marble, phase)
-
-    def place_arrivals(self, phase: int,
-                       batch: list[tuple[str, str, int]]) -> None:
-        kinds, phases, final = self.kinds, self.phases, self.final
-        due, events, created = self.due, self.events, self.created
-        placed: set[tuple[str, str]] = set()
-        if len(batch) > 1:
-            batch.sort()
-        for node, port, marble in batch:
-            kind = kinds[node]
-            key = node, port
-            if kind.single:
-                if key in placed:
-                    raise SimulationError(
-                        f"two marbles reached {node}.{port} in phase {phase}")
-                placed.add(key)
-            if events is not None:
-                events.append((phase, node, port, marble,
-                               created[marble][2]))
-            final[marble] = key
-            if kind is _JUNCTION or kind is _SYRINGE:
-                expected = phases[node]
-                if phase != expected:
-                    hazard = Hazard(phase, node, port, marble, expected)
-                    if self.config.strict_timing:
-                        raise TimingViolationError(str(hazard))
-                    self.hazards.append(hazard)
-            if kind is _SYRINGE:
-                # Diverted into the syringe's internal waste pocket one
-                # phase later; sensed, in the ``in`` slot whatever port it
-                # came on, only when it arrived on schedule.
-                if phase == phases[node]:
-                    due[phase][node]["in"] = [marble]
-                if events is not None:
-                    events.append((phase + 1, node, "waste", marble,
-                                   created[marble][2]))
-                final[marble] = (node, "waste")
-            elif kind.outs:
-                # A sink keeps what reaches it; any other node parks the
-                # marble for the phase it fires in, a junction's being now,
-                # unless that phase has passed.
-                at = phase if kind is _JUNCTION else phases[node]
-                if phase > at:
-                    self.stuck.add(key)
-                else:
-                    due.setdefault(at, {}).setdefault(node, {}).setdefault(
-                        port, []).append(marble)
 
     def fire(self, node: str, phase: int,
              ports: dict[str, list[int]]) -> None:
@@ -329,7 +326,9 @@ class _Run:
         ``Circuit``) stays parked, so the run fails at its end."""
         kind = self.kinds[node]
         if kind is _JOIN:
-            # Arrivals are sorted when placed, so port order does not show.
+            # Marbles leave in arrival order, which does not show: all
+            # reach one port in one phase and contend there, or reach a
+            # join or a sink, which keep no order that reaches the output.
             for marbles in ports.values():
                 for marble in marbles:
                     self.emit(node, "out", marble, phase)
@@ -372,19 +371,20 @@ class _Run:
             self.stuck.update([(node, port) for port in ports])
 
     def run(self) -> tuple[tuple[int, ...], Trace, Ledger]:
-        last_phase = self.circuit.max_phase + 2
-        arrivals, due = self.arrivals, self.due
-        place_arrivals, fire = self.place_arrivals, self.fire
-        # Most phases have nothing to place and nothing to fire.
-        for phase in range(last_phase + 1):
-            batch = arrivals.pop(phase, None)
-            if batch:
-                place_arrivals(phase, batch)
+        due, placed, faults = self.due, self.placed, self.faults
+        fire = self.fire
+        # Most phases have nothing to fire.
+        for phase in range(self.last_phase + 1):
             nodes = due.pop(phase, None)
             if nodes:
+                placed.clear()
                 for node in sorted(nodes) if len(nodes) > 1 else nodes:
                     fire(node, phase, nodes[node])
-        if arrivals:
+                if faults:
+                    *_, contended, _, text = min(faults)
+                    raise (SimulationError if contended
+                           else TimingViolationError)(text)
+        if self.in_flight:
             raise SimulationError("marbles still in flight after the final "
                                   "phase")
         if self.stuck:
@@ -396,8 +396,8 @@ class _Run:
         outputs = tuple(1 if name in reached else 0
                         for name in self.circuit.outputs)
         events = () if self.events is None else _as_events(self.events)
-        trace = Trace(events, self.final,
-                      tuple(self.hazards), self.circuit, tuple(self.met))
+        trace = Trace(events, self.final, tuple(sorted(self.hazards)),
+                      self.circuit, tuple(self.met))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 

@@ -1,10 +1,11 @@
 """Deterministic random netlists for equivalence and conservation checks:
-compositions of library gates, and netlists of primitive nodes.  Every wire
-is used exactly once: an output port either feeds a later gate or node or
-becomes a circuit output (primitive netlists may also send it to a waste
-node), so the generated netlists are always well-formed.  Each generator
-draws from the ``random.Random`` it is given, so hypothesis can hand it one
-whose draws it shrinks; the seed forms pass ``random.Random(seed)``."""
+compositions of library gates, netlists of primitive nodes, and netlists
+that mix the two.  Every wire is used exactly once: an output port either
+feeds a later gate or node or becomes a circuit output (primitive and mixed
+netlists may also send it to a waste node), so the generated netlists are
+always well-formed.  Each generator draws from the ``random.Random`` it is
+given, so hypothesis can hand it one whose draws it shrinks; the seed forms
+pass ``random.Random(seed)``."""
 
 from __future__ import annotations
 
@@ -87,6 +88,21 @@ def primitives_from(rng: random.Random, circuit_name: str) -> str:
     consts.  Joins can bring two marbles onto one channel in one phase, and
     junction feeds can differ in depth, so runs may fail with contention or
     show timing hazards unless elaboration inserts holds."""
+    return _parts_from(rng, circuit_name, PRIMITIVE_KINDS)
+
+
+def mixed_from(rng: random.Random, circuit_name: str) -> str:
+    """A random well-formed netlist like ``primitives_from``'s whose parts,
+    primitive nodes and library gates, are drawn from one pool, so
+    primitives sit between gate instances, where inlining, splicing and
+    hold repair meet."""
+    return _parts_from(rng, circuit_name, PRIMITIVE_KINDS + MACRO_NAMES)
+
+
+def _parts_from(rng: random.Random, circuit_name: str,
+                pool: tuple[NodeKind | str, ...]) -> str:
+    """A netlist of up to MAX_PRIMITIVES parts drawn from ``pool``: node
+    kinds, or the names of library gates."""
     inputs = [f"i{k}" for k in range(rng.randint(1, 8))]
     signals = list(inputs)  # out endpoints not yet wired
     decls: list[str] = []
@@ -98,24 +114,31 @@ def primitives_from(rng: random.Random, circuit_name: str) -> str:
         else:
             connects.append(f"connect {endpoint} -> W.in")
 
-    def in_ports(kind: NodeKind) -> tuple[str, ...]:
+    def in_ports(part: NodeKind | str) -> tuple[str, ...]:
         # A join takes two inputs, or sometimes a third.
-        return ("in1", "in2") if kind is NodeKind.JOIN else kind.ins
+        if isinstance(part, str):
+            return get_macro(part).inputs
+        return ("in1", "in2") if part is NodeKind.JOIN else part.ins
 
     for number in range(rng.randint(1, MAX_PRIMITIVES)):
-        kind = rng.choice([kind for kind in PRIMITIVE_KINDS
-                           if len(in_ports(kind)) <= len(signals)])
-        ports = in_ports(kind)
-        if kind is NodeKind.JOIN and len(signals) > 2 and rng.random() < 0.5:
+        part = rng.choice([part for part in pool
+                           if len(in_ports(part)) <= len(signals)])
+        ports = in_ports(part)
+        if part is NodeKind.JOIN and len(signals) > 2 and rng.random() < 0.5:
             ports += ("in3",)
         name = f"N{number}"
-        spec = (f"hold({rng.randint(1, 3)})" if kind is NodeKind.HOLD
-                else kind.value)
-        decls.append(f"node {name} : {spec}")
+        if isinstance(part, str):
+            decls.append(f"gate {name} : {part}")
+            outs = get_macro(part).outputs
+        else:
+            spec = (f"hold({rng.randint(1, 3)})" if part is NodeKind.HOLD
+                    else part.value)
+            decls.append(f"node {name} : {spec}")
+            outs = part.outs
         for port in ports:
             signal = signals.pop(rng.randrange(len(signals)))
             connects.append(f"connect {signal} -> {name}.{port}")
-        for port in kind.outs:
+        for port in outs:
             offer(f"{name}.{port}")
 
     if not signals:

@@ -51,6 +51,17 @@ class TestRun:
         assert code == 0
         assert out == golden_text(golden, "run_and_merge_records.txt")
 
+    def test_nested_merge_records_match_golden(self, capsys, fixtures,
+                                               golden):
+        # The nested full adder's run goes through an inserted hold, a
+        # join, a scalpel and a merge.
+        code, out, _ = run_cli(
+            capsys, "run", str(fixtures / "full_adder.mnl"),
+            "--inputs", "111", "--mode", "merge", "--trace",
+            "--format", "records")
+        assert code == 0
+        assert out == golden_text(golden, "run_full_adder_merge_records.txt")
+
     def test_output_is_deterministic(self, capsys, fixtures):
         args = ("run", str(fixtures / "full_adder.mnl"),
                 "--inputs", "111", "--mode", "merge", "--trace")

@@ -84,11 +84,14 @@ def test_primitive_netlists_run_alike_traced_and_untraced(seed):
 
 
 def drawn_circuits(rng):
-    """A primitive netlist and a gate composition drawn from ``rng``, each
-    elaborated with and without hold repair."""
+    """A primitive netlist, a gate composition and a netlist that mixes
+    primitives and gates, drawn from ``rng``, each elaborated with and
+    without hold repair."""
     for source in (composer.primitives_from(rng, "prim"),
-                   composer.compose_from(rng, "rnd")):
+                   composer.compose_from(rng, "rnd"),
+                   composer.mixed_from(rng, "mixed")):
         ast = parse(source)
+        assert validate(ast) == []
         for insert_holds in (True, False):
             yield elaborate(ast, insert_holds=insert_holds)
 
@@ -120,6 +123,33 @@ def test_drawn_netlists_run_alike_traced_and_untraced(rng):
                     untraced = SimConfig(mode, strict, trace_enabled=False)
                     assert (outcome(observed, circuit, bits, untraced)
                             == outcome(observed, circuit, bits, traced))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_strict_runs_fail_exactly_where_hazards_are_recorded(rng):
+    """Strict timing turns the first recorded hazard into the error and
+    changes nothing else."""
+    for source in (composer.primitives_from(rng, "prim"),
+                   composer.mixed_from(rng, "mixed")):
+        circuit = elaborate(parse(source), insert_holds=False)
+        for bits in composer.input_vectors(circuit, limit=8):
+            for mode in CollisionMode:
+                loose = SimConfig(mode, trace_enabled=False)
+                strict = SimConfig(mode, True, trace_enabled=False)
+                try:
+                    seen = observed(circuit, bits, loose)
+                except MarblesimError:
+                    with pytest.raises(MarblesimError):
+                        simulate(circuit, bits, strict)
+                    continue
+                hazards = seen[2]
+                if not hazards:
+                    assert observed(circuit, bits, strict) == seen
+                    continue
+                with pytest.raises(TimingViolationError) as error:
+                    simulate(circuit, bits, strict)
+                assert str(error.value) == str(hazards[0])
 
 
 def simulated_rows(circuit, mode):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given
@@ -349,6 +350,167 @@ class TestEndOfRun:
                               (junction, (1, 0))):
             outputs, _, ledger = simulate(circuit, bits, BOUNCE)
             assert outputs == (1,) and ledger.balanced
+
+
+def hand_built(kinds, wires, phases):
+    """A ``Circuit`` built by hand, never validated: ``kinds`` maps each
+    node to its kind, inputs and outputs in declaration order, and each
+    wire is a ``(src, src_port, dst, dst_port)`` channel."""
+    return Circuit(
+        "hand",
+        tuple(name for name, kind in kinds.items() if kind is NodeKind.INPUT),
+        tuple(name for name, kind in kinds.items()
+              if kind is NodeKind.OUTPUT),
+        {name: NodeDecl(name, kind) for name, kind in kinds.items()},
+        tuple(Channel(*wire) for wire in wires), phases)
+
+
+def every_config(strict=False):
+    for mode in CollisionMode:
+        for traced in (True, False):
+            yield SimConfig(mode, strict, traced)
+
+
+JUNCTION_OUTS = ("O1", "O2", "O3", "O4", "O5")
+
+
+class TestWhichError:
+    """Which error a failing run raises, and the order of its hazards, when
+    several marbles go wrong in one phase.  The nodes due in one phase fire
+    in name order, so each circuit emits its marbles in an order other
+    than the one the error and the hazards follow: the smallest
+    (node, port) first, and at one port a strict violation before
+    contention, naming the lowest marble id there."""
+
+    INPUT, HOLD, JUNCTION = NodeKind.INPUT, NodeKind.HOLD, NodeKind.JUNCTION
+    OUTPUT, WASTE = NodeKind.OUTPUT, NodeKind.WASTE
+
+    def test_two_contentions_name_the_smaller_port(self):
+        # a and b fire first and reach Y.in; c and d reach X.in.
+        circuit = hand_built(
+            {"a": self.INPUT, "b": self.INPUT, "c": self.INPUT,
+             "d": self.INPUT, "X": self.HOLD, "Y": self.HOLD,
+             "y": self.OUTPUT, "W": self.WASTE},
+            [("a", "out", "Y", "in"), ("b", "out", "Y", "in"),
+             ("c", "out", "X", "in"), ("d", "out", "X", "in"),
+             ("X", "out", "y", "in"), ("Y", "out", "W", "in")],
+            {"a": 0, "b": 0, "c": 0, "d": 0, "X": 1, "Y": 1, "y": 2, "W": 2})
+        for bits, port in (((1, 1, 1, 1), "X.in"), ((1, 1, 0, 1), "Y.in"),
+                           ((0, 1, 1, 1), "X.in")):
+            for config in chain(every_config(), every_config(strict=True)):
+                with pytest.raises(SimulationError, match=(
+                        f"^two marbles reached {port} in phase 1$")):
+                    simulate(circuit, bits, config)
+
+    def test_strict_error_names_the_lowest_id_at_the_port(self):
+        # Marble 2 is emitted first: b's marble waits in Y, which fires
+        # before Z, and both reach J.A off schedule in phase 2.
+        circuit = hand_built(
+            {"a": self.INPUT, "b": self.INPUT, "Y": self.HOLD,
+             "Z": self.HOLD, "J": self.JUNCTION, "y": self.OUTPUT,
+             "W": self.WASTE},
+            [("a", "out", "Z", "in"), ("b", "out", "Y", "in"),
+             ("Z", "out", "J", "A"), ("Y", "out", "J", "A"),
+             ("J", "O5", "y", "in"),
+             *[("J", port, "W", "in") for port in JUNCTION_OUTS[:4]]],
+            {"a": 0, "b": 0, "Y": 1, "Z": 1, "J": 5, "y": 6, "W": 6})
+        for config in every_config(strict=True):
+            with pytest.raises(TimingViolationError, match=(
+                    "^marble 1 reached J.A at phase 2; scheduled firing is "
+                    "phase 5$")):
+                simulate(circuit, (1, 1), config)
+        for config in every_config():
+            with pytest.raises(SimulationError, match=(
+                    "^two marbles reached J.A in phase 2$")):
+                simulate(circuit, (1, 1), config)
+
+    @pytest.mark.parametrize("junction, strict_wins", [("G", True),
+                                                       ("J", False)])
+    def test_the_smaller_port_decides_between_kinds(self, junction,
+                                                    strict_wins):
+        # a's marble reaches the junction off schedule in phase 1, before
+        # b's and c's contend at H.in.
+        circuit = hand_built(
+            {"a": self.INPUT, "b": self.INPUT, "c": self.INPUT,
+             "H": self.HOLD, junction: self.JUNCTION, "y": self.OUTPUT,
+             "W": self.WASTE},
+            [("a", "out", junction, "A"), ("b", "out", "H", "in"),
+             ("c", "out", "H", "in"), ("H", "out", "y", "in"),
+             *[(junction, port, "W", "in") for port in JUNCTION_OUTS]],
+            {"a": 0, "b": 0, "c": 0, "H": 3, junction: 5, "y": 6, "W": 6})
+        expected = (TimingViolationError,
+                    f"^marble 1 reached {junction}.A at phase 1; scheduled "
+                    "firing is phase 5$") if strict_wins else (
+                    SimulationError, "^two marbles reached H.in in phase 1$")
+        for config in every_config(strict=True):
+            with pytest.raises(expected[0], match=expected[1]):
+                simulate(circuit, (1, 1, 1), config)
+
+    def test_hazards_come_in_phase_node_port_marble_order(self):
+        # X, Y and Z fire in phase 1 and emit marbles 3, 2 and 1, in that
+        # order, onto K.A, J.B and J.A; K's marble then reaches H.A.
+        circuit = hand_built(
+            {"a": self.INPUT, "b": self.INPUT, "c": self.INPUT,
+             "X": self.HOLD, "Y": self.HOLD, "Z": self.HOLD,
+             "H": self.JUNCTION, "J": self.JUNCTION, "K": self.JUNCTION,
+             "y": self.OUTPUT, "W": self.WASTE},
+            [("a", "out", "Z", "in"), ("b", "out", "Y", "in"),
+             ("c", "out", "X", "in"), ("X", "out", "K", "A"),
+             ("Y", "out", "J", "B"), ("Z", "out", "J", "A"),
+             ("K", "O5", "H", "A"), ("H", "O5", "y", "in"),
+             *[(node, port, "W", "in") for node in "HJK"
+               for port in JUNCTION_OUTS if (node, port) not in
+               {("K", "O5"), ("H", "O5")}]],
+            {"a": 0, "b": 0, "c": 0, "X": 1, "Y": 1, "Z": 1, "H": 4,
+             "J": 4, "K": 4, "y": 5, "W": 5})
+        expected = ((2, "J", "A", 1, 4), (2, "J", "B", 2, 4),
+                    (2, "K", "A", 3, 4), (3, "H", "A", 3, 4))
+        for config in every_config():
+            outputs, trace, ledger = simulate(circuit, (1, 1, 1), config)
+            assert outputs == (1,) and ledger.balanced
+            assert trace.hazards == expected
+        for config in every_config(strict=True):
+            with pytest.raises(TimingViolationError, match=(
+                    "^marble 1 reached J.A at phase 2; scheduled firing is "
+                    "phase 4$")):
+                simulate(circuit, (1, 1, 1), config)
+
+    def test_no_channel_out_raises_at_once(self):
+        # a's and b's marbles would contend at H.in in phase 1, but c,
+        # which fires after them in phase 0, has nowhere to send its own.
+        circuit = hand_built(
+            {"a": self.INPUT, "b": self.INPUT, "c": self.INPUT,
+             "H": self.HOLD, "y": self.OUTPUT},
+            [("a", "out", "H", "in"), ("b", "out", "H", "in"),
+             ("H", "out", "y", "in")],
+            {"a": 0, "b": 0, "c": 0, "H": 1, "y": 2})
+        for config in chain(every_config(), every_config(strict=True)):
+            with pytest.raises(SimulationError,
+                               match="^no channel leaves c.out$"):
+                simulate(circuit, (1, 1, 1), config)
+            outputs, _, ledger = simulate(circuit, (1, 0, 0), config)
+            assert outputs == (1,) and ledger.balanced
+
+    def test_marble_in_flight_after_the_final_phase_raises(self):
+        # Every phase is 0, so the run ends after phase 2, and junctions
+        # fire in the phase a marble reaches them: a's marble is at J1 in
+        # phase 1, at J2 in phase 2 and on its way to J3.
+        circuit = hand_built(
+            {"a": self.INPUT, "J1": self.JUNCTION, "J2": self.JUNCTION,
+             "J3": self.JUNCTION, "y": self.OUTPUT},
+            [("a", "out", "J1", "A"), ("J1", "O5", "J2", "A"),
+             ("J2", "O5", "J3", "A"), ("J3", "O5", "y", "in")],
+            dict.fromkeys(("a", "J1", "J2", "J3", "y"), 0))
+        for config in every_config():
+            with pytest.raises(SimulationError, match=(
+                    "^marbles still in flight after the final phase$")):
+                simulate(circuit, (1,), config)
+            assert simulate(circuit, (0,), config)[0] == (0,)
+        for config in every_config(strict=True):
+            with pytest.raises(TimingViolationError, match=(
+                    "^marble 1 reached J1.A at phase 1; scheduled firing "
+                    "is phase 0$")):
+                simulate(circuit, (1,), config)
 
 
 class TestInputValidation:
