@@ -326,9 +326,9 @@ class _Run:
         ``Circuit``) stays parked, so the run fails at its end."""
         kind = self.kinds[node]
         if kind is _JOIN:
-            # Marbles leave in arrival order, which does not show: all
-            # reach one port in one phase and contend there, or reach a
-            # join or a sink, which keep no order that reaches the output.
+            # Marbles leave in arrival order, which does not show: all reach
+            # one port in one phase, contending there, or a join or a sink,
+            # which keep no order that reaches ids, events or outputs.
             for marbles in ports.values():
                 for marble in marbles:
                     self.emit(node, "out", marble, phase)

@@ -115,9 +115,9 @@ def _parts_from(rng: random.Random, circuit_name: str,
             connects.append(f"connect {endpoint} -> W.in")
 
     def in_ports(part: NodeKind | str) -> tuple[str, ...]:
-        # A join takes two inputs, or sometimes a third.
         if isinstance(part, str):
             return get_macro(part).inputs
+        # A join takes two inputs, or sometimes a third.
         return ("in1", "in2") if part is NodeKind.JOIN else part.ins
 
     for number in range(rng.randint(1, MAX_PRIMITIVES)):
