@@ -5,12 +5,12 @@ masks over every input vector at once (bit v is set when a marble is there
 under vector v, and a second mask says two or more), and the nodes fire in
 phase order by the per-kind rule ``_presence_route``.  That is
 parallel-pattern logic simulation (Waicukauski et al., "Fault Simulation
-for Structured VLSI", 1985).  The simulator stays the oracle: a circuit
-whose marbles do not all arrive on schedule, or one built in code with
-wiring ``validate`` refuses, is tabulated one simulated vector at a time,
-and where two marbles can reach a single-occupancy port the lowest such
-vector is simulated, so the error raised is the simulator's own.  The
-input count is capped at 16, so this is meant for gate-sized circuits.
+for Structured VLSI", 1985).  The simulator stays the oracle.  It
+tabulates, a vector at a time, exactly the circuits ``_compile`` refuses;
+where two marbles can reach a single-occupancy port it runs the lowest
+such vector, whose error is raised, and a clean run there is an error
+too: the pass and the simulator disagree.  The input count is capped at
+16, so this is meant for gate-sized circuits.
 
 The pass is compiled once per circuit and evaluated on every table:
 ``_compile`` gives channel i slot i and lists the nodes in phase order
@@ -39,7 +39,7 @@ the pass cannot take is an error: no simulated fallback judges it.
 
 from __future__ import annotations
 
-import sys
+import struct
 from functools import lru_cache
 from itertools import product, zip_longest
 from operator import itemgetter
@@ -95,10 +95,6 @@ class TruthTable(NamedTuple):
 
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-# Where the host keeps an unsigned short's low byte, at index 0 or 1: the
-# output codes of a table with no more outputs than its at most 16 inputs
-# are read as unsigned shorts (a memoryview cast to ``H``).
-_LOW_BYTE = int(sys.byteorder == "big")
 
 _Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -246,20 +242,21 @@ def _route(steps: tuple, slots: list, mode: CollisionMode, full):
     return flagged
 
 
-def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
+def _presence_rows(circuit: Circuit, mode: CollisionMode
                    ) -> tuple[_Rows, list[_Presence]] | None:
     """Every row of the table from one pass over presence masks, with the
-    slots as the pass left them, or None when the circuit is off schedule
-    and the simulator has to tabulate it vector by vector.
+    slots as the pass left them, or None when ``_compile`` refuses the
+    circuit and the simulator has to tabulate it vector by vector.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
     marbles on a single-occupancy port, the lowest such vector is
-    simulated, which raises the simulator's error for it.
+    simulated: its error is raised, and a clean run is an error too.
     """
     order = circuit._mask_order
     if order is None:
         return None
     steps, inputs, outputs, _ = order
+    n = len(inputs)
     count = 1 << n
     full = (1 << count) - 1
     slots = [(0, 0)] * len(circuit.channels)
@@ -274,12 +271,11 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
     flagged = _route(steps, slots, mode, full)
     vectors = _input_vectors(n)
     if flagged:
-        first = (flagged & -flagged).bit_length() - 1
-        simulate(circuit, vectors[first],
-                 SimConfig(mode=mode, trace_enabled=False))
-        # It raises unless the mask rule and the simulator disagree, in
-        # which case the simulator tabulates.
-        return None
+        bits = vectors[(flagged & -flagged).bit_length() - 1]
+        simulate(circuit, bits, SimConfig(mode=mode, trace_enabled=False))
+        raise MarblesimError(f"circuit {circuit.name!r}, mode {mode.value}, "
+                             f"inputs {''.join(map(str, bits))}: the mask "
+                             f"pass and the simulator disagree")
     # Each output's column holds one digit byte per vector, vector v at
     # byte count - 1 - v, so read as a big-endian int byte v is vector v's.
     columns = [format(slots[slot][0], f"0{count}b").encode()
@@ -292,18 +288,17 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode, n: int
         # Row v's outputs are the vector of their code, first output most
         # significant.  The columns, as ints, add byte by byte to each
         # code's low byte (the last eight outputs) or high byte (the
-        # others); interleaved in host byte order, the two read as
-        # unsigned shorts.
+        # others); interleaved, the two read as little-endian shorts.
         high = low = 0
         for column in columns[:-8]:
             high = high << 1 | int.from_bytes(column, "big")
         for column in columns[-8:]:
             low = low << 1 | int.from_bytes(column, "big")
         codes = bytearray(2 * count)
-        codes[_LOW_BYTE::2] = low.to_bytes(count, "little")
-        codes[1 - _LOW_BYTE::2] = high.to_bytes(count, "little")
+        codes[::2] = low.to_bytes(count, "little")
+        codes[1::2] = high.to_bytes(count, "little")
         images = _input_vectors(len(outputs))
-        shorts = memoryview(codes).cast("H")
+        shorts = struct.unpack(f"<{count}H", codes)
         # The getter returns a tuple for two codes or more, so for n >= 1.
         rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
     # Built as a list: a tuple grown from an iterator is re-tracked per resize.
@@ -346,13 +341,13 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     """Tabulate every input vector, counting up with the first input as
     the most significant bit.
 
-    One bit-parallel pass over presence masks gives every row when all
-    marbles arrive on schedule, which balanced elaboration ensures.
-    Otherwise (``insert_holds=False`` can leave a junction input early),
-    or where ``_compile`` refuses a circuit built in code, every vector
-    is simulated.  Where two marbles can reach a
-    single-occupancy port, the lowest such vector is simulated and raises
-    the simulator's ``SimulationError``.
+    One bit-parallel pass over presence masks gives every row, unless
+    ``_compile`` refuses the circuit (off schedule, as ``insert_holds=False``
+    can leave it, or wired as ``validate`` refuses): then every vector is
+    simulated.  Where two marbles can reach a single-occupancy port, the
+    lowest such vector is simulated and raises the simulator's
+    ``SimulationError``, or, if it runs clean, a ``MarblesimError``: the
+    pass and the simulator disagree.
     """
     if not isinstance(mode, CollisionMode):
         raise ValueError(f"mode must be a CollisionMode, got {mode!r}")
@@ -360,7 +355,7 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     if n > _MAX_INPUTS:
         raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
                          f"refusing to enumerate more than {_MAX_INPUTS}")
-    found = _presence_rows(circuit, mode, n)
+    found = _presence_rows(circuit, mode)
     if found is None:
         config = SimConfig(mode=mode, trace_enabled=False)
         rows = tuple([(bits, simulate(circuit, bits, config)[0])
@@ -429,7 +424,7 @@ def verify_gate(name: str) -> GateReport:
     circuit = elaborate(macro.expansion)
     tables, physical = [], []
     for mode in _MODES:
-        found = _presence_rows(circuit, mode, len(circuit.inputs))
+        found = _presence_rows(circuit, mode)
         if found is None:
             raise MarblesimError(f"gate {name!r}: the mask pass cannot "
                                  f"tabulate its circuit")

@@ -205,6 +205,35 @@ class TestBitParallelTable:
         # Only the lowest contending vector, once per mode.
         assert len(simulations) == 2
 
+    def test_a_rule_the_simulator_refutes_is_an_error(self, monkeypatch,
+                                                      simulations):
+        # A join rule that reports two marbles wherever it has one flags
+        # contention at junction J2, which FREDKIN_DIRECT's join M feeds;
+        # the simulator runs that vector clean, so no table may come out.
+        route = analysis._presence_route
+
+        def over_flagging(kind, ins, mode, full):
+            routed = route(kind, ins, mode, full)
+            if kind is NodeKind.JOIN:
+                ((one, _),) = routed
+                return ((one, one),)
+            return routed
+        monkeypatch.setattr(analysis, "_presence_route", over_flagging)
+        circuit = circuit_for("FREDKIN_DIRECT")
+        assert ("M", "out", "J2", "A") in [channel[:4]
+                                           for channel in circuit.channels]
+        for mode in CollisionMode:
+            with pytest.raises(MarblesimError, match=(
+                    f"^circuit 'fredkin_direct', mode {mode.value}, inputs "
+                    f"100: the mask pass and the simulator disagree$")):
+                truth_table(circuit, mode)
+        with pytest.raises(MarblesimError, match=(
+                "^circuit 'fredkin_direct', mode bounce, inputs 100: the "
+                "mask pass and the simulator disagree$")):
+            verify_gate("FREDKIN_DIRECT")
+        # Only the lowest flagged vector, once per table.
+        assert simulations == [(1, 0, 0)] * 3
+
     @pytest.mark.parametrize("channels, phases, inputs, outputs", [
         # The hold releases at phase 0, before a's marble reaches it.
         ((("a", "out", "H", "in"), ("H", "out", "y", "in")),
@@ -495,7 +524,7 @@ def simulated_verdicts(circuit, mode):
 def mask_verdicts(circuit, mode):
     """The same from one presence-mask pass, or None where it falls back
     to the simulator."""
-    found = analysis._presence_rows(circuit, mode, len(circuit.inputs))
+    found = analysis._presence_rows(circuit, mode)
     if found is None:
         return None
     rows, slots = found
@@ -675,8 +704,7 @@ class TestGenericRoute:
                 (slots, flagged), ints = self.route_both(circuit, mode)
                 assert (slots, flagged) == ints, (circuit.name, mode)
                 assert flagged == 0
-                assert slots == analysis._presence_rows(
-                    circuit, mode, len(circuit.inputs))[1]
+                assert slots == analysis._presence_rows(circuit, mode)[1]
 
     def test_sets_find_the_same_contention(self):
         circuit = elaborate(parse(composer.primitive_source(107)))
@@ -746,8 +774,8 @@ class TestVerifyGate:
     def test_each_mode_is_checked_against_the_spec(self, monkeypatch):
         presence_rows = analysis._presence_rows
 
-        def flip_merge(circuit, mode, n):
-            rows, slots = presence_rows(circuit, mode, n)
+        def flip_merge(circuit, mode):
+            rows, slots = presence_rows(circuit, mode)
             if mode is CollisionMode.MERGE:
                 (bits, (out,)), *rest = rows
                 rows = ((bits, (1 - out,)), *rest)

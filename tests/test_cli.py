@@ -24,6 +24,48 @@ midband = merge
 """
 
 
+# Every command line with a golden, stated once: argv, the goldens of its
+# stdout and stderr (None for empty) and its exit code.  An argument ending
+# in ".mnl" names a file in tests/fixtures.  The named tests below run each
+# in process, and test_golden_in_a_fresh_interpreter runs each through the
+# module entry point in a new interpreter, which builds the command line
+# parser, each circuit's mask pass order and the kept vectors of each width
+# for the first time.
+GOLDENS = [
+    (("run", "and_gate.mnl", "--inputs", "11", "--mode", "merge", "--trace"),
+     "run_and_merge_trace.txt", None, 0),
+    (("run", "and_gate.mnl", "--inputs", "11", "--mode", "merge", "--trace",
+      "--format", "records"), "run_and_merge_records.txt", None, 0),
+    (("run", "full_adder.mnl", "--inputs", "111", "--mode", "merge",
+      "--trace", "--format", "records"),
+     "run_full_adder_merge_records.txt", None, 0),
+    (("run", "not_interaction.mnl", "--inputs", "0"),
+     "run_not_interaction.txt", None, 0),
+    (("run", "not_interaction.mnl", "--inputs", "0", "--format", "records"),
+     "run_not_interaction_records.txt", None, 0),
+    (("run", "skew.mnl", "--inputs", "11", "--no-repair"),
+     "run_skew_hazard.txt", None, 1),
+    (("run", "skew.mnl", "--inputs", "11", "--no-repair", "--format",
+      "records"), "run_skew_hazard_records.txt", None, 1),
+    (("run", "skew.mnl", "--inputs", "11", "--no-repair", "--strict"),
+     None, "run_skew_strict.txt", 1),
+    (("table", "FULL_ADDER"), "table_full_adder.txt", None, 0),
+    (("table", "FULL_ADDER", "--format", "records"),
+     "table_full_adder_records.txt", None, 0),
+    (("table", "XOR", "--mode", "merge", "--format", "records"),
+     "table_xor_records.txt", None, 0),
+    (("table", "FREDKIN_DIRECT", "--mode", "merge", "--format", "records"),
+     "table_fredkin_direct_records.txt", None, 0),
+    (("table", "fan_out.mnl", "--format", "records"),
+     "table_fan_out_records.txt", None, 0),
+    (("verify", "FREDKIN_DIRECT"), "verify_fredkin_direct.txt", None, 0),
+    (("lint", "skew.mnl"), "lint_skew.txt", None, 1),
+    (("lint", "skew.mnl", "--format", "records"), "lint_skew_records.txt",
+     None, 1),
+    (("print", "and_gate_messy.mnl"), "print_messy.txt", None, 0),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -34,33 +76,40 @@ def golden_text(golden, name):
     return (golden / name).read_text()
 
 
+def golden_row(name):
+    """The row of ``GOLDENS`` whose stdout or stderr golden is ``name``."""
+    (row,) = [row for row in GOLDENS if name in row[1:3]]
+    return row
+
+
+def expected_run(row, fixtures, golden):
+    """A row's argv with fixture paths, and the exit code, stdout and
+    stderr it must give."""
+    argv, out, err, code = row
+    return ([str(fixtures / arg) if arg.endswith(".mnl") else arg
+             for arg in argv],
+            (code, *(golden_text(golden, name) if name else ""
+                     for name in (out, err))))
+
+
+def check_golden(capsys, fixtures, golden, name):
+    argv, expected = expected_run(golden_row(name), fixtures, golden)
+    assert run_cli(capsys, *argv) == expected
+
+
 class TestRun:
     def test_text_output_matches_golden(self, capsys, fixtures, golden):
-        code, out, err = run_cli(
-            capsys, "run", str(fixtures / "and_gate.mnl"),
-            "--inputs", "11", "--mode", "merge", "--trace")
-        assert code == 0
-        assert err == ""
-        assert out == golden_text(golden, "run_and_merge_trace.txt")
+        check_golden(capsys, fixtures, golden, "run_and_merge_trace.txt")
 
     def test_records_output_matches_golden(self, capsys, fixtures, golden):
-        code, out, _ = run_cli(
-            capsys, "run", str(fixtures / "and_gate.mnl"),
-            "--inputs", "11", "--mode", "merge", "--trace",
-            "--format", "records")
-        assert code == 0
-        assert out == golden_text(golden, "run_and_merge_records.txt")
+        check_golden(capsys, fixtures, golden, "run_and_merge_records.txt")
 
     def test_nested_merge_records_match_golden(self, capsys, fixtures,
                                                golden):
         # The nested full adder's run goes through an inserted hold, a
         # join, a scalpel and a merge.
-        code, out, _ = run_cli(
-            capsys, "run", str(fixtures / "full_adder.mnl"),
-            "--inputs", "111", "--mode", "merge", "--trace",
-            "--format", "records")
-        assert code == 0
-        assert out == golden_text(golden, "run_full_adder_merge_records.txt")
+        check_golden(capsys, fixtures, golden,
+                     "run_full_adder_merge_records.txt")
 
     def test_output_is_deterministic(self, capsys, fixtures):
         args = ("run", str(fixtures / "full_adder.mnl"),
@@ -89,18 +138,10 @@ class TestRun:
         assert (code, out, err) == (0, head, "")
 
     def test_hazard_sets_exit_code(self, capsys, fixtures, golden):
-        code, out, _ = run_cli(
-            capsys, "run", str(fixtures / "skew.mnl"),
-            "--inputs", "11", "--no-repair")
-        assert code == 1
-        assert out == golden_text(golden, "run_skew_hazard.txt")
+        check_golden(capsys, fixtures, golden, "run_skew_hazard.txt")
 
     def test_hazard_records_match_golden(self, capsys, fixtures, golden):
-        code, out, _ = run_cli(
-            capsys, "run", str(fixtures / "skew.mnl"),
-            "--inputs", "11", "--no-repair", "--format", "records")
-        assert code == 1
-        assert out == golden_text(golden, "run_skew_hazard_records.txt")
+        check_golden(capsys, fixtures, golden, "run_skew_hazard_records.txt")
 
     @pytest.mark.parametrize("fmt, name", [
         ("text", "run_not_interaction.txt"),
@@ -108,11 +149,9 @@ class TestRun:
     def test_injection_matches_golden(self, capsys, fixtures, golden, fmt,
                                       name):
         # The const source injects the marble that leaves on y.
-        code, out, err = run_cli(
-            capsys, "run", str(fixtures / "not_interaction.mnl"),
-            "--inputs", "0", "--format", fmt)
-        assert (code, err) == (0, "")
-        assert out == golden_text(golden, name)
+        argv = golden_row(name)[0]
+        assert (fmt == "records") == ("records" in argv)
+        check_golden(capsys, fixtures, golden, name)
 
     def test_repaired_run_is_clean(self, capsys, fixtures):
         code, out, _ = run_cli(
@@ -121,12 +160,7 @@ class TestRun:
         assert "hazard" not in out
 
     def test_strict_mode_reports_error(self, capsys, fixtures, golden):
-        code, out, err = run_cli(
-            capsys, "run", str(fixtures / "skew.mnl"),
-            "--inputs", "11", "--no-repair", "--strict")
-        assert code == 1
-        assert out == ""
-        assert err == golden_text(golden, "run_skew_strict.txt")
+        check_golden(capsys, fixtures, golden, "run_skew_strict.txt")
 
     def test_bad_inputs_rejected(self, capsys, fixtures):
         for bad in ("2x", "1", "١١", "１0"):
@@ -210,29 +244,23 @@ class TestPhysicsSelection:
 
 
 class TestTable:
-    def test_library_gate_by_name(self, capsys, golden):
-        code, out, _ = run_cli(capsys, "table", "FULL_ADDER")
-        assert code == 0
-        assert out == golden_text(golden, "table_full_adder.txt")
+    def test_library_gate_by_name(self, capsys, fixtures, golden):
+        check_golden(capsys, fixtures, golden, "table_full_adder.txt")
 
-    def test_records_format(self, capsys, golden):
-        code, out, _ = run_cli(capsys, "table", "XOR", "--mode", "merge",
-                               "--format", "records")
-        assert code == 0
-        assert out == golden_text(golden, "table_xor_records.txt")
+    def test_nested_gate_records_format(self, capsys, fixtures, golden):
+        # FULL_ADDER is a nested macro with fewer outputs than inputs.
+        check_golden(capsys, fixtures, golden, "table_full_adder_records.txt")
+
+    def test_records_format(self, capsys, fixtures, golden):
+        check_golden(capsys, fixtures, golden, "table_xor_records.txt")
 
     def test_fan_out_records_format(self, capsys, fixtures, golden):
         # One input onto 17 outputs: rows read from the output columns.
-        code, out, _ = run_cli(capsys, "table", str(fixtures / "fan_out.mnl"),
-                               "--format", "records")
-        assert code == 0
-        assert out == golden_text(golden, "table_fan_out_records.txt")
+        check_golden(capsys, fixtures, golden, "table_fan_out_records.txt")
 
-    def test_equal_arity_records_format(self, capsys, golden):
-        code, out, _ = run_cli(capsys, "table", "FREDKIN_DIRECT", "--mode",
-                               "merge", "--format", "records")
-        assert code == 0
-        assert out == golden_text(golden, "table_fredkin_direct_records.txt")
+    def test_equal_arity_records_format(self, capsys, fixtures, golden):
+        check_golden(capsys, fixtures, golden,
+                     "table_fredkin_direct_records.txt")
 
     def test_netlist_file(self, capsys, fixtures):
         code, out, _ = run_cli(capsys, "table",
@@ -257,10 +285,8 @@ class TestTable:
 
 
 class TestVerify:
-    def test_single_gate_matches_golden(self, capsys, golden):
-        code, out, _ = run_cli(capsys, "verify", "FREDKIN_DIRECT")
-        assert code == 0
-        assert out == golden_text(golden, "verify_fredkin_direct.txt")
+    def test_single_gate_matches_golden(self, capsys, fixtures, golden):
+        check_golden(capsys, fixtures, golden, "verify_fredkin_direct.txt")
 
     def test_whole_library_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
@@ -284,15 +310,10 @@ class TestVerify:
 
 class TestLint:
     def test_skew_matches_golden(self, capsys, fixtures, golden):
-        code, out, _ = run_cli(capsys, "lint", str(fixtures / "skew.mnl"))
-        assert code == 1
-        assert out == golden_text(golden, "lint_skew.txt")
+        check_golden(capsys, fixtures, golden, "lint_skew.txt")
 
     def test_records(self, capsys, fixtures, golden):
-        code, out, _ = run_cli(capsys, "lint", str(fixtures / "skew.mnl"),
-                               "--format", "records")
-        assert code == 1
-        assert out == golden_text(golden, "lint_skew_records.txt")
+        check_golden(capsys, fixtures, golden, "lint_skew_records.txt")
 
     def test_balanced_file_is_clean(self, capsys, fixtures):
         code, out, _ = run_cli(capsys, "lint",
@@ -303,10 +324,7 @@ class TestLint:
 
 class TestPrint:
     def test_canonicalizes_messy_source(self, capsys, fixtures, golden):
-        code, out, _ = run_cli(capsys, "print",
-                               str(fixtures / "and_gate_messy.mnl"))
-        assert code == 0
-        assert out == golden_text(golden, "print_messy.txt")
+        check_golden(capsys, fixtures, golden, "print_messy.txt")
 
     def test_print_is_idempotent(self, capsys, fixtures, tmp_path):
         _, once, _ = run_cli(capsys, "print",
@@ -366,3 +384,22 @@ def test_importing_the_cli_loads_every_module():
         text=True, check=True).stdout.split()
     assert {name for name in loaded
             if name.partition(".")[0] == "marblesim"} == expected
+
+
+def test_every_golden_has_one_command_line(golden):
+    """The digest's golden is written by its own test; every other one is
+    the output of one row of ``GOLDENS``."""
+    names = [name for row in GOLDENS for name in row[1:3] if name]
+    assert sorted(names) == sorted(path.name for path in golden.iterdir()
+                                   if path.name != "digest.txt")
+
+
+@pytest.mark.parametrize("row", GOLDENS, ids=lambda row: row[1] or row[2])
+def test_golden_in_a_fresh_interpreter(row, fixtures, golden):
+    argv, expected = expected_run(row, fixtures, golden)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "marblesim.cli",
+         *argv], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == expected

@@ -6,6 +6,8 @@ failures replay.  The property tests draw netlists from a ``Random`` that
 hypothesis controls, derandomized, so a failure replays and shrinks to a
 small netlist."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 import composer
 from marblesim import (CollisionMode, MarblesimError, SimConfig,
                        SimulationError, TimingViolationError, TruthTable,
-                       elaborate, parse, run_ledger, simulate, truth_table,
+                       circuit_to_ast, elaborate, parse, print_canonical,
+                       run_ledger, simulate, timing_lint, truth_table,
                        validate)
 
 BOUNCE = SimConfig(mode=CollisionMode.BOUNCE, trace_enabled=False)
@@ -83,15 +86,21 @@ def test_primitive_netlists_run_alike_traced_and_untraced(seed):
                         ledger)
 
 
-def drawn_circuits(rng):
+def drawn_asts(rng):
     """A primitive netlist, a gate composition and a netlist that mixes
-    primitives and gates, drawn from ``rng``, each elaborated with and
-    without hold repair."""
+    primitives and gates, drawn from ``rng``."""
     for source in (composer.primitives_from(rng, "prim"),
                    composer.compose_from(rng, "rnd"),
                    composer.mixed_from(rng, "mixed")):
         ast = parse(source)
         assert validate(ast) == []
+        yield ast
+
+
+def drawn_circuits(rng):
+    """Each of ``drawn_asts(rng)`` elaborated with and without hold
+    repair."""
+    for ast in drawn_asts(rng):
         for insert_holds in (True, False):
             yield elaborate(ast, insert_holds=insert_holds)
 
@@ -168,6 +177,51 @@ def test_drawn_netlists_tabulate_as_they_simulate(rng):
         for mode in CollisionMode:
             assert (outcome(truth_table, circuit, mode)
                     == outcome(simulated_rows, circuit, mode))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_printed_circuits_parse_back_to_the_same_circuit(rng):
+    """Any circuit the tool prints, elaborated ones included, parses back
+    to the same netlist and elaborates to the same circuit."""
+    for ast in drawn_asts(rng):
+        for insert_holds in (True, False):
+            circuit = elaborate(ast, insert_holds=insert_holds)
+            lowered = circuit_to_ast(circuit)
+            again = parse(print_canonical(lowered))
+            assert again == lowered
+            assert elaborate(again, insert_holds=insert_holds) == circuit
+
+
+HINT = re.compile(r".*; insert hold\((\d+)\) on (\S+)\.(\w+) -> "
+                  r"(\S+)\.(\w+)(?:;.*)?")
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_lint_hints_are_the_holds_repair_inserts(rng):
+    """Without repair, ``timing_lint`` names each channel repair puts a
+    hold on, and that hold's length, and no other."""
+    for source in (composer.primitives_from(rng, "prim"),
+                   composer.mixed_from(rng, "mixed")):
+        ast = parse(source)
+        unrepaired = elaborate(ast, insert_holds=False)
+        hints = sorted(
+            (src, src_port, dst, dst_port, int(k))
+            for k, src, src_port, dst, dst_port
+            in (HINT.fullmatch(diag.message).groups()
+                for diag in timing_lint(unrepaired)))
+        repaired = elaborate(ast)
+        # Each inserted hold has one channel in, from the skewed
+        # channel's source, and one out, to its junction.
+        into_hold = {ch.dst: ch for ch in repaired.channels
+                     if ch.dst not in unrepaired.nodes}
+        holds = sorted(
+            (into_hold[ch.src].src, into_hold[ch.src].src_port, ch.dst,
+             ch.dst_port, repaired.nodes[ch.src].hold_phases)
+            for ch in repaired.channels if ch.src not in unrepaired.nodes)
+        assert holds == hints
+        assert timing_lint(repaired) == ()
 
 
 def test_input_vectors_sample_circuits_wider_than_62_inputs():
