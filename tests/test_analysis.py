@@ -522,8 +522,8 @@ def simulated_verdicts(circuit, mode):
 
 
 def mask_verdicts(circuit, mode):
-    """The same from one presence-mask pass, or None where it falls back
-    to the simulator."""
+    """The same from one presence-mask pass, or None where ``_compile``
+    refuses the circuit."""
     found = analysis._presence_rows(circuit, mode)
     if found is None:
         return None
