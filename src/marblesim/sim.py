@@ -27,11 +27,12 @@ each kind does to marbles; for the junction that is the table in
 two marbles that meet bounce to O2 (A) and O4 (B) or merge into one new
 marble on O3 that carries both masses.
 
-Traces list every marble placement as an ``Event``, a named tuple
-``(phase, node, port, marble_id, mass)``: a creation event at the out port
-of the node that produced the marble, then one arrival event per hop.  A
-marble never appears at two places in one phase, so the first four fields
-tell events apart, and a traced run sorts them once, at its end.  A
+Traces list every marble placement as a plain tuple
+``(phase, node, port, marble_id, mass)``, the fields of ``Event``: a
+creation event at the out port of the node that produced the marble, then
+one arrival event per hop.  A marble never appears at two places in one
+phase, so the first four fields tell events apart, and a traced run sorts
+them once, at its end, and keeps them as its trace.  A
 marble's creation is written once, by ``_Run.emit_new``, which also enters
 it in the final locations, so they come in marble-id order.  The ledger is
 kept either way, from where each marble was created and where it ended,
@@ -42,7 +43,7 @@ plus waste mass, in exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import lcm
 from typing import NamedTuple
 
@@ -79,7 +80,9 @@ class TimingViolationError(MarblesimError):
 
 class Event(NamedTuple):
     """One marble placement: where a marble is during one phase.  No two
-    events of a run share their first four fields."""
+    events of a run share their first four fields.  A trace keeps its
+    events as plain tuples of these fields; ``Event._make(event)`` names
+    them, and an ``Event`` equals the plain tuple of its fields."""
 
     phase: int
     node: str
@@ -104,11 +107,12 @@ class Hazard(NamedTuple):
 class Trace(NamedTuple):
     """Ordered event list plus where every marble ended up.
 
-    The event list is empty when the run was not traced; the rest is kept
-    either way.  ``circuit`` is the circuit that ran.
+    Each event is a plain tuple of ``Event``'s fields.  The event list is
+    empty when the run was not traced; the rest is kept either way.
+    ``circuit`` is the circuit that ran.
     """
 
-    events: tuple[Event, ...]
+    events: tuple[tuple[int, str, str, int, Fraction], ...]
     final_locations: dict[int, tuple[str, str]]
     hazards: tuple[Hazard, ...]
     circuit: Circuit
@@ -154,9 +158,8 @@ class Ledger(NamedTuple):
 
 def format_trace(trace: Trace) -> str:
     """Stable line-delimited form: phase, node, port, id, mass (p/q)."""
-    return "\n".join(
-        f"{ev.phase}\t{ev.node}\t{ev.port}\t{ev.marble_id}\t{ev.mass}"
-        for ev in trace.events)
+    return "\n".join(f"{phase}\t{node}\t{port}\t{marble}\t{mass}"
+                     for phase, node, port, marble, mass in trace.events)
 
 
 # Where each marble came into being, by marble id: node, phase and mass.
@@ -208,19 +211,17 @@ def run_ledger(trace: Trace) -> Ledger:
     if not trace.events and trace.final_locations:
         raise ValueError("ledger needs a trace recorded with events")
     created: _Origins = {}
-    for ev in trace.events:  # a marble's first event is its creation
-        created.setdefault(ev.marble_id, (ev.node, ev.phase, ev.mass))
+    # A marble's first event is its creation.
+    for phase, node, _, marble, mass in trace.events:
+        created.setdefault(marble, (node, phase, mass))
     return _ledger(created, trace.final_locations, trace.circuit._kinds)
 
 
 def _as_events(placements: list[tuple[int, str, str, int, Fraction]]
-               ) -> tuple[Event, ...]:
-    """Sort a traced run's placements and make each an ``Event``.
-    ``tuple.__new__`` builds the named tuple without running its
-    Python-level ``__new__``, for well under half of what ``Event(...)``
-    costs, and ``map`` calls it without a Python-level loop."""
+               ) -> tuple[tuple[int, str, str, int, Fraction], ...]:
+    """Sort a traced run's placements; they are its events as they are."""
     placements.sort()
-    return tuple(list(map(tuple.__new__, repeat(Event), placements)))
+    return tuple(placements)
 
 
 class _Run:
@@ -231,7 +232,7 @@ class _Run:
         self.kinds = circuit._kinds
         self.out = circuit._out
         self.phases = circuit.phases
-        # A traced run's placements, made ``Event``s at the end of the run.
+        # A traced run's placements, sorted into its events at its end.
         self.events: list[tuple[int, str, str, int, Fraction]] | None = (
             [] if config.trace_enabled else None)
         # A marble is its id, numbered from 1 in creation order; its mass

@@ -120,8 +120,7 @@ def test_criterion_05_trace_walkthroughs():
     for mode in MODES:
         outputs, trace, _ = simulate(circuit, (0, 1, 0), SimConfig(mode=mode))
         assert outputs == (0, 0, 1)
-        assert [(e.phase, e.node, e.port, e.marble_id, e.mass)
-                for e in trace.events] == swap_events
+        assert list(trace.events) == swap_events
         assert trace.collisions() == ()
 
     # 101: u and x2 collide at J2 in phase 4; the mode only changes how
@@ -155,9 +154,7 @@ def test_criterion_05_trace_walkthroughs():
                        (CollisionMode.MERGE, merge_tail)):
         outputs, trace, _ = simulate(circuit, (1, 0, 1), SimConfig(mode=mode))
         assert outputs == (1, 0, 1)
-        listed = [(e.phase, e.node, e.port, e.marble_id, e.mass)
-                  for e in trace.events]
-        assert listed == sorted(prefix + tail)
+        assert list(trace.events) == sorted(prefix + tail)
         assert trace.collisions() == ((4, "J2"),)
     _passed(5, "FREDKIN_DIRECT 010 and 101 traces match the frozen "
                "walkthroughs event for event")

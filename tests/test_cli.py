@@ -39,6 +39,8 @@ GOLDENS = [
     (("run", "full_adder.mnl", "--inputs", "111", "--mode", "merge",
       "--trace", "--format", "records"),
      "run_full_adder_merge_records.txt", None, 0),
+    (("run", "tap_syringe.mnl", "--inputs", "1", "--trace", "--format",
+      "records"), "run_tap_syringe_records.txt", None, 0),
     (("run", "not_interaction.mnl", "--inputs", "0"),
      "run_not_interaction.txt", None, 0),
     (("run", "not_interaction.mnl", "--inputs", "0", "--format", "records"),
@@ -110,6 +112,12 @@ class TestRun:
         # join, a scalpel and a merge.
         check_golden(capsys, fixtures, golden,
                      "run_full_adder_merge_records.txt")
+
+    def test_tap_and_syringe_records_match_golden(self, capsys, fixtures,
+                                                  golden):
+        # The tap creates its copy as the marble passes, and the syringe
+        # diverts the marble it senses into its waste pocket a phase later.
+        check_golden(capsys, fixtures, golden, "run_tap_syringe_records.txt")
 
     def test_output_is_deterministic(self, capsys, fixtures):
         args = ("run", str(fixtures / "full_adder.mnl"),

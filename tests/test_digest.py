@@ -54,8 +54,8 @@ def run_lines(circuit: Circuit, bits: tuple[int, ...],
         yield f"error {type(exc).__name__}: {exc}"
         return
     yield "outputs " + "".join(map(str, outputs))
-    for ev in trace.events:
-        yield f"event {ev.phase} {ev.node} {ev.port} {ev.marble_id} {ev.mass}"
+    for phase, node, port, marble_id, mass in trace.events:
+        yield f"event {phase} {node} {port} {marble_id} {mass}"
     for marble_id, (node, port) in sorted(trace.final_locations.items()):
         yield f"final {marble_id} {node} {port}"
     for hz in trace.hazards:

@@ -43,10 +43,8 @@ class TestAndGate:
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
         outputs, trace, ledger = simulate(circuit, (1, 1), MERGE)
         assert outputs == (1,)
-        listed = [(e.phase, e.node, e.port, e.marble_id, e.mass)
-                  for e in trace.events]
         one = Fraction(1)
-        assert listed == [
+        assert list(trace.events) == [
             (0, "a", "out", 1, one),
             (0, "b", "out", 2, one),
             (1, "J", "A", 1, one),
@@ -73,8 +71,8 @@ class TestAndGate:
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
         outputs, trace, _ = simulate(circuit, (1, 1), BOUNCE)
         assert outputs == (1,)
-        (y_event,) = [e for e in trace.events if e.node == "y"]
-        assert y_event.phase == 4
+        assert [phase for phase, node, *_ in trace.events
+                if node == "y"] == [4]
 
     def test_lone_marbles_are_wasted(self, fixtures):
         circuit = elaborate(parse((fixtures / "and_gate.mnl").read_text()))
@@ -106,7 +104,7 @@ class TestJunction:
         reached = self.ROWS[bits][mode is CollisionMode.MERGE]
         assert outputs == tuple(int(name in reached)
                                 for name in circuit.outputs)
-        mass = {e.marble_id: e.mass for e in trace.events}
+        mass = {marble: mass for _, _, _, marble, mass in trace.events}
         assert {node: mass[marble]
                 for marble, (node, port) in trace.final_locations.items()
                 if node in circuit.outputs and port == "in"} == reached
@@ -127,8 +125,9 @@ class TestJoinSynchronization:
         for config in (BOUNCE, MERGE):
             for bits in ((0, 1), (1, 0), (1, 1)):
                 _, trace, _ = simulate(circuit, bits, config)
-                (y_event,) = [e for e in trace.events if e.node == "y"]
-                phases.add(y_event.phase)
+                (y_phase,) = [phase for phase, node, *_ in trace.events
+                              if node == "y"]
+                phases.add(y_phase)
         assert len(phases) == 1
 
     def test_hold_releases_at_its_phase(self):
@@ -136,7 +135,7 @@ class TestJoinSynchronization:
             "circuit delayed\ninput a\noutput y\nnode H : hold(2)\n"
             "connect a -> H.in\nconnect H.out -> y\n"))
         _, trace, _ = simulate(circuit, (1,), BOUNCE)
-        listed = [(e.phase, e.node, e.port) for e in trace.events]
+        listed = [event[:3] for event in trace.events]
         assert listed == [(0, "a", "out"), (1, "H", "in"), (3, "y", "in")]
 
 
@@ -543,17 +542,17 @@ class TestTraceContract:
             assert list(trace.events) == sorted(trace.events)
             last: dict[int, tuple] = {}
             phases_seen: dict[int, int] = {}
-            for event in trace.events:
-                if event.marble_id in phases_seen:
+            for phase, node, port, marble, _ in trace.events:
+                if marble in phases_seen:
                     # A marble is never in two places in one phase.
-                    assert event.phase > phases_seen[event.marble_id]
-                phases_seen[event.marble_id] = event.phase
-                last[event.marble_id] = (event.node, event.port)
+                    assert phase > phases_seen[marble]
+                phases_seen[marble] = phase
+                last[marble] = (node, port)
             assert last == trace.final_locations
             assert run_ledger(trace) == ledger
             assert ledger.balanced
-            for event in trace.events:
-                denom = event.mass.denominator
+            for *_, mass in trace.events:
+                denom = mass.denominator
                 assert denom & (denom - 1) == 0
 
     def test_outputs_follow_declaration_order(self):
@@ -583,6 +582,26 @@ class TestTraceContract:
                     u_trace.collisions(), u_ledger) == (
                         outputs, trace.final_locations, trace.hazards,
                         trace.collisions(), ledger)
+
+    @pytest.mark.parametrize("mode", list(CollisionMode))
+    def test_events_are_the_plain_sorted_placements(self, mode):
+        # A traced run keeps its placements as the trace, exact tuples in
+        # sorted order; ``Event._make`` names the fields of any of them.
+        for macro in library():
+            circuit = elaborate(macro.expansion)
+            for bits in all_vectors(len(circuit.inputs)):
+                _, trace, _ = simulate(circuit, bits, SimConfig(mode=mode))
+                # Every marble made has at least its creation event.
+                assert bool(trace.events) == bool(trace.final_locations)
+                assert list(trace.events) == sorted(trace.events)
+                for event in trace.events:
+                    assert type(event) is tuple
+                    named = sim.Event._make(event)
+                    assert named == event
+                    assert named.marble_id == event[3]
+                _, untraced, _ = simulate(
+                    circuit, bits, SimConfig(mode=mode, trace_enabled=False))
+                assert untraced.events == ()
 
     def test_event_is_a_named_tuple(self):
         assert sim.Event._fields == ("phase", "node", "port", "marble_id",
@@ -696,19 +715,20 @@ connect J2.O5 -> W.in
 """))
         for bits in all_vectors(3):
             _, trace, ledger = simulate(circuit, bits, MERGE)
-            first = {}  # a marble's first event is its creation
-            for event in trace.events:
-                first.setdefault(event.marble_id, event)
+            # A marble's first event is its creation: node and mass.
+            first = {}
+            for _, node, _, marble, mass in trace.events:
+                first.setdefault(marble, (node, mass))
             ended = trace.final_locations
-            inputs = [m for m, event in first.items()
-                      if event.node in circuit.inputs]
+            inputs = [m for m, (node, _) in first.items()
+                      if node in circuit.inputs]
             outputs = [m for m, (node, _) in ended.items() if node == "y"]
             waste = [m for m, (node, _) in ended.items() if node == "W"]
 
             def total(marbles):
                 by_hand = Fraction(0)
                 for marble in marbles:
-                    by_hand += first[marble].mass
+                    by_hand += first[marble][1]
                 return by_hand
 
             assert (ledger.input_marbles, ledger.input_mass) == (
@@ -788,5 +808,5 @@ class TestAdderMassFlow:
     def test_chained_scalpels_quarter_the_merged_mass(self, fixtures):
         circuit = elaborate(parse((fixtures / "skew.mnl").read_text()))
         _, trace, ledger = simulate(circuit, (1, 1), MERGE)
-        assert any(e.mass == Fraction(1, 2) for e in trace.events)
+        assert any(mass == Fraction(1, 2) for *_, mass in trace.events)
         assert ledger.balanced
