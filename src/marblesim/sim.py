@@ -27,17 +27,16 @@ each kind does to marbles; for the junction that is the table in
 two marbles that meet bounce to O2 (A) and O4 (B) or merge into one new
 marble on O3 that carries both masses.
 
-Traces list every marble placement as a plain tuple
-``(phase, node, port, marble_id, mass)``, the fields of ``Event``: a
-creation event at the out port of the node that produced the marble, then
-one arrival event per hop.  A marble never appears at two places in one
-phase, so the first four fields tell events apart, and a traced run sorts
-them once, at its end, and keeps them as its trace.  A
-marble's creation is written once, by ``_Run.emit_new``, which also enters
-it in the final locations, so they come in marble-id order.  The ledger is
-kept either way, from where each marble was created and where it ended,
-and balances exactly: input mass plus injected mass equals output mass
-plus waste mass, in exact rationals.
+Traces list every marble placement as a plain tuple of ``Event``'s fields,
+``(phase, node, port, marble_id, mass)``: a creation event at the out port
+of the node that produced the marble, then one arrival event per hop.  A
+marble never appears at two places in one phase, so the first four fields
+tell events apart; a traced run sorts them once, at its end, and keeps
+them as its trace.  A marble's creation is written once, by
+``_Run.emit_new``, which also enters it in the final locations, so they
+come in marble-id order.  The ledger is kept either way, from where each
+marble was created and where it ended, and balances exactly: input mass
+plus injected mass equals output mass plus waste mass, in exact rationals.
 """
 
 from __future__ import annotations
