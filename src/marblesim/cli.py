@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", action="store_true",
                      help="print every marble placement")
     run.add_argument("--strict", action="store_true",
-                     help="fail on off-schedule junction arrivals")
+                     help="fail on off-schedule junction or syringe arrivals")
     run.add_argument("--no-repair", action="store_true",
                      help="skip automatic hold insertion on unbalanced "
                           "junction inputs")
@@ -105,12 +105,12 @@ def _resolve_mode(name: str, physics_path: str | None) -> CollisionMode:
         raise MarblesimError(
             f"--mode auto needs --physics or ${_PHYSICS_ENV}")
     params, policy = load_physics_config(path)
+    # Midband warnings always print; others follow the caller's filters.
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", MidbandWarning)
         mode = collision_mode(policy, params)
     for item in caught:
-        if issubclass(item.category, MidbandWarning):
-            print(f"warning: {item.message}", file=sys.stderr)
+        print(f"warning: {item.message}", file=sys.stderr)
     return mode
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -66,6 +66,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # ``junction.port.sync``); ports never are, so an endpoint splits at its
 # last dot.
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
+_KEYWORD = re.compile(r"\s*[^\s#]+")
 _HOLD_ARG = re.compile(r"hold\s*\(\s*([0-9]+)\s*\)\Z")
 _JOIN_IN = re.compile(JOIN_PORT_PATTERN + r"\Z")
 
@@ -161,9 +162,6 @@ class Channel(NamedTuple):
 
     __eq__, __ne__, __hash__ = _same, _differ, _hash
 
-    def key(self) -> tuple[str, str, str, str]:
-        return self[:4]
-
 
 _new = tuple.__new__
 # Sort keys, cheaper than reading a named tuple's field by name.
@@ -199,7 +197,7 @@ class CircuitAst:
         return hash(self.canonical_key())
 
 
-# Builds tables from its fields at construction, which a tuple cannot hold.
+# Derives tables from its fields on first use, which a tuple cannot hold.
 @dataclass(eq=True, frozen=True)
 class Circuit:
     """Elaborated, primitive-only circuit with a firing phase per node.
@@ -208,13 +206,13 @@ class Circuit:
     as nodes of kind INPUT and OUTPUT.  Nodes and channels keep the source
     line of the statement they came from (0 for none).
 
-    The tables a run reads (``max_phase``, the channel leaving each out
-    port, each node's kind and the nodes that start on their own) are built
-    once, at construction.  ``_mask_order`` keeps what
-    :mod:`marblesim.analysis` compiles for the truth table's mask pass,
-    built on the circuit's first table.  Its fields cannot be rebound, but
-    an edit of ``nodes`` or ``phases`` in place leaves those tables stale,
-    so mutate no ``Circuit``.
+    Every table derived from the fields is built on first use and kept
+    outside equality: those a run reads (``max_phase``, the channel leaving
+    each out port, each node's kind and the nodes that start on their own)
+    and ``_mask_order``, what :mod:`marblesim.analysis` compiles for the
+    truth table's mask pass.  Its fields cannot be rebound, but an edit of
+    ``nodes`` or ``phases`` in place can leave those tables stale, so
+    mutate no ``Circuit``.
     """
 
     name: str
@@ -223,26 +221,26 @@ class Circuit:
     nodes: dict[str, NodeDecl]
     channels: tuple[Channel, ...]
     phases: dict[str, int]
-    max_phase: int = field(init=False, repr=False, compare=False)
-    _out: dict[tuple[str, str], Channel] = field(
-        init=False, repr=False, compare=False)
-    _kinds: dict[str, NodeKind] = field(
-        init=False, repr=False, compare=False)
-    _starts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        init = object.__setattr__
-        init(self, "max_phase", max(self.phases.values(), default=0))
-        init(self, "_out", {ch[:2]: ch for ch in self.channels})
-        kinds = {name: node.kind for name, node in self.nodes.items()}
-        init(self, "_kinds", kinds)
-        init(self, "_starts", tuple(name for name, kind in kinds.items()
-                                    if kind.starts))
+    @cached_property
+    def max_phase(self) -> int:
+        return max(self.phases.values(), default=0)
+
+    @cached_property
+    def _out(self) -> dict[tuple[str, str], Channel]:
+        return {ch[:2]: ch for ch in self.channels}
+
+    @cached_property
+    def _kinds(self) -> dict[str, NodeKind]:
+        return {name: node.kind for name, node in self.nodes.items()}
+
+    @cached_property
+    def _starts(self) -> tuple[str, ...]:
+        return tuple(name for name, kind in self._kinds.items() if kind.starts)
 
     @cached_property
     def _mask_order(self) -> tuple | None:
-        """The truth table's mask pass order, ``analysis._compile``'s,
-        built on the circuit's first table and kept outside equality."""
+        """The truth table's mask pass order, ``analysis._compile``'s."""
         from .analysis import _compile
         return _compile(self)
 
@@ -251,7 +249,12 @@ def _split_statement(raw: str) -> str:
     return raw.split("#", 1)[0].rstrip()
 
 
-def _col_of(raw: str, token: str, start: int = 0) -> int | None:
+def _col_of(raw: str, token: str, *marks: str) -> int | None:
+    """``token``'s column, found after the statement's keyword and then
+    after each of ``marks`` (``:``, ``->`` or a list's earlier commas)."""
+    start = _KEYWORD.match(raw).end()
+    for mark in marks:
+        start = raw.index(mark, start) + len(mark)
     pos = raw.find(token, start)
     return pos + 1 if pos >= 0 else None
 
@@ -263,15 +266,15 @@ def _parse_node_kind(spec: str, lineno: int, raw: str) -> tuple[NodeKind, int]:
         k = int(m.group(1))
         if k < 1:
             raise ParseError("hold phase count must be at least 1", lineno,
-                             _col_of(raw, m.group(1)))
+                             _col_of(raw, m.group(1), ":"))
         return _HOLD, k
     if spec == "hold":
         raise ParseError("hold requires a phase count, e.g. hold(2)", lineno,
-                         _col_of(raw, "hold"))
+                         _col_of(raw, "hold", ":"))
     if spec in _KIND_KEYWORDS:
         return _KIND_KEYWORDS[spec], 0
     raise ParseError(f"unknown node kind {spec!r}", lineno,
-                     _col_of(raw, spec.split("(")[0]))
+                     _col_of(raw, spec.split("(")[0], ":"))
 
 
 def parse(text: str) -> CircuitAst:
@@ -289,17 +292,18 @@ def parse(text: str) -> CircuitAst:
     gates: list[GateDecl] = []
     declared: dict[str, tuple[str, int]] = {}  # name -> (category, line)
 
-    def declare(name: str, category: str, lineno: int, raw: str) -> None:
+    def declare(name: str, category: str, lineno: int, raw: str,
+                commas: int = 0) -> None:
         pattern = _DOTTED if category == "node" else _IDENT
         if not pattern.fullmatch(name):
-            raise ParseError(f"invalid identifier {name!r}", lineno,
-                             _col_of(raw, name))
-        if name in declared:
-            prev_cat, prev_line = declared[name]
-            raise ParseError(
-                f"duplicate name {name!r} (already declared as {prev_cat} "
-                f"on line {prev_line})", lineno, _col_of(raw, name))
-        declared[name] = (category, lineno)
+            message = f"invalid identifier {name!r}"
+        elif name in declared:
+            message = ("duplicate name {!r} (already declared as {} on "
+                       "line {})".format(name, *declared[name]))
+        else:
+            declared[name] = (category, lineno)
+            return
+        raise ParseError(message, lineno, _col_of(raw, name, *[","] * commas))
 
     connect_stmts: list[tuple[int, str, str]] = []  # (line, raw, rest)
 
@@ -322,8 +326,8 @@ def parse(text: str) -> CircuitAst:
         elif keyword in ("input", "output"):
             if not rest:
                 raise ParseError(f"{keyword} needs at least one name", lineno)
-            for name in (part.strip() for part in rest.split(",")):
-                declare(name, keyword, lineno, raw)
+            for commas, name in enumerate(map(str.strip, rest.split(","))):
+                declare(name, keyword, lineno, raw, commas)
                 (inputs if keyword == "input" else outputs).append(name)
         elif keyword == "node":
             name, colon, spec = rest.partition(":")
@@ -342,38 +346,39 @@ def parse(text: str) -> CircuitAst:
             declare(name, "gate", lineno, raw)
             if not _IDENT.fullmatch(macro):
                 raise ParseError(f"invalid macro name {macro!r}", lineno,
-                                 _col_of(raw, macro) if macro else None)
+                                 _col_of(raw, macro, ":") if macro else None)
             gates.append(_new(GateDecl, (name, macro, lineno)))
         elif keyword == "connect":
             connect_stmts.append((lineno, raw, rest))
         else:
             raise ParseError(f"unknown statement {keyword!r}", lineno,
-                             _col_of(raw, keyword))
+                             len(raw) - len(raw.lstrip()) + 1)
 
     if circuit_name is None:
         raise ParseError("missing circuit declaration", len(lines) or 1)
 
-    def endpoint(text_ep: str, lineno: int, raw: str,
-                 side: str) -> tuple[str, str]:
+    def endpoint(text_ep: str, lineno: int, raw: str, side: str,
+                 *marks: str) -> tuple[str, str]:
         if not _DOTTED.fullmatch(text_ep):
             raise ParseError(f"malformed endpoint {text_ep!r}", lineno,
-                             _col_of(raw, text_ep))
+                             _col_of(raw, text_ep, *marks))
         name, dot, port = text_ep.rpartition(".")
         if not dot:
             name, port = port, None
         if name not in declared:
             raise ParseError(f"unknown name {name!r}", lineno,
-                             _col_of(raw, name))
+                             _col_of(raw, name, *marks))
         category = declared[name][0]
         if category in ("input", "output"):
             if port is not None:
                 raise ParseError(
                     f"{category} {name!r} is referenced bare, without a port",
-                    lineno, _col_of(raw, text_ep))
+                    lineno, _col_of(raw, text_ep, *marks))
             return name, "out" if category == "input" else "in"
         if port is None:
             raise ParseError(f"{category} {name!r} needs a port on the "
-                             f"{side} side", lineno, _col_of(raw, text_ep))
+                             f"{side} side", lineno,
+                             _col_of(raw, text_ep, *marks))
         return name, port
 
     channels: list[Channel] = []
@@ -392,7 +397,7 @@ def parse(text: str) -> CircuitAst:
             raise ParseError("expected endpoint after '->'", lineno,
                              (col + 2) if col else None)
         src, src_port = endpoint(left, lineno, raw, "source")
-        dst, dst_port = endpoint(right, lineno, raw, "destination")
+        dst, dst_port = endpoint(right, lineno, raw, "destination", "->")
         channels.append(_new(Channel, (src, src_port, dst, dst_port, lineno)))
 
     return CircuitAst(circuit_name, tuple(inputs), tuple(outputs),

@@ -275,6 +275,10 @@ class TestBitParallelTable:
          {"K": 0, "a": 1, "y": 2}, ("a",), ("y",)),
         ((("a", "out", "K", "in"), ("K", "out", "y", "in")),
          {"a": 0, "K": 1, "y": 2}, ("a",), ("y",)),
+        # A syringe fed a phase early, which it reads only in its own
+        # phase: its marble goes to the pocket, and the syringe injects.
+        ((("a", "out", "S", "in"), ("S", "out", "y", "in")),
+         {"a": 0, "S": 2, "y": 3}, ("a",), ("y",)),
     ])
     def test_hand_built_circuits_agree_with_simulation(self, channels,
                                                        phases, inputs,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,29 @@ class TestPhysicsSelection:
         assert code == 0
         assert err.startswith("warning:")
         assert "ambiguous" in err
+
+    def test_other_warnings_follow_the_callers_filters(
+            self, capsys, fixtures, tmp_path, monkeypatch):
+        config = tmp_path / "water.phys"
+        config.write_text(WATER)
+        resolve = cli.collision_mode
+
+        def deprecated(policy, params):
+            warnings.warn("old physics", DeprecationWarning)
+            return resolve(policy, params)
+
+        monkeypatch.setattr(cli, "collision_mode", deprecated)
+        args = ("run", str(fixtures / "and_gate.mnl"), "--inputs", "11",
+                "--mode", "auto", "--physics", str(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="old physics"):
+                main(list(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "warning: old physics\n")
+        assert "waste=1" in out
 
     @pytest.mark.parametrize("command", [
         ("run", "and_gate.mnl", "--inputs", "11"),

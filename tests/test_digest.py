@@ -39,7 +39,7 @@ def circuit_lines(circuit: Circuit) -> Iterator[str]:
     for name, node in circuit.nodes.items():
         yield f"node {name} {node.kind.value} {node.hold_phases}"
     for ch in circuit.channels:
-        yield "channel " + " ".join(ch.key())
+        yield "channel " + " ".join(ch[:4])
     for name, phase in circuit.phases.items():
         yield f"phase {name} {phase}"
 

@@ -97,7 +97,7 @@ class TestParse:
                     "connect a -> G.H.J.in\nconnect G.H.J.out -> y\n")
         (decl,) = ast.nodes
         assert decl.name == "G.H.J"
-        assert {ch.key() for ch in ast.channels} == {
+        assert {ch[:4] for ch in ast.channels} == {
             ("a", "out", "G.H.J", "in"), ("G.H.J", "out", "y", "in")}
 
     def test_line_tracking(self):
@@ -180,6 +180,20 @@ class TestWhitespace:
          "expected endpoint after '->'"),
         ("circuit c\ninput a\nconnect a -> ghost.in\n", 3, 14,
          "unknown name 'ghost'"),
+        # Each token is found in its own field, never inside the keyword,
+        # the node name or an earlier list item.
+        ("circuit c\ninput n\nnode n : tap\n", 3, 6,
+         "duplicate name 'n' (already declared as input on line 2)"),
+        ("circuit c\noutput y\nconnect o -> y\n", 3, 9, "unknown name 'o'"),
+        ("circuit c\ninput a\nconnect a -> c.x\n", 3, 14,
+         "unknown name 'c'"),
+        ("circuit c\ninput e\nnode e : junction\n", 3, 6,
+         "duplicate name 'e' (already declared as input on line 2)"),
+        ("circuit c\nnode h10 : hold(0)\n", 2, 17,
+         "hold phase count must be at least 1"),
+        ("circuit c\ninput a, a\n", 2, 10,
+         "duplicate name 'a' (already declared as input on line 2)"),
+        ("circuit c\nnode junk : jun\n", 2, 13, "unknown node kind 'jun'"),
     ])
     def test_errors_point_at_the_same_column(self, source, line, col,
                                              message):
@@ -596,15 +610,15 @@ class TestElaborate:
 
     def test_elaborated_circuit_keeps_source_lines(self, fixtures):
         ast = parse((fixtures / "skew.mnl").read_text())
-        lines = {ch.key(): ch.line for ch in ast.channels}
+        lines = {ch[:4]: ch.line for ch in ast.channels}
         assert lines[("J1", "O2", "J2", "A")] == 14
         unrepaired = elaborate(ast, insert_holds=False)
-        assert {ch.key(): ch.line for ch in unrepaired.channels} == lines
+        assert {ch[:4]: ch.line for ch in unrepaired.channels} == lines
         assert unrepaired.nodes["J2"].line == 9
         # The hold and both its channels take the repaired channel's line.
         repaired = elaborate(ast)
         assert repaired.nodes["J2.A.sync"].line == 14
-        assert {ch.key(): ch.line for ch in repaired.channels
+        assert {ch[:4]: ch.line for ch in repaired.channels
                 if "J2.A.sync" in (ch.src, ch.dst)} == {
             ("J1", "O2", "J2.A.sync", "in"): 14,
             ("J2.A.sync", "out", "J2", "A"): 14}
@@ -685,8 +699,8 @@ class TestElaborate:
         second = elaborate(circuit_to_ast(first))
         assert second.phases == first.phases
         assert set(second.nodes) == set(first.nodes)
-        assert sorted(ch.key() for ch in second.channels) == \
-            sorted(ch.key() for ch in first.channels)
+        assert sorted(ch[:4] for ch in second.channels) == \
+            sorted(ch[:4] for ch in first.channels)
 
     def test_validation_failures_surface_as_elaboration_errors(self):
         ast = parse("circuit c\ninput a\noutput y\ngate G : FROBNICATE\n"
@@ -773,5 +787,5 @@ class TestElaborate:
             assert circuit.phases == naive_phases(circuit), ast.name
             assert list(circuit.nodes) == sorted(circuit.nodes), ast.name
             assert list(circuit.phases) == list(circuit.nodes), ast.name
-            keys = [ch.key() for ch in circuit.channels]
+            keys = [ch[:4] for ch in circuit.channels]
             assert keys == sorted(keys), ast.name

@@ -222,7 +222,7 @@ def test_records_are_tuples():
     name, mode, inputs, outputs, rows = CASES["TruthTable"][0]
     assert (name, inputs, outputs) == ("not_gate", ("a",), ("y",))
     src, src_port, dst, dst_port, line = CASES["Channel"][0]
-    assert CASES["Channel"][0].key() == (src, src_port, dst, dst_port)
+    assert CASES["Channel"][0][:4] == (src, src_port, dst, dst_port)
     assert CASES["NodeDecl"][0][1] is NodeKind.HOLD
     assert CASES["Diagnostic"][0]._asdict() == {
         "severity": "error", "message": "join M needs at least two inputs",

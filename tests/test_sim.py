@@ -12,7 +12,7 @@ import composer
 from marblesim import (Channel, Circuit, CollisionMode, NodeDecl, NodeKind,
                        SimConfig, SimulationError, TimingViolationError,
                        elaborate, format_trace, get_macro, library, parse,
-                       run_ledger, simulate)
+                       run_ledger, simulate, truth_table)
 from marblesim import sim
 
 BOUNCE = SimConfig(mode=CollisionMode.BOUNCE)
@@ -511,6 +511,19 @@ class TestWhichError:
                     "is phase 0$")):
                 simulate(circuit, (1,), config)
 
+    def test_a_marble_one_junction_late_lands_in_the_final_phase(self):
+        # Every phase is 0: a's marble reaches J a phase late, at phase 1,
+        # and y at phase 2, the run's last, so the run ends clean.
+        circuit = hand_built(
+            {"a": self.INPUT, "J": self.JUNCTION, "y": self.OUTPUT},
+            [("a", "out", "J", "A"), ("J", "O5", "y", "in")],
+            dict.fromkeys(("a", "J", "y"), 0))
+        for config in every_config():
+            outputs, trace, ledger = simulate(circuit, (1,), config)
+            assert outputs == (1,) and ledger.balanced
+            assert trace.hazards == ((1, "J", "A", 1, 0),)
+            assert trace.final_locations == {1: ("y", "in")}
+
 
 class TestInputValidation:
     def test_wrong_length(self):
@@ -686,6 +699,26 @@ class TestTraceContract:
             outputs, trace, ledger = simulate(moved, bits, MERGE)
             assert outputs == simulate(circuit, bits, MERGE)[0]
             assert ledger.balanced
+
+    def test_tables_are_built_on_first_use(self):
+        # A circuit is its six fields; a table builds only what it reads,
+        # a run the rest, and a replaced circuit starts with none.
+        fields = [f.name for f in dataclasses.fields(Circuit)]
+        assert fields == ["name", "inputs", "outputs", "nodes", "channels",
+                          "phases"]
+        circuit = circuit_for("FULL_ADDER")
+
+        def tables(circuit):
+            return vars(circuit).keys() - fields
+
+        assert tables(circuit) == set()
+        truth_table(circuit, CollisionMode.MERGE)
+        assert tables(circuit) == {"_kinds", "_mask_order"}
+        simulate(circuit, (1, 0, 1), MERGE)
+        assert tables(circuit) == {"_kinds", "_mask_order", "max_phase",
+                                   "_out", "_starts"}
+        fresh = dataclasses.replace(circuit)
+        assert fresh == circuit and tables(fresh) == set()
 
     def test_ledger_sums_non_unit_masses(self):
         # Merged masses 2 and 3, then a scalpel's halves of 3/2.
