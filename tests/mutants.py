@@ -7,18 +7,18 @@ copy of ``src/`` and ``tests/`` and runs the tier-1 suite there, stopping
 at the first failure.  A mutant is killed when a test fails and survives
 when all pass.
 
-    python tests/mutants.py [--jobs N] [NAME_FRAGMENT ...]
+    python tests/mutants.py
 
 It prints ``killed`` (with the first failing test) or ``survived`` per
 mutant and exits non-zero if any survives.  An unmutated copy runs first
 and must pass.  Each mutant's ``old`` text must occur exactly once in its
 file, so a mutant that no longer applies fails loudly.  pytest does not
-collect this file; the whole list takes a few minutes on two workers.
+collect this file; the whole list takes a few minutes on its two
+workers.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/marblesim/sim.py"
 ANALYSIS = "src/marblesim/analysis.py"
 NETLIST = "src/marblesim/netlist.py"
+WORKERS = 2
 
 # (file, old, new, reason)
 MUTANTS = [
@@ -50,8 +51,7 @@ MUTANTS = [
     (SIM, "if self.config.mode is CollisionMode.BOUNCE:",
      "if self.config.mode is not CollisionMode.BOUNCE:",
      "junction: the two collision modes swapped"),
-    (SIM, "\n                                  + self.created[b[0]][2], phase)",
-     ", phase)",
+    (SIM, "\n" + " " * 34 + "+ self.created[b[0]][2], phase)", ", phase)",
      "merge: the merged marble has only A's mass"),
     (SIM, "half = self.created[marble][2] / 2",
      "half = self.created[marble][2]",
@@ -166,26 +166,18 @@ def run_suite(change: tuple[str, str] | None) -> tuple[int, str]:
     return done.returncode, first.split(" - ")[0]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="suites run at once (default 2)")
-    parser.add_argument("names", nargs="*",
-                        help="run only mutants whose reason contains one")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS
-              if not args.names or any(name in m[3] for name in args.names)]
-    texts = [mutated(m) for m in chosen]
+def main() -> int:
+    texts = [mutated(m) for m in MUTANTS]
     start = time.monotonic()
     code, first = run_suite(None)
     if code != 0:
         print(f"the unmutated suite fails: {first}")
         return 2
     survived = errors = 0
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(WORKERS) as pool:
         results = pool.map(run_suite, [(m[0], text)
-                                       for m, text in zip(chosen, texts)])
-        for (path, _, _, reason), (code, first) in zip(chosen, results):
+                                       for m, text in zip(MUTANTS, texts)])
+        for (path, _, _, reason), (code, first) in zip(MUTANTS, results):
             if code == 0:
                 survived += 1
                 print(f"survived  {path}: {reason}", flush=True)
@@ -195,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 errors += 1
                 print(f"error {code}  {path}: {reason}", flush=True)
-    print(f"{len(chosen) - survived - errors} killed, {survived} survived, "
-          f"{errors} errors of {len(chosen)} mutants in "
+    print(f"{len(MUTANTS) - survived - errors} killed, {survived} survived, "
+          f"{errors} errors of {len(MUTANTS)} mutants in "
           f"{time.monotonic() - start:.0f} s")
     return 1 if survived or errors else 0
 
