@@ -59,8 +59,6 @@ __all__ = [
     "TruthTable",
     "check_conservative",
     "check_reversible",
-    "format_report",
-    "format_table",
     "physically_conservative",
     "timing_lint",
     "truth_table",
@@ -89,14 +87,9 @@ class TruthTable(NamedTuple):
     outputs: tuple[str, ...]
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    def as_map(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        return dict(self.rows)
-
 
 # Byte values of the digits "0" and "1" mapped to 0 and 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-_Rows = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=2)
@@ -242,21 +235,28 @@ def _route(steps: tuple, slots: list, mode: CollisionMode, full):
     return flagged
 
 
-def _presence_rows(circuit: Circuit, mode: CollisionMode
-                   ) -> tuple[_Rows, list[_Presence]] | None:
-    """Every row of the table from one pass over presence masks, with the
-    slots as the pass left them, or None when ``_compile`` refuses the
-    circuit and the simulator has to tabulate it vector by vector.
+def _tabulate(circuit: Circuit, mode: CollisionMode
+              ) -> tuple[TruthTable, list[_Presence] | None]:
+    """The circuit's table under ``mode``, with the slots its mask pass
+    left, or None for the slots when ``_compile`` refuses the circuit and
+    the simulator tabulates it vector by vector.
 
     Bit v of a mask stands for input vector v.  If a vector puts two
     marbles on a single-occupancy port, the lowest such vector is
     simulated: its error is raised, and a clean run is an error too.
     """
+    n = len(circuit.inputs)
+    if n > _MAX_INPUTS:
+        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
+                         f"refusing to enumerate more than {_MAX_INPUTS}")
+    config = SimConfig(mode=mode, trace_enabled=False)
+    vectors = _input_vectors(n)
     order = circuit._mask_order
     if order is None:
-        return None
+        return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
+                          tuple([(bits, simulate(circuit, bits, config)[0])
+                                 for bits in vectors])), None
     steps, inputs, outputs, _ = order
-    n = len(inputs)
     count = 1 << n
     full = (1 << count) - 1
     slots = [(0, 0)] * len(circuit.channels)
@@ -269,10 +269,9 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode
             mask |= mask << span
         slots[slot] = (mask, 0)
     flagged = _route(steps, slots, mode, full)
-    vectors = _input_vectors(n)
     if flagged:
         bits = vectors[(flagged & -flagged).bit_length() - 1]
-        simulate(circuit, bits, SimConfig(mode=mode, trace_enabled=False))
+        simulate(circuit, bits, config)
         raise MarblesimError(f"circuit {circuit.name!r}, mode {mode.value}, "
                              f"inputs {''.join(map(str, bits))}: the mask "
                              f"pass and the simulator disagree")
@@ -302,7 +301,8 @@ def _presence_rows(circuit: Circuit, mode: CollisionMode
         # The getter returns a tuple for two codes or more, so for n >= 1.
         rows = itemgetter(*shorts)(images) if n else (images[shorts[0]],)
     # Built as a list: a tuple grown from an iterator is re-tracked per resize.
-    return tuple(list(zip(vectors, rows))), slots
+    return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
+                      tuple(list(zip(vectors, rows)))), slots
 
 
 def _spoiled(circuit: Circuit, slots: list[_Presence]) -> int:
@@ -351,19 +351,7 @@ def truth_table(circuit: Circuit, mode: CollisionMode) -> TruthTable:
     """
     if not isinstance(mode, CollisionMode):
         raise ValueError(f"mode must be a CollisionMode, got {mode!r}")
-    n = len(circuit.inputs)
-    if n > _MAX_INPUTS:
-        raise ValueError(f"circuit {circuit.name!r} has {n} inputs; "
-                         f"refusing to enumerate more than {_MAX_INPUTS}")
-    found = _presence_rows(circuit, mode)
-    if found is None:
-        config = SimConfig(mode=mode, trace_enabled=False)
-        rows = tuple([(bits, simulate(circuit, bits, config)[0])
-                      for bits in _input_vectors(n)])
-    else:
-        rows = found[0]
-    return TruthTable(circuit.name, mode, circuit.inputs, circuit.outputs,
-                      rows)
+    return _tabulate(circuit, mode)[0]
 
 
 def check_reversible(table: TruthTable) -> bool:
@@ -422,15 +410,13 @@ def verify_gate(name: str) -> GateReport:
     take is an error."""
     macro = get_macro(name)
     circuit = elaborate(macro.expansion)
+    if circuit._mask_order is None:
+        raise MarblesimError(f"gate {name!r}: the mask pass cannot "
+                             f"tabulate its circuit")
     tables, physical = [], []
     for mode in _MODES:
-        found = _presence_rows(circuit, mode)
-        if found is None:
-            raise MarblesimError(f"gate {name!r}: the mask pass cannot "
-                                 f"tabulate its circuit")
-        rows, slots = found
-        tables.append(TruthTable(circuit.name, mode, circuit.inputs,
-                                 circuit.outputs, rows))
+        table, slots = _tabulate(circuit, mode)
+        tables.append(table)
         physical.append(not _spoiled(circuit, slots))
     # Both modes tabulate the same input vectors in the same order.
     expected = [boolean_spec(name, bits) for bits, _ in tables[0].rows]
@@ -481,33 +467,3 @@ def timing_lint(circuit: Circuit) -> tuple[Diagnostic, ...]:
         diagnostics.append(Diagnostic("error", message,
                                       channel.line or None))
     return tuple(diagnostics)
-
-
-def format_table(table: TruthTable) -> str:
-    header = (f"{table.name} mode={table.mode.value}\n"
-              f"{' '.join(table.inputs)} | {' '.join(table.outputs)}")
-    lines = [header]
-    for bits, outputs in table.rows:
-        lines.append(f"{' '.join(map(str, bits))} | "
-                     f"{' '.join(map(str, outputs))}")
-    return "\n".join(lines)
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def format_report(report: GateReport) -> str:
-    lines = [f"gate {report.name}"]
-    for table, ok in zip(report.tables, report.table_ok):
-        lines.append(f"table {table.mode.value}: "
-                     f"{'ok' if ok else 'MISMATCH'}")
-    lines.append(f"modes agree: {_yn(report.modes_agree)}")
-    lines.append(f"reversible: {_yn(report.reversible)} "
-                 f"(claimed {_yn(report.reversible_claim)})")
-    lines.append(f"conservative: {_yn(report.conservative)} "
-                 f"(claimed {_yn(report.conservative_claim)})")
-    physical = ", ".join(f"{table.mode.value} {_yn(flag)}" for table, flag
-                         in zip(report.tables, report.physical))
-    lines.append(f"physically conservative: {physical}")
-    return "\n".join(lines)

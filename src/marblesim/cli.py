@@ -23,11 +23,11 @@ import sys
 import warnings
 from pathlib import Path
 
-from .analysis import (format_report, format_table, timing_lint, truth_table,
+from .analysis import (GateReport, TruthTable, timing_lint, truth_table,
                        verify_gate)
 from .errors import MarblesimError
 from .gates import get_macro, library
-from .netlist import elaborate, parse, print_canonical
+from .netlist import CircuitAst, elaborate, parse, print_canonical
 from .physics import (CollisionMode, MidbandWarning, collision_mode,
                       load_physics_config)
 from .sim import SimConfig, format_trace, simulate
@@ -54,15 +54,18 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="text",
                          help="output style (default: text)")
 
+    def add_mode(cmd: argparse.ArgumentParser) -> None:
+        cmd.add_argument("--mode", choices=("bounce", "merge", "auto"),
+                         default="bounce",
+                         help="collision mode; auto derives it from physics")
+        cmd.add_argument("--physics", metavar="FILE",
+                         help=f"physics config (default: ${_PHYSICS_ENV})")
+
     run = sub.add_parser("run", help="simulate one input vector")
     run.add_argument("file", help="netlist file")
     run.add_argument("--inputs", required=True, metavar="BITS",
                      help="input bits, first declared input first")
-    run.add_argument("--mode", choices=("bounce", "merge", "auto"),
-                     default="bounce",
-                     help="collision mode; auto derives it from physics")
-    run.add_argument("--physics", metavar="FILE",
-                     help=f"physics config (default: ${_PHYSICS_ENV})")
+    add_mode(run)
     run.add_argument("--trace", action="store_true",
                      help="print every marble placement")
     run.add_argument("--strict", action="store_true",
@@ -75,9 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="print a truth table")
     table.add_argument("target", metavar="FILE_OR_GATE",
                        help="netlist file, or a library gate name")
-    table.add_argument("--mode", choices=("bounce", "merge", "auto"),
-                       default="bounce")
-    table.add_argument("--physics", metavar="FILE")
+    add_mode(table)
     add_common(table)
 
     verify = sub.add_parser("verify", help="verify library gates")
@@ -114,9 +115,16 @@ def _resolve_mode(name: str, physics_path: str | None) -> CollisionMode:
     return mode
 
 
+def _read_netlist(path: str) -> CircuitAst:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarblesimError(f"cannot read {path}: {exc}") from None
+    return parse(text)
+
+
 def _load_circuit(path: str, insert_holds: bool = True):
-    ast = parse(Path(path).read_text(encoding="utf-8"))
-    return elaborate(ast, insert_holds=insert_holds)
+    return elaborate(_read_netlist(path), insert_holds=insert_holds)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -144,7 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for hazard in trace.hazards:
             print(f"hazard\t{hazard.phase}\t{hazard.node}\t{hazard.port}"
                   f"\t{hazard.marble_id}\t{hazard.expected_phase}")
-        for phase, node in trace.collisions():
+        for phase, node in trace.collisions:
             print(f"collision\t{phase}\t{node}")
         if args.trace:
             for line in format_trace(trace).splitlines():
@@ -163,13 +171,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"({rec.kind.value}) at phase {rec.phase} mass {rec.mass}")
         for hazard in trace.hazards:
             print(f"hazard: {hazard}")
-        for phase, node in trace.collisions():
+        for phase, node in trace.collisions:
             print(f"collision: phase {phase} at {node}")
         if args.trace:
             print("trace:")
             for line in format_trace(trace).splitlines():
                 print(f"  {line}")
     return 1 if trace.hazards else 0
+
+
+def format_table(table: TruthTable) -> str:
+    lines = [f"{table.name} mode={table.mode.value}",
+             f"{' '.join(table.inputs)} | {' '.join(table.outputs)}"]
+    for bits, outputs in table.rows:
+        lines.append(f"{' '.join(map(str, bits))} | "
+                     f"{' '.join(map(str, outputs))}")
+    return "\n".join(lines)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -194,6 +211,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _yn(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def format_report(report: GateReport) -> str:
+    lines = [f"gate {report.name}"]
+    for table, ok in zip(report.tables, report.table_ok):
+        lines.append(f"table {table.mode.value}: "
+                     f"{'ok' if ok else 'MISMATCH'}")
+    lines.append(f"modes agree: {_yn(report.modes_agree)}")
+    lines.append(f"reversible: {_yn(report.reversible)} "
+                 f"(claimed {_yn(report.reversible_claim)})")
+    lines.append(f"conservative: {_yn(report.conservative)} "
+                 f"(claimed {_yn(report.conservative_claim)})")
+    physical = ", ".join(f"{table.mode.value} {_yn(flag)}" for table, flag
+                         in zip(report.tables, report.physical))
+    lines.append(f"physically conservative: {physical}")
+    return "\n".join(lines)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = args.gates or [macro.name for macro in library()]
     reports = [verify_gate(name) for name in names]
@@ -212,8 +249,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 ("physical_merge", report.physical[1]),
                 ("ok", report.ok),
             ]
-            lines += [f"verify\t{report.name}\t{field}"
-                      f"\t{'yes' if value else 'no'}\n"
+            lines += [f"verify\t{report.name}\t{field}\t{_yn(value)}\n"
                       for field, value in fields]
         sys.stdout.write("".join(lines))
     else:
@@ -235,8 +271,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_print(args: argparse.Namespace) -> int:
-    ast = parse(Path(args.file).read_text(encoding="utf-8"))
-    sys.stdout.write(print_canonical(ast))
+    sys.stdout.write(print_canonical(_read_netlist(args.file)))
     return 0
 
 

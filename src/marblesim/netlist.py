@@ -452,7 +452,13 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def err(message: str, line: int | None = None) -> None:
-        diags.append(Diagnostic("error", message, line))
+        # A code-built declaration's line 0, like a missing one, is None.
+        diags.append(Diagnostic("error", message, line or None))
+
+    def named(pattern: re.Pattern, name: str, line: int | None = None) -> None:
+        # The name rule parse applies, so what validates prints back.
+        if not pattern.fullmatch(name):
+            err(f"invalid identifier {name!r}", line)
 
     # Each name's kind (None for a gate instance), line, in ports and out
     # ports (None for an unknown macro's instance).  Circuit inputs and
@@ -467,36 +473,40 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
         what = ("gate" if prev is None else
                 prev.value if prev in (_INPUT, _OUTPUT) else "node")
         err(f"duplicate name {name!r} (already declared as {what}"
-            f"{f' on line {on}' if on else ''})", line or None)
+            f"{f' on line {on}' if on else ''})", line)
 
+    if not _IDENT.fullmatch(ast.name):
+        err(f"invalid circuit name {ast.name!r}")
     for names, decl in ((ast.inputs, _INPUT_DECL),
                         (ast.outputs, _OUTPUT_DECL)):
         for name in names:
+            named(_IDENT, name)
             if name in decls:
                 duplicate(name, None)
             else:
                 decls[name] = decl
     for name, kind, hold_phases, line in ast.nodes:
+        named(_DOTTED, name, line)
         if kind is _HOLD:
             if hold_phases < 1:
                 err(f"node {name!r}: hold phase count must be at least 1",
-                    line or None)
+                    line)
         else:
             if kind is _INPUT or kind is _OUTPUT:
                 # Only an AST built in code holds one: such a node never
                 # emits, and its printed form does not parse.
                 err(f"node {name!r} cannot be of kind {kind.value}; "
-                    f"declare it on the {kind.value} line", line or None)
+                    f"declare it on the {kind.value} line", line)
             if hold_phases:
                 # print_canonical writes a phase count for a hold only.
-                err(f"node {name!r}: only a hold takes a phase count",
-                    line or None)
+                err(f"node {name!r}: only a hold takes a phase count", line)
         if name in decls:
             duplicate(name, line)
         else:
             decls[name] = (kind, line, kind.ins, kind.outs)
     gates = []
     for gd in ast.gates:
+        named(_IDENT, gd.name, gd.line)
         if gd.name in decls:
             duplicate(gd.name, gd.line)
             continue
@@ -510,7 +520,9 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
             if name in lib:
                 err(f"name {name!r} is reserved (gate macro)")
     for gd in gates:
-        if gd.macro not in lib:
+        if not _IDENT.fullmatch(gd.macro):
+            err(f"invalid macro name {gd.macro!r}", gd.line)
+        elif gd.macro not in lib:
             err(f"unknown gate macro {gd.macro!r}", gd.line)
 
     def unknown_port(name: str, port: str, kind: NodeKind | None,
@@ -533,9 +545,9 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
                 ch.line)
             continue
         if key in seen:
-            err(f"duplicate channel {src}.{src_port} -> "
-                f"{dst}.{dst_port} (first on line {seen[key].line})",
-                ch.line)
+            first = seen[key].line
+            err(f"duplicate channel {src}.{src_port} -> {dst}.{dst_port}"
+                f"{f' (first on line {first})' if first else ''}", ch.line)
             continue
         seen[key] = ch
         # A bare circuit input or output stands for its one port.

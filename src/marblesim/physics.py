@@ -267,7 +267,7 @@ def load_physics_config(path: str | Path) -> tuple[PhysicsParams,
     """Read and parse a physics config file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise PhysicsConfigError(f"cannot read {path}: {exc}") from None
     return parse_physics_config(text, source=str(path))

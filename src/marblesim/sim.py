@@ -18,7 +18,7 @@ pocket, one that arrives on time also fills the syringe's ``in`` slot, and
 the firing injects a fresh unit marble exactly when that slot is empty.
 The nodes due in one phase fire in name order, which fixes the marble ids
 and the (phase, junction) order of the collisions; hazards come in (phase,
-node, port, marble) order.  Of the errors met placing one phase's marbles,
+node, port, marble) order.  Of the errors found placing one phase's marbles,
 the run raises, once the phase before has fired, the one at the least
 (node, port), where a strict timing error, naming the lowest marble id,
 comes before contention.  ``_Run.fire`` is the one place that says what
@@ -108,18 +108,15 @@ class Trace(NamedTuple):
 
     Each event is a plain tuple of ``Event``'s fields.  The event list is
     empty when the run was not traced; the rest is kept either way.
-    ``circuit`` is the circuit that ran.
+    ``circuit`` is the circuit that ran, and ``collisions`` the (phase,
+    junction) pairs where two marbles collided, in that order.
     """
 
     events: tuple[tuple[int, str, str, int, Fraction], ...]
     final_locations: dict[int, tuple[str, str]]
     hazards: tuple[Hazard, ...]
     circuit: Circuit
-    met: tuple[tuple[int, str], ...]
-
-    def collisions(self) -> tuple[tuple[int, str], ...]:
-        """(phase, junction) pairs where two marbles met, in that order."""
-        return self.met
+    collisions: tuple[tuple[int, str], ...]
 
 
 class SimConfig(NamedTuple):
@@ -240,11 +237,11 @@ class _Run:
         # Where each marble is, in id order: entered where it was made.
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
-        self.met: list[tuple[int, str]] = []
+        self.collisions: list[tuple[int, str]] = []
         # A marble emitted in the last phase is in flight when the run ends.
         self.last_phase = circuit.max_phase + 2
         self.in_flight = False
-        # Single-occupancy ports reached next phase, and the errors met there.
+        # Single-occupancy ports reached next phase, and errors found there.
         self.placed: set[tuple[str, str]] = set()
         self.faults: list[tuple[str, str, bool, int, str]] = []
         # phase -> node that fires then -> port -> marbles parked for that
@@ -339,7 +336,7 @@ class _Run:
             a = ports.pop("A", None)
             b = ports.pop("B", None)
             if a and b:
-                self.met.append((phase, node))
+                self.collisions.append((phase, node))
                 if self.config.mode is CollisionMode.BOUNCE:
                     self.emit(node, "O2", a[0], phase)
                     self.emit(node, "O4", b[0], phase)
@@ -397,7 +394,7 @@ class _Run:
                         for name in self.circuit.outputs)
         events = () if self.events is None else _as_events(self.events)
         trace = Trace(events, self.final, tuple(sorted(self.hazards)),
-                      self.circuit, tuple(self.met))
+                      self.circuit, tuple(self.collisions))
         return outputs, trace, _ledger(self.created, self.final, self.kinds)
 
 

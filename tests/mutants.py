@@ -129,6 +129,13 @@ MUTANTS = [
     (NETLIST, "phases[hold_name] = phases[jname] - 1",
      "phases[hold_name] = phases[jname]",
      "hold repair: an inserted hold fires with its junction"),
+    # What validate reports, netlist.
+    (NETLIST, "if not pattern.fullmatch(name):\n            err(",
+     "if False:\n            err(",
+     "validate: names parse refuses pass"),
+    (NETLIST, 'diags.append(Diagnostic("error", message, line or None))',
+     'diags.append(Diagnostic("error", message, line))',
+     "validate: a code-built declaration's line 0 is reported"),
 ]
 
 

@@ -56,15 +56,15 @@ def test_criterion_01_truth_tables_for_all_gates_in_both_modes():
         circuit = circuit_for(name)
         for mode in MODES:
             table = truth_table(circuit, mode)
-            assert table.as_map() == expected, (name, mode)
+            assert dict(table.rows) == expected, (name, mode)
     # the controlled rows single out what makes these gates interesting
     toffoli = truth_table(circuit_for("TOFFOLI"), CollisionMode.MERGE)
-    assert toffoli.as_map()[(1, 1, 0)] == (1, 1, 1)
-    assert toffoli.as_map()[(1, 1, 1)] == (1, 1, 0)
+    assert dict(toffoli.rows)[(1, 1, 0)] == (1, 1, 1)
+    assert dict(toffoli.rows)[(1, 1, 1)] == (1, 1, 0)
     fredkin = truth_table(circuit_for("FREDKIN_DIRECT"),
                           CollisionMode.BOUNCE)
-    assert fredkin.as_map()[(0, 0, 1)] == (0, 1, 0)
-    assert fredkin.as_map()[(1, 0, 1)] == (1, 0, 1)
+    assert dict(fredkin.rows)[(0, 0, 1)] == (0, 1, 0)
+    assert dict(fredkin.rows)[(1, 0, 1)] == (1, 0, 1)
     _passed(1, "13 gates x 2 modes match their reference truth tables")
 
 
@@ -85,7 +85,7 @@ def test_criterion_03_conservativeness_verdicts():
         assert report.conservative == (macro.name in conservative)
     # Toffoli's witness: the 110 row creates a set bit out of nothing.
     table = truth_table(circuit_for("TOFFOLI"), CollisionMode.BOUNCE)
-    bits, outs = (1, 1, 0), table.as_map()[(1, 1, 0)]
+    bits, outs = (1, 1, 0), dict(table.rows)[(1, 1, 0)]
     assert sum(bits) == 2 and sum(outs) == 3
     _passed(3, "bit-count conservation holds exactly for the FREDKIN gates")
 
@@ -121,7 +121,7 @@ def test_criterion_05_trace_walkthroughs():
         outputs, trace, _ = simulate(circuit, (0, 1, 0), SimConfig(mode=mode))
         assert outputs == (0, 0, 1)
         assert list(trace.events) == swap_events
-        assert trace.collisions() == ()
+        assert trace.collisions == ()
 
     # 101: u and x2 collide at J2 in phase 4; the mode only changes how
     # the products travel, not where they end up.
@@ -155,7 +155,7 @@ def test_criterion_05_trace_walkthroughs():
         outputs, trace, _ = simulate(circuit, (1, 0, 1), SimConfig(mode=mode))
         assert outputs == (1, 0, 1)
         assert list(trace.events) == sorted(prefix + tail)
-        assert trace.collisions() == ((4, "J2"),)
+        assert trace.collisions == ((4, "J2"),)
     _passed(5, "FREDKIN_DIRECT 010 and 101 traces match the frozen "
                "walkthroughs event for event")
 

@@ -15,7 +15,7 @@ from marblesim import (Channel, Circuit, CollisionMode, MarblesimError,
                        physically_conservative, print_canonical, simulate,
                        timing_lint, truth_table, validate, verify_gate)
 from marblesim import analysis, netlist
-from marblesim.analysis import format_report, format_table
+from marblesim.cli import format_report, format_table
 
 
 def circuit_for(name):
@@ -31,10 +31,6 @@ class TestTruthTable:
         ]
         assert table.inputs == ("a", "b", "cin")
         assert table.outputs == ("sum", "cout")
-
-    def test_as_map(self):
-        table = truth_table(circuit_for("XOR"), CollisionMode.MERGE)
-        assert table.as_map()[(1, 0)] == (1,)
 
     def test_input_count_is_capped(self):
         names = ", ".join(f"i{k}" for k in range(17))
@@ -528,13 +524,12 @@ def simulated_verdicts(circuit, mode):
 def mask_verdicts(circuit, mode):
     """The same from one presence-mask pass, or None where ``_compile``
     refuses the circuit."""
-    found = analysis._presence_rows(circuit, mode)
-    if found is None:
+    if circuit._mask_order is None:
         return None
-    rows, slots = found
+    table, slots = analysis._tabulate(circuit, mode)
     spoiled = analysis._spoiled(circuit, slots)
     return [(bits, outputs, not (spoiled >> v) & 1)
-            for v, (bits, outputs) in enumerate(rows)]
+            for v, (bits, outputs) in enumerate(table.rows)]
 
 
 class TestPhysicalVerdict:
@@ -664,7 +659,7 @@ class _Vectors(frozenset):
 
 def routed(circuit, mode, presence):
     """The slots and contention value of ``analysis._route`` over the
-    circuit, its inputs seeded as ``_presence_rows`` seeds them, in the
+    circuit, its inputs seeded as ``_tabulate`` seeds them, in the
     value type ``presence`` makes from a set of vector numbers."""
     steps, inputs, _, _ = circuit._mask_order
     n = len(circuit.inputs)
@@ -708,7 +703,7 @@ class TestGenericRoute:
                 (slots, flagged), ints = self.route_both(circuit, mode)
                 assert (slots, flagged) == ints, (circuit.name, mode)
                 assert flagged == 0
-                assert slots == analysis._presence_rows(circuit, mode)[1]
+                assert slots == analysis._tabulate(circuit, mode)[1]
 
     def test_sets_find_the_same_contention(self):
         circuit = elaborate(parse(composer.primitive_source(107)))
@@ -776,23 +771,25 @@ class TestVerifyGate:
         assert not report.conservative
 
     def test_each_mode_is_checked_against_the_spec(self, monkeypatch):
-        presence_rows = analysis._presence_rows
+        tabulate = analysis._tabulate
 
         def flip_merge(circuit, mode):
-            rows, slots = presence_rows(circuit, mode)
+            table, slots = tabulate(circuit, mode)
             if mode is CollisionMode.MERGE:
-                (bits, (out,)), *rest = rows
-                rows = ((bits, (1 - out,)), *rest)
-            return rows, slots
+                (bits, (out,)), *rest = table.rows
+                table = table._replace(rows=((bits, (1 - out,)), *rest))
+            return table, slots
 
-        monkeypatch.setattr(analysis, "_presence_rows", flip_merge)
+        monkeypatch.setattr(analysis, "_tabulate", flip_merge)
         report = verify_gate("AND")
         assert report.table_ok == (True, False)
         assert not report.modes_agree
         assert not report.ok
 
     def test_gate_the_mask_pass_cannot_take_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_presence_rows", lambda *args: None)
+        # Refused before any vector is simulated.
+        monkeypatch.setattr(analysis, "_compile", lambda circuit: None)
+        monkeypatch.setattr(analysis, "simulate", None)
         with pytest.raises(MarblesimError, match=(
                 "^gate 'FREDKIN_DIRECT': the mask pass cannot tabulate its "
                 "circuit$")):

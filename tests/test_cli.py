@@ -192,6 +192,17 @@ class TestRun:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [("run", "--inputs", "1"), ("table",),
+                                      ("lint",), ("print",)])
+    def test_undecodable_netlist_names_its_file(self, capsys, tmp_path,
+                                                argv):
+        bad = tmp_path / "bad.mnl"
+        bad.write_bytes(b"circuit c\ninput a\noutput y\n# \xff\n")
+        code, out, err = run_cli(capsys, argv[0], str(bad), *argv[1:])
+        assert (code, out, err) == (
+            1, "", f"error: cannot read {bad}: 'utf-8' codec can't decode "
+                   f"byte 0xff in position 29: invalid start byte\n")
+
 
 class TestPhysicsSelection:
     def test_auto_mode_uses_physics_file(self, capsys, fixtures, tmp_path):
@@ -372,6 +383,16 @@ class TestPrint:
                   "--format", "records"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "table"])
+def test_mode_options_have_one_help_text(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "collision mode; auto derives it from physics" in text
+    assert "physics config (default: $MARBLE_PHYSICS)" in text
 
 
 class TestParserReuse:

@@ -61,7 +61,7 @@ def run_lines(circuit: Circuit, bits: tuple[int, ...],
     for hz in trace.hazards:
         yield (f"hazard {hz.phase} {hz.node} {hz.port} {hz.marble_id} "
                f"{hz.expected_phase}")
-    for phase, junction in trace.collisions():
+    for phase, junction in trace.collisions:
         yield f"met {phase} {junction}"
     yield (f"ledger {ledger.input_marbles} {ledger.injected} "
            f"{ledger.output_marbles} {ledger.waste_marbles} "

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -552,6 +553,87 @@ class TestValidate:
             f"on the {kind.value} line", 2)]
         with pytest.raises(ElaborationError, match="cannot be of kind"):
             elaborate(ast)
+
+    NAMED = ("circuit c\ninput a\noutput y\nnode H : hold(1)\n"
+             "gate G : NOT_SYRINGE\nconnect a -> H.in\n"
+             "connect H.out -> G.a\nconnect G.y -> y\n")
+
+    @staticmethod
+    def renamed(ast, old, new):
+        """``ast`` with every use of the name ``old`` (the circuit's, a
+        declaration's or a macro's) written ``new``."""
+        def name(text):
+            return new if text == old else text
+        return CircuitAst(
+            name(ast.name), tuple(map(name, ast.inputs)),
+            tuple(map(name, ast.outputs)),
+            tuple(nd._replace(name=name(nd.name)) for nd in ast.nodes),
+            tuple(gd._replace(name=name(gd.name), macro=name(gd.macro))
+                  for gd in ast.gates),
+            tuple(ch._replace(src=name(ch.src), dst=name(ch.dst))
+                  for ch in ast.channels))
+
+    BAD_NAMES = [
+        ("c", "my c", (None, "invalid circuit name 'my c'")),
+        ("a", "in put", (None, "invalid identifier 'in put'")),
+        ("y", "y.z", (None, "invalid identifier 'y.z'")),
+        ("H", "h h", (4, "invalid identifier 'h h'")),
+        ("H", "H..x", (4, "invalid identifier 'H..x'")),
+        ("G", "G.x", (5, "invalid identifier 'G.x'")),
+        ("NOT_SYRINGE", "NOT SYRINGE",
+         (5, "invalid macro name 'NOT SYRINGE'")),
+    ]
+
+    @staticmethod
+    def unlined(ast):
+        """``ast`` as code builds it, every declaration on line 0."""
+        return CircuitAst(
+            ast.name, ast.inputs, ast.outputs,
+            tuple(nd._replace(line=0) for nd in ast.nodes),
+            tuple(gd._replace(line=0) for gd in ast.gates),
+            tuple(ch._replace(line=0) for ch in ast.channels))
+
+    @pytest.mark.parametrize("old, new, expected", BAD_NAMES)
+    def test_names_follow_the_parse_rule(self, old, new, expected):
+        # Built in code: parse refuses each of these names, so validate
+        # does too, or the printed circuit would not parse back.
+        ast = self.renamed(parse(self.NAMED), old, new)
+        assert validate(ast) == [Diagnostic("error", expected[1],
+                                            expected[0])]
+        with pytest.raises(ParseError, match="invalid"):
+            parse(print_canonical(ast))
+
+    def test_a_code_built_ast_that_validates_prints_back(self):
+        named = parse(self.NAMED)
+        for old, new in [("H", "sub.H"), *[case[:2] for case in
+                                           self.BAD_NAMES]]:
+            built = self.unlined(self.renamed(named, old, new))
+            if validate(built):
+                continue
+            again = parse(print_canonical(built))
+            assert again == built
+            assert elaborate(again) == elaborate(built)
+
+    def test_diagnostics_without_a_source_line_have_line_none(self):
+        # Built in code, declarations carry line 0: every diagnostic is
+        # the parsed one's, with line None, as for a circuit port.
+        sources = [self.HOLD.replace("hold(1)", "join"),
+                   "circuit c\ninput a, b\noutput y\nnode M : join\n"
+                   "connect a -> M.in1\nconnect b -> M.in3\n"
+                   "connect M.out -> y\nconnect M.out -> y\n",
+                   "circuit c\ninput a\noutput y\ngate G : NOPE\n"
+                   "node T : tap\nconnect a -> T.x\nconnect T.out -> y\n"]
+        for source in sources:
+            ast = parse(source)
+            diags = validate(ast)
+            assert any(diag.line for diag in diags)
+            assert validate(self.unlined(ast)) == [
+                diag._replace(message=re.sub(r" \(first on line \d+\)", "",
+                                             diag.message), line=None)
+                for diag in diags]
+        join = validate(parse(self.HOLD.replace("hold(1)", "join")))
+        assert Diagnostic("error", "join H needs at least two inputs",
+                          4) in join
 
     def test_diagnostics_ignore_declaration_order(self):
         sources = [self.CYCLE,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -212,3 +213,13 @@ midband = reject
         params, policy = load_physics_config(path)
         assert params.diameter == 0.002
         assert policy.midband_rule is MidbandRule.REJECT
+
+    def test_file_is_read_as_utf8_and_names_itself(self, tmp_path):
+        path = tmp_path / "marbles.phys"
+        path.write_bytes(b"# \xc2\xb5m marbles\n" + self.GOOD.encode())
+        assert load_physics_config(path)[0].diameter == 0.002
+        path.write_bytes(self.GOOD.encode() + b"# \xff\n")
+        with pytest.raises(PhysicsConfigError,
+                           match=f"^cannot read {re.escape(str(path))}: "
+                                 f"'utf-8' codec can't decode byte 0xff"):
+            load_physics_config(path)

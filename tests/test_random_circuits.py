@@ -6,7 +6,9 @@ failures replay.  The property tests draw netlists from a ``Random`` that
 hypothesis controls, derandomized, so a failure replays and shrinks to a
 small netlist."""
 
+import dataclasses
 import re
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,7 @@ def observed(circuit, bits, config):
     """Everything a run shows but its events, orders included."""
     outputs, trace, ledger = simulate(circuit, bits, config)
     return (outputs, list(trace.final_locations.items()), trace.hazards,
-            trace.collisions(), ledger)
+            trace.collisions, ledger)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -191,6 +193,44 @@ def test_printed_circuits_parse_back_to_the_same_circuit(rng):
             again = parse(print_canonical(lowered))
             assert again == lowered
             assert elaborate(again, insert_holds=insert_holds) == circuit
+
+
+def redrawn(circuit, rng):
+    """``circuit`` with each node's phase moved by a drawn offset, kept at
+    0 or more, and never validated: marbles reach junctions and syringes
+    early or late, as no elaborated circuit has them."""
+    return dataclasses.replace(circuit, phases={
+        name: max(0, phase + rng.randint(-2, 2))
+        for name, phase in circuit.phases.items()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_redrawn_phases_keep_every_property(rng):
+    """On hand-set phases the table equals per-vector simulation, traced
+    runs equal untraced runs, a clean run balances, and a strict run
+    raises the first hazard or returns what the loose run returns."""
+    for circuit in map(redrawn, drawn_circuits(rng), repeat(rng)):
+        for mode in CollisionMode:
+            assert (outcome(truth_table, circuit, mode)
+                    == outcome(simulated_rows, circuit, mode))
+            for bits in composer.input_vectors(circuit, limit=8):
+                seen = {}
+                for strict in (False, True):
+                    untraced = SimConfig(mode, strict, trace_enabled=False)
+                    seen[strict] = outcome(observed, circuit, bits, untraced)
+                    assert seen[strict] == outcome(observed, circuit, bits,
+                                                   SimConfig(mode, strict))
+                loose, strict = seen[False], seen[True]
+                if loose[0] is SimulationError:
+                    # A strict run fails too, at a hazard or as the loose
+                    # run does.
+                    assert strict[0] is TimingViolationError or strict == loose
+                    continue
+                assert loose[4].balanced
+                hazards = loose[2]
+                assert strict == ((TimingViolationError, str(hazards[0]))
+                                  if hazards else loose)
 
 
 HINT = re.compile(r".*; insert hold\((\d+)\) on (\S+)\.(\w+) -> "

@@ -61,7 +61,7 @@ class TestAndGate:
             1: ("J", "A"), 2: ("J", "B"), 3: ("S", "in"),
             4: ("y", "in"), 5: ("W", "in"),
         }
-        assert trace.collisions() == ((1, "J"),)
+        assert trace.collisions == ((1, "J"),)
         assert (ledger.input_marbles, ledger.output_marbles,
                 ledger.waste_marbles) == (2, 1, 1)
         assert ledger.input_mass == 2
@@ -80,7 +80,7 @@ class TestAndGate:
             outputs, trace, ledger = simulate(circuit, bits, BOUNCE)
             assert outputs == (0,)
             assert ledger.waste_marbles == 1
-            assert trace.collisions() == ()
+            assert trace.collisions == ()
 
 
 class TestJunction:
@@ -115,7 +115,7 @@ class TestJunction:
                                else [])
         assert ledger.output_mass == sum(reached.values())
         assert ledger.balanced
-        assert trace.collisions() == (((2, "J"),) if bits == (1, 1) else ())
+        assert trace.collisions == (((2, "J"),) if bits == (1, 1) else ())
 
 
 class TestJoinSynchronization:
@@ -592,9 +592,9 @@ class TestTraceContract:
             u_outputs, u_trace, u_ledger = simulate(circuit, bits, config)
             assert u_trace.events == ()
             assert (u_outputs, u_trace.final_locations, u_trace.hazards,
-                    u_trace.collisions(), u_ledger) == (
+                    u_trace.collisions, u_ledger) == (
                         outputs, trace.final_locations, trace.hazards,
-                        trace.collisions(), ledger)
+                        trace.collisions, ledger)
 
     @pytest.mark.parametrize("mode", list(CollisionMode))
     def test_events_are_the_plain_sorted_placements(self, mode):
@@ -631,7 +631,10 @@ class TestTraceContract:
         assert run_ledger(trace) == ledger
         assert trace._asdict() == {
             "events": trace.events, "final_locations": trace.final_locations,
-            "hazards": trace.hazards, "circuit": circuit, "met": trace.met}
+            "hazards": trace.hazards, "circuit": circuit,
+            "collisions": trace.collisions}
+        assert sim.Trace._fields == ("events", "final_locations", "hazards",
+                                     "circuit", "collisions")
 
     def test_ledger_needs_a_traced_run(self):
         circuit = circuit_for("AND")
@@ -812,7 +815,7 @@ class TestOrders:
                         circuit, bits, SimConfig(mode, trace_enabled=traced))
                     marbles = list(trace.final_locations)
                     assert marbles == sorted(marbles)
-                    collisions = trace.collisions()
+                    collisions = trace.collisions
                     assert collisions == tuple(sorted(collisions))
                     phases = [phase for phase, _ in collisions]
                     shared += len(set(phases)) < len(phases)
