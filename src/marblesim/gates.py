@@ -29,6 +29,7 @@ one of these names.
 from __future__ import annotations
 
 from functools import cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .errors import MarblesimError
@@ -407,10 +408,10 @@ _DEFS: dict[str, tuple[str, Callable, bool, bool]] = {
 }
 
 @cache
-def library_map() -> dict[str, GateMacro]:
-    """The built-in macros keyed by name (built once, cached)."""
-    return {name: GateMacro(name, parse(source), spec_fn, rev, cons)
-            for name, (source, spec_fn, rev, cons) in _DEFS.items()}
+def library_map() -> MappingProxyType[str, GateMacro]:
+    """The built-in macros keyed by name, built once and read only."""
+    return MappingProxyType({name: GateMacro(name, parse(source), *rest)
+                             for name, (source, *rest) in _DEFS.items()})
 
 
 def library() -> tuple[GateMacro, ...]:

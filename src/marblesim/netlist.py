@@ -20,21 +20,22 @@ sensor_syringes and holds in/out; joins in1..inN/out; waste a single n-ary
 in.  Every declared port must be wired: non-sink output ports carry exactly
 one channel, input ports receive exactly one (waste accepts any number).
 
-Elaboration validates each macro body once per call and flattens it into
-a stamping template: its nodes, the channels wholly inside it and the few
-that touch its ports.  Every instance stamps the template under its
-``instance.`` prefix straight into final records, and only the channels
-through its ports are spliced to the channels around it.  One topological
-sort (``_toposort``) orders the flat circuit, and one forward pass over
-that order gives each node its firing phase, the longest path from the
-inputs.  A junction whose two feed paths differ in depth gets a hold on
-the shallower side, so both marbles reach it on the same phase.
+Elaboration validates and flattens each macro body into a stamping
+template (its nodes, the channels wholly inside it and those at its ports)
+once per call, or once per process for the read-only built-in library.
+Every instance stamps the template under its ``instance.`` prefix straight
+into final records, and only the channels through its ports are spliced to
+the channels around it.  One topological sort (``_toposort``) orders the
+flat circuit, and one forward pass over that order gives each node its
+firing phase, the longest path from the inputs.  A junction whose two
+feed paths differ in depth gets a hold on the shallower side, so both
+marbles reach it on the same phase.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -169,7 +170,7 @@ _SOURCE, _SOURCE_PORT = itemgetter(0), itemgetter(1)
 
 
 # Equal whatever its node and channel order, unlike a tuple.
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CircuitAst:
     """Parsed netlist.  Node and channel order is not semantic; input and
     output declaration order is (it fixes the bit-vector layout)."""
@@ -435,12 +436,13 @@ def print_canonical(ast: CircuitAst) -> str:
     return "\n".join(out) + "\n"
 
 
-def _default_library() -> dict:
+def _default_library() -> Mapping:
     from .gates import library_map
     return library_map()
 
 
-def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
+def validate(ast: CircuitAst, library: Mapping | None = None
+             ) -> list[Diagnostic]:
     """Structural checks: unique names, port names, arity, connectivity,
     acyclicity.
 
@@ -635,7 +637,7 @@ def validate(ast: CircuitAst, library: dict | None = None) -> list[Diagnostic]:
 
 
 class _Template(NamedTuple):
-    """A macro body flattened once per ``elaborate`` call, ready to stamp.
+    """A flattened macro body, ready to stamp and kept as ``elaborate`` says.
 
     Its nodes are numbered in the order the body declares them, nested
     bodies in place, so the first name an instance finds taken is the
@@ -654,7 +656,25 @@ class _Template(NamedTuple):
     leave: dict[str, tuple[int, str]]
 
 
-def _template(macro: str, lib: dict, bodies: dict[str, _Template],
+# Kept per process: the built-in library's templates and validated bodies.
+_BUILTIN_BODIES: dict[str, _Template] = {}
+_VALIDATED: dict[int, CircuitAst] = {}  # by id, which the AST keeps unused
+
+
+def _check(ast: CircuitAst, lib: Mapping, bodies: dict, what: str) -> None:
+    """Raise unless ``ast`` validates against ``lib``.  With the built-in
+    library's ``bodies``, a built-in body is validated once per process."""
+    shared = bodies is _BUILTIN_BODIES
+    if shared and _VALIDATED.get(id(ast)) is ast:
+        return
+    diags = validate(ast, lib)
+    if diags:
+        raise ElaborationError(what, tuple(diags))
+    if shared and any(ast is macro.expansion for macro in lib.values()):
+        _VALIDATED[id(ast)] = ast
+
+
+def _template(macro: str, lib: Mapping, bodies: dict[str, _Template],
               active: list[str]) -> _Template:
     """Validate and flatten the expansion of ``macro`` into its template,
     kept in ``bodies``.  ``active`` is the chain of macros being flattened,
@@ -664,9 +684,7 @@ def _template(macro: str, lib: dict, bodies: dict[str, _Template],
         raise ElaborationError("recursive macro expansion: "
                                + " -> ".join(chain))
     expansion = lib[macro].expansion
-    diags = validate(expansion, lib)
-    if diags:
-        raise ElaborationError(f"invalid macro {macro}", tuple(diags))
+    _check(expansion, lib, bodies, f"invalid macro {macro}")
     active.append(macro)
     nodes, channels = _flatten(expansion, lib, bodies, active)
     active.pop()
@@ -692,7 +710,7 @@ def _template(macro: str, lib: dict, bodies: dict[str, _Template],
     return template
 
 
-def _flatten(ast: CircuitAst, lib: dict, bodies: dict[str, _Template],
+def _flatten(ast: CircuitAst, lib: Mapping, bodies: dict[str, _Template],
              active: list[str]) -> tuple[dict[str, NodeDecl], list[Channel]]:
     """Inline every gate instance of a validated ``ast``.
 
@@ -888,7 +906,7 @@ def _levelize(ast: CircuitAst, nodes: dict[str, NodeDecl],
                    {name: phases[name] for name in names})
 
 
-def elaborate(ast: CircuitAst, library: dict | None = None, *,
+def elaborate(ast: CircuitAst, library: Mapping | None = None, *,
               insert_holds: bool = True) -> Circuit:
     """Expand macros, levelize, and repair junction synchronization.
 
@@ -897,12 +915,12 @@ def elaborate(ast: CircuitAst, library: dict | None = None, *,
     hold inserted to repair one, and its two channels, carry the line of
     the channel they replace.  Elaboration is idempotent on primitive
     circuits: re-elaborating an already balanced circuit changes nothing.
+    Built-in bodies are validated and flattened once per process.
     """
     lib = _default_library() if library is None else library
-    diags = validate(ast, lib)
-    if diags:
-        raise ElaborationError("invalid netlist", tuple(diags))
-    nodes, channels = _flatten(ast, lib, {}, [])
+    bodies = _BUILTIN_BODIES if lib is _default_library() else {}
+    _check(ast, lib, bodies, "invalid netlist")
+    nodes, channels = _flatten(ast, lib, bodies, [])
     return _levelize(ast, nodes, channels, insert_holds)
 
 

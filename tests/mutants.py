@@ -136,6 +136,13 @@ MUTANTS = [
     (NETLIST, 'diags.append(Diagnostic("error", message, line or None))',
      'diags.append(Diagnostic("error", message, line))',
      "validate: a code-built declaration's line 0 is reported"),
+    # Built-in bodies validated and flattened once per process, netlist.
+    (NETLIST, "bodies = _BUILTIN_BODIES if lib is _default_library() else {}",
+     "bodies = _BUILTIN_BODIES",
+     "elaborate: every library shares the built-in templates"),
+    (NETLIST, "if shared and _VALIDATED.get(id(ast)) is ast:",
+     "if shared:",
+     "elaborate: nothing is validated with the built-in library"),
 ]
 
 

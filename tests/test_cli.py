@@ -62,6 +62,8 @@ GOLDENS = [
     (("table", "fan_out.mnl", "--format", "records"),
      "table_fan_out_records.txt", None, 0),
     (("verify", "FREDKIN_DIRECT"), "verify_fredkin_direct.txt", None, 0),
+    (("verify", "--format", "records"), "verify_library_records.txt", None,
+     0),
     (("lint", "skew.mnl"), "lint_skew.txt", None, 1),
     (("lint", "skew.mnl", "--format", "records"), "lint_skew_records.txt",
      None, 1),
@@ -330,6 +332,11 @@ class TestTable:
 class TestVerify:
     def test_single_gate_matches_golden(self, capsys, fixtures, golden):
         check_golden(capsys, fixtures, golden, "verify_fredkin_direct.txt")
+
+    def test_whole_library_records_match_golden(self, capsys, fixtures,
+                                                golden):
+        # Every nested body of the library, elaborated in one call.
+        check_golden(capsys, fixtures, golden, "verify_library_records.txt")
 
     def test_whole_library_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

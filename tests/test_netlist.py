@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -10,6 +11,7 @@ from marblesim import (Channel, Circuit, CircuitAst, Diagnostic,
                        ElaborationError, GateDecl, GateMacro, NodeDecl,
                        NodeKind, ParseError, circuit_to_ast, elaborate,
                        get_macro, library, parse, print_canonical, validate)
+from marblesim import netlist
 from marblesim.gates import library_map
 
 
@@ -871,3 +873,124 @@ class TestElaborate:
             assert list(circuit.phases) == list(circuit.nodes), ast.name
             keys = [ch[:4] for ch in circuit.channels]
             assert keys == sorted(keys), ast.name
+
+
+def fresh_bodies(monkeypatch):
+    """Start the process's built-in templates and validated bodies empty,
+    as in a fresh interpreter."""
+    monkeypatch.setattr(netlist, "_BUILTIN_BODIES", {})
+    monkeypatch.setattr(netlist, "_VALIDATED", {})
+
+
+def counted_validate(monkeypatch):
+    """Record the AST of every ``netlist.validate`` call from now on."""
+    calls = []
+    real = netlist.validate
+
+    def counted(ast, library=None):
+        calls.append(ast)
+        return real(ast, library)
+
+    monkeypatch.setattr(netlist, "validate", counted)
+    return calls
+
+
+def records(circuit):
+    """Everything an elaboration gives, source lines and order included."""
+    return (circuit.name, circuit.inputs, circuit.outputs,
+            [(name, tuple(node)) for name, node in circuit.nodes.items()],
+            [tuple(ch) for ch in circuit.channels],
+            list(circuit.phases.items()))
+
+
+# An AND whose body passes a and wastes b: a NAND built on it differs.
+PASS_AND = user_macro("AND", "circuit pass_and\ninput a, b\noutput y\n"
+                             "node W : waste\nconnect a -> y\n"
+                             "connect b -> W.in\n")
+
+
+class TestBuiltinBodiesOncePerProcess:
+    """The built-in library's bodies are validated and flattened once per
+    process; every other library's on every call."""
+
+    def test_a_second_round_validates_nothing(self, monkeypatch):
+        for macro in library():
+            elaborate(macro.expansion)
+        calls = counted_validate(monkeypatch)
+        for macro in library():
+            elaborate(macro.expansion)
+            elaborate(macro.expansion, library=library_map())
+        assert calls == []
+        # A netlist of built-in gates, and an equal copy of a built-in
+        # body, are validated on every call, and only themselves.
+        adder = parse(composer.ripple_adder_source(4))
+        copy = parse(print_canonical(get_macro("NAND").expansion))
+        for ast in (adder, copy, adder, copy):
+            elaborate(ast)
+        assert [id(ast) for ast in calls] == [id(adder), id(copy)] * 2
+
+    def test_an_invalid_netlist_fails_on_every_call(self):
+        ast = parse("circuit c\ninput a\noutput y\ngate G : AND\n"
+                    "connect a -> G.a\nconnect G.y -> y\n")
+        for _ in range(2):
+            with pytest.raises(ElaborationError,
+                               match="unconnected port G.b"):
+                elaborate(ast)
+
+    def test_the_built_in_library_passed_shares_the_templates(
+            self, monkeypatch):
+        fresh_bodies(monkeypatch)
+        elaborate(get_macro("FULL_ADDER").expansion, library=library_map())
+        # The top-level body is validated, not made a template.
+        assert set(netlist._BUILTIN_BODIES) == {"HALF_ADDER", "OR"}
+        calls = counted_validate(monkeypatch)
+        elaborate(get_macro("FULL_ADDER").expansion)
+        assert calls == []
+
+    @pytest.mark.parametrize("builtin_first", [True, False])
+    def test_a_copied_library_gets_its_own_bodies(self, monkeypatch,
+                                                  builtin_first):
+        fresh_bodies(monkeypatch)
+        nand = get_macro("NAND").expansion
+        lib = dict(library_map())
+        lib["AND"] = PASS_AND
+        expected = records(elaborate(nand, library=dict(library_map())))
+        fresh_bodies(monkeypatch)
+        for builtin in ([True, False] if builtin_first else [False, True]):
+            if builtin:
+                assert records(elaborate(nand)) == expected
+            else:
+                circuit = elaborate(nand, library=lib)
+                assert {name for name in circuit.nodes
+                        if name.startswith("G1.")} == {"G1.W"}
+        # And again, now that both are warm.
+        assert records(elaborate(nand)) == expected
+        assert "G1.J" not in elaborate(nand, library=lib).nodes
+
+    def test_the_library_is_read_only(self):
+        with pytest.raises(TypeError):
+            library_map()["X"] = PASS_AND
+        with pytest.raises(TypeError):
+            del library_map()["AND"]
+        assert "X" not in library_map()
+
+    def test_a_built_in_body_is_frozen(self):
+        body = get_macro("AND").expansion
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            body.nodes = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            body.name = "other"
+        assert body.name == "and_gate" and body.nodes
+
+    @pytest.mark.parametrize("insert_holds", [True, False])
+    def test_warm_and_cold_elaborations_are_equal(self, monkeypatch,
+                                                  insert_holds):
+        fresh_bodies(monkeypatch)
+        cold = [records(elaborate(macro.expansion, insert_holds=insert_holds))
+                for macro in library()]
+        warm = [records(elaborate(macro.expansion, insert_holds=insert_holds))
+                for macro in library()]
+        per_call = [records(elaborate(macro.expansion, dict(library_map()),
+                                      insert_holds=insert_holds))
+                    for macro in library()]
+        assert warm == cold == per_call
