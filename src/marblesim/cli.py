@@ -41,9 +41,12 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser, built on first use: each ``parse_args`` call
-    returns a fresh namespace, so no option carries over between calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommands' parsers by name, built on
+    first use.  A command line is parsed once, by its subcommand's parser;
+    the top-level parser is used only for help and usage errors.  Each
+    parse returns a fresh namespace, so no option carries over."""
     parser = argparse.ArgumentParser(
         prog="marblesim",
         description="Simulate collision-based marble logic circuits.")
@@ -93,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     show = sub.add_parser("print", help="reprint a netlist canonically")
     show.add_argument("file", help="netlist file")
 
-    return parser
+    return parser, sub.choices
 
 
 def _resolve_mode(name: str, physics_path: str | None) -> CollisionMode:
@@ -285,7 +288,18 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run a command line (``sys.argv[1:]`` by default); return its exit
+    code.  It is parsed once, by its subcommand's parser; a line that does
+    not start with a subcommand, or leaves arguments over, goes whole to
+    the top-level parser, which is used only for help and usage errors."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args, rest = None, argv
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        args.command = argv[0]
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (MarblesimError, OSError, ValueError) as exc:

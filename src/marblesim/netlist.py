@@ -917,8 +917,9 @@ def elaborate(ast: CircuitAst, library: Mapping | None = None, *,
     circuits: re-elaborating an already balanced circuit changes nothing.
     Built-in bodies are validated and flattened once per process.
     """
-    lib = _default_library() if library is None else library
-    bodies = _BUILTIN_BODIES if lib is _default_library() else {}
+    builtin = _default_library()
+    lib = builtin if library is None else library
+    bodies = _BUILTIN_BODIES if lib is builtin else {}
     _check(ast, lib, bodies, "invalid netlist")
     nodes, channels = _flatten(ast, lib, bodies, [])
     return _levelize(ast, nodes, channels, insert_holds)

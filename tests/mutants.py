@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/marblesim/sim.py"
 ANALYSIS = "src/marblesim/analysis.py"
 NETLIST = "src/marblesim/netlist.py"
+CLI = "src/marblesim/cli.py"
 WORKERS = 2
 
 # (file, old, new, reason)
@@ -137,12 +138,17 @@ MUTANTS = [
      'diags.append(Diagnostic("error", message, line))',
      "validate: a code-built declaration's line 0 is reported"),
     # Built-in bodies validated and flattened once per process, netlist.
-    (NETLIST, "bodies = _BUILTIN_BODIES if lib is _default_library() else {}",
+    (NETLIST, "bodies = _BUILTIN_BODIES if lib is builtin else {}",
      "bodies = _BUILTIN_BODIES",
      "elaborate: every library shares the built-in templates"),
     (NETLIST, "if shared and _VALIDATED.get(id(ast)) is ast:",
      "if shared:",
      "elaborate: nothing is validated with the built-in library"),
+    # A command line parsed once, by its subcommand's parser, cli.main.
+    (CLI, "if args is None or rest:", "if args is None:",
+     "dispatch: arguments the subcommand leaves over are ignored"),
+    (CLI, "args = parser.parse_args(argv)", "args = parser.parse_args(argv[1:])",
+     "dispatch: the fallback parses the line without its first argument"),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from marblesim import cli, sim
 from marblesim.cli import main
+from marblesim.errors import MarblesimError
 
 WATER = """\
 density = 1000
@@ -87,12 +89,17 @@ def golden_row(name):
     return row
 
 
+def with_fixtures(fixtures, argv):
+    """``argv`` with each argument ending in ".mnl" made a fixture path."""
+    return [str(fixtures / arg) if arg.endswith(".mnl") else arg
+            for arg in argv]
+
+
 def expected_run(row, fixtures, golden):
     """A row's argv with fixture paths, and the exit code, stdout and
     stderr it must give."""
     argv, out, err, code = row
-    return ([str(fixtures / arg) if arg.endswith(".mnl") else arg
-             for arg in argv],
+    return (with_fixtures(fixtures, argv),
             (code, *(golden_text(golden, name) if name else ""
                      for name in (out, err))))
 
@@ -100,6 +107,94 @@ def expected_run(row, fixtures, golden):
 def check_golden(capsys, fixtures, golden, name):
     argv, expected = expected_run(golden_row(name), fixtures, golden)
     assert run_cli(capsys, *argv) == expected
+
+
+def reference_main(argv):
+    """``main`` as one top-level parse, which runs the subcommand's parser
+    on what follows the command, then the command under ``main``'s error
+    handling."""
+    args = cli._build_parser()[0].parse_args(argv)
+    try:
+        return cli._COMMANDS[args.command](args)
+    except (MarblesimError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def outcome(capsys, call, argv):
+    """The exit code of ``call(argv)``, whether it came by ``SystemExit``,
+    and the stdout and stderr written."""
+    try:
+        code, raised = call(argv), False
+    except SystemExit as exc:
+        code, raised = exc.code, True
+    captured = capsys.readouterr()
+    return code, raised, captured.out, captured.err
+
+
+class TestDispatch:
+    """``main`` parses a line that starts with a subcommand by that
+    subcommand's parser alone, and gives every line what the top-level
+    parser gives it.  The reference is taken at run time, since argparse's
+    wording differs between Python versions."""
+
+    VALID = [
+        ("table", "XOR", "--mode=merge", "--format=records"),
+        ("table", "--form", "records", "XOR"),
+        ("table", "--", "XOR"),
+        ("verify", "AND", "XOR"),
+        ("run", "and_gate.mnl", "--inputs", "10", "--trace", "--strict",
+         "--no-repair"),
+        ("lint", "skew.mnl", "--format", "records"),
+        ("print", "and_gate.mnl"),
+    ]
+    # Help and usage errors: no command, an unknown or abbreviated one, an
+    # option before it, or arguments its parser leaves over or refuses.
+    REFUSED = [
+        (), ("-h",), ("bogus",), ("tab", "XOR"), ("table",),
+        ("table", "XOR", "extra"), ("table", "XOR", "--bogus"),
+        ("table", "XOR", "--mode", "sideways"), ("run", "and_gate.mnl"),
+        ("print", "and_gate.mnl", "--format", "records"), ("table", "-h"),
+        ("--", "table", "XOR"),
+    ]
+
+    @pytest.mark.parametrize("argv", VALID + REFUSED, ids=" ".join)
+    def test_main_matches_the_top_level_parser(self, capsys, fixtures,
+                                               argv):
+        argv = with_fixtures(fixtures, argv)
+        assert (outcome(capsys, main, argv)
+                == outcome(capsys, reference_main, argv))
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_a_valid_line_is_parsed_once(self, capsys, fixtures,
+                                         monkeypatch, argv):
+        parse = argparse.ArgumentParser.parse_known_args
+        parsed_by = []
+
+        def counted(parser, *args, **kwargs):
+            parsed_by.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counted)
+        main(with_fixtures(fixtures, argv))
+        capsys.readouterr()
+        assert parsed_by == [f"marblesim {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [(), ("bogus",),
+                                      ("table", "XOR", "--bogus")],
+                             ids=" ".join)
+    def test_a_fresh_interpreter_matches(self, capsys, monkeypatch, argv):
+        # The module entry point reads its line from sys.argv.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, _, out, err = outcome(capsys, reference_main, list(argv))
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m",
+             "marblesim.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 class TestRun:
@@ -414,9 +509,7 @@ class TestParserReuse:
     ])
     def test_no_option_carries_over(self, capsys, fixtures, first, then):
         def call(argv):
-            return run_cli(capsys, *(str(fixtures / arg)
-                                     if arg.endswith(".mnl") else arg
-                                     for arg in argv))
+            return run_cli(capsys, *with_fixtures(fixtures, argv))
         cli._build_parser.cache_clear()
         fresh = call(then)
         cli._build_parser.cache_clear()

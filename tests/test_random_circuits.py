@@ -123,7 +123,7 @@ def observed(circuit, bits, config):
             trace.collisions, ledger)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_drawn_netlists_run_alike_traced_and_untraced(rng):
     for circuit in drawn_circuits(rng):
@@ -136,7 +136,7 @@ def test_drawn_netlists_run_alike_traced_and_untraced(rng):
                             == outcome(observed, circuit, bits, traced))
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_strict_runs_fail_exactly_where_hazards_are_recorded(rng):
     """Strict timing turns the first recorded hazard into the error and
@@ -172,7 +172,7 @@ def simulated_rows(circuit, mode):
                              for bits in composer.input_vectors(circuit)]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_drawn_netlists_tabulate_as_they_simulate(rng):
     for circuit in drawn_circuits(rng):
@@ -181,7 +181,7 @@ def test_drawn_netlists_tabulate_as_they_simulate(rng):
                     == outcome(simulated_rows, circuit, mode))
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_printed_circuits_parse_back_to_the_same_circuit(rng):
     """Any circuit the tool prints, elaborated ones included, parses back
@@ -272,7 +272,7 @@ def check_every_property(circuit):
                               if hazards else loose)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_redrawn_phases_keep_every_property(rng):
     """Every property holds on hand-set phases, which mostly put some
@@ -281,7 +281,7 @@ def test_redrawn_phases_keep_every_property(rng):
         check_every_property(circuit)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_delayed_cones_keep_every_property(rng):
     """Every property holds on hand-set phases that mostly stay on
@@ -294,7 +294,7 @@ HINT = re.compile(r".*; insert hold\((\d+)\) on (\S+)\.(\w+) -> "
                   r"(\S+)\.(\w+)(?:;.*)?")
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30)
 @given(rng=st.randoms(use_true_random=False))
 def test_lint_hints_are_the_holds_repair_inserts(rng):
     """Without repair, ``timing_lint`` names each channel repair puts a
