@@ -28,9 +28,9 @@ from .physics import (AmbiguousRegimeError, CollisionMode, CollisionPolicy,
                       kinetic_energy, load_physics_config,
                       parse_physics_config, surface_energy, weber_number)
 from .primitives import NodeKind
-from .sim import (Event, Hazard, InjectionRecord, Ledger, SimConfig,
-                  SimulationError, TimingViolationError, Trace, format_trace,
-                  run_ledger, simulate)
+from .sim import (Hazard, InjectionRecord, Ledger, SimConfig, SimulationError,
+                  TimingViolationError, Trace, format_trace, run_ledger,
+                  simulate)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "CollisionPolicy",
     "Diagnostic",
     "ElaborationError",
-    "Event",
     "GateDecl",
     "GateMacro",
     "GateReport",

@@ -26,7 +26,7 @@ from pathlib import Path
 from .analysis import (GateReport, TruthTable, timing_lint, truth_table,
                        verify_gate)
 from .errors import MarblesimError
-from .gates import get_macro, library
+from .gates import UnknownGateError, get_macro, library
 from .netlist import CircuitAst, elaborate, parse, print_canonical
 from .physics import (CollisionMode, MidbandWarning, collision_mode,
                       load_physics_config)
@@ -199,7 +199,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         try:
             circuit = elaborate(get_macro(args.target).expansion)
-        except MarblesimError:
+        except UnknownGateError:
             raise MarblesimError(
                 f"{args.target!r} is neither a file nor a library gate"
             ) from None

@@ -27,14 +27,15 @@ each kind does to marbles; for the junction that is the table in
 two marbles that meet bounce to O2 (A) and O4 (B) or merge into one new
 marble on O3 that carries both masses.
 
-Traces list every marble placement as a plain tuple of ``Event``'s fields,
+Traces list every marble placement as a plain tuple
 ``(phase, node, port, marble_id, mass)``: a creation event at the out port
 of the node that produced the marble, then one arrival event per hop.  A
 marble never appears at two places in one phase, so the first four fields
 tell events apart; a traced run sorts them once, at its end, and keeps
 them as its trace.  A marble's creation is written once, by
-``_Run.emit_new``, which also enters it in the final locations, so they
-come in marble-id order.  The ledger is kept either way, from where each
+``_Run.emit_new``; its final location is entered at its first placement,
+the arrival that ``emit`` places at once, so the final locations come in
+marble-id order.  The ledger is kept either way, from where each
 marble was created and where it ended, and balances exactly: input mass
 plus injected mass equals output mass plus waste mass, in exact rationals.
 """
@@ -53,7 +54,6 @@ from .primitives import (_CONST, _HOLD, _INPUT, _JOIN, _JUNCTION, _SCALPEL,
                          _SYRINGE, _TAP, NodeKind)
 
 __all__ = [
-    "Event",
     "Hazard",
     "InjectionRecord",
     "Ledger",
@@ -77,19 +77,6 @@ class TimingViolationError(MarblesimError):
     """A marble reached a junction or syringe off-schedule (strict mode)."""
 
 
-class Event(NamedTuple):
-    """One marble placement: where a marble is during one phase.  No two
-    events of a run share their first four fields.  A trace keeps its
-    events as plain tuples of these fields; ``Event._make(event)`` names
-    them, and an ``Event`` equals the plain tuple of its fields."""
-
-    phase: int
-    node: str
-    port: str
-    marble_id: int
-    mass: Fraction
-
-
 class Hazard(NamedTuple):
     phase: int
     node: str
@@ -106,8 +93,11 @@ class Hazard(NamedTuple):
 class Trace(NamedTuple):
     """Ordered event list plus where every marble ended up.
 
-    Each event is a plain tuple of ``Event``'s fields.  The event list is
-    empty when the run was not traced; the rest is kept either way.
+    Each event is a plain tuple ``(phase, node, port, marble_id, mass)``,
+    and no two share their first four fields.  The event list is empty
+    when the run was not traced; the rest is kept either way.  Each marble's
+    final location is entered at its first placement, so they come in
+    marble-id order.
     ``circuit`` is the circuit that ran, and ``collisions`` the (phase,
     junction) pairs where two marbles collided, in that order.
     """
@@ -234,7 +224,7 @@ class _Run:
         # A marble is its id, numbered from 1 in creation order; its mass
         # is kept here only.
         self.created: _Origins = {}
-        # Where each marble is, in id order: entered where it was made.
+        # Where each marble is, in id order: entered at its first placement.
         self.final: dict[int, tuple[str, str]] = {}
         self.hazards: list[Hazard] = []
         self.collisions: list[tuple[int, str]] = []
@@ -311,7 +301,6 @@ class _Run:
         """Emit a new marble of ``mass``, made at ``node.port``."""
         marble = len(self.created) + 1
         self.created[marble] = (node, phase, mass)
-        self.final[marble] = (node, port)
         if self.events is not None:
             self.events.append((phase, node, port, marble, mass))
         self.emit(node, port, marble, phase)

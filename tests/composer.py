@@ -10,6 +10,8 @@ pass ``random.Random(seed)``."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
+from itertools import combinations, permutations
 
 from marblesim import Circuit, NodeKind, elaborate, get_macro, library, parse
 
@@ -156,6 +158,112 @@ def _parts_from(rng: random.Random, circuit_name: str,
              f"input {', '.join(inputs)}",
              f"output {', '.join(outputs)}"]
     return "\n".join(lines + decls + connects) + "\n"
+
+
+# The kinds a small-scope netlist draws from, with the in ports each reads
+# (a join two); their order fixes the order of the netlists.
+SMALL_KINDS = ((NodeKind.JUNCTION, ("A", "B")),
+               (NodeKind.JOIN, ("in1", "in2")), (NodeKind.TAP, ("in",)),
+               (NodeKind.SYRINGE, ("in",)), (NodeKind.SCALPEL, ("in",)),
+               (NodeKind.CONST, ()))
+MAX_SMALL_OUTPUTS = 3
+
+
+def small_netlists(n: int, k: int) -> Iterator[str]:
+    """Every well-formed primitive netlist with at most ``n`` inputs and
+    ``k`` nodes (junctions, two-input joins, taps, syringes, scalpels and
+    consts), as source text, in a fixed order.  Each out endpoint is used
+    once: by a later node, by an output (at most MAX_SMALL_OUTPUTS, named
+    in the order the endpoints were made) or by the waste node ``W``.  Of
+    the netlists that differ only in the names of their inputs, nodes and
+    outputs, or in which of a join's two ports a marble enters, only the
+    first is yielded."""
+    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    for inputs in range(n + 1):
+        names = [f"i{j}" for j in range(inputs)]
+        for nodes, signals in _small_parts([], names, k):
+            views = [_small_view(nodes, signals, dict(zip(names, renamed)),
+                                 order)
+                     for renamed in permutations(names)
+                     for order in permutations(range(len(nodes)))]
+            for count in range(min(len(signals), MAX_SMALL_OUTPUTS) + 1):
+                for outputs in combinations(range(len(signals)), count):
+                    key = min((decls, tuple(sorted(channels + [
+                        f"{end} -> {'o' if j in outputs else 'W.in'}"
+                        for j, end in enumerate(ends)])))
+                        for decls, channels, ends in views)
+                    if key not in seen:
+                        seen.add(key)
+                        yield _small_source(f"small{len(seen)}", names,
+                                            nodes, signals, outputs)
+
+
+# A node of a small netlist: its kind and the endpoint each in port reads.
+_SmallNode = tuple[NodeKind, tuple[tuple[str, str], ...]]
+
+
+def _small_parts(nodes: list[_SmallNode], signals: list[str], left: int
+                 ) -> Iterator[tuple[list[_SmallNode], list[str]]]:
+    """``nodes`` with up to ``left`` more, each reading out endpoints not
+    yet used, and the endpoints left unused in the order they were made."""
+    yield nodes, signals
+    if not left:
+        return
+    name = f"N{len(nodes)}"
+    for kind, ports in SMALL_KINDS:
+        picks = (combinations if kind is NodeKind.JOIN else permutations)(
+            range(len(signals)), len(ports))
+        for pick in picks:
+            rest = [signal for j, signal in enumerate(signals)
+                    if j not in pick]
+            node = kind, tuple((port, signals[j])
+                               for port, j in zip(ports, pick))
+            yield from _small_parts(nodes + [node], rest + [
+                f"{name}.{port}" for port in kind.outs], left - 1)
+
+
+def _small_view(nodes: list[_SmallNode], signals: list[str],
+                inputs: dict[str, str], order: tuple[int, ...]
+                ) -> tuple[tuple[str, ...], list[str], list[str]]:
+    """A netlist's declarations, sorted, its channels into nodes and its
+    unused endpoints, with its inputs renamed by ``inputs`` and node
+    ``N{j}`` renamed ``N{order[j]}``; a join's in ports are not told
+    apart."""
+    def rename(endpoint: str) -> str:
+        node, dot, port = endpoint.partition(".")
+        return f"N{order[int(node[1:])]}.{port}" if dot else inputs[node]
+
+    decls = tuple(sorted(f"N{order[number]} : {kind.value}"
+                         for number, (kind, _) in enumerate(nodes)))
+    channels = [f"{rename(src)} -> N{order[number]}."
+                f"{'in' if kind is NodeKind.JOIN else port}"
+                for number, (kind, ins) in enumerate(nodes)
+                for port, src in ins]
+    return decls, channels, [rename(signal) for signal in signals]
+
+
+def _small_source(name: str, inputs: list[str], nodes: list[_SmallNode],
+                  signals: list[str], outputs: tuple[int, ...]) -> str:
+    """The text of a small netlist whose unused endpoints at ``outputs``
+    go to outputs ``o0``, ``o1``, ... and the rest to waste."""
+    sinks = ["W.in"] * len(signals)
+    for number, j in enumerate(outputs):
+        sinks[j] = f"o{number}"
+    lines = [f"circuit {name}"]
+    if inputs:
+        lines.append(f"input {', '.join(inputs)}")
+    if outputs:
+        lines.append("output " + ", ".join(f"o{number}" for number
+                                           in range(len(outputs))))
+    lines += [f"node N{number} : {kind.value}"
+              for number, (kind, _) in enumerate(nodes)]
+    if "W.in" in sinks:
+        lines.append("node W : waste")
+    lines += [f"connect {src} -> N{number}.{port}"
+              for number, (_, ins) in enumerate(nodes) for port, src in ins]
+    lines += [f"connect {src} -> {sink}"
+              for src, sink in zip(signals, sinks)]
+    return "\n".join(lines) + "\n"
 
 
 def compose_circuit(seed: int) -> Circuit:

@@ -149,6 +149,9 @@ MUTANTS = [
      "dispatch: arguments the subcommand leaves over are ignored"),
     (CLI, "args = parser.parse_args(argv)", "args = parser.parse_args(argv[1:])",
      "dispatch: the fallback parses the line without its first argument"),
+    # Which errors `table` reports as an unknown target, cli._cmd_table.
+    (CLI, "except UnknownGateError:", "except MarblesimError:",
+     "table: an elaboration error is reported as an unknown target"),
 ]
 
 

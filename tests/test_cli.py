@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from marblesim import cli, sim
+from marblesim import ElaborationError, cli, sim
 from marblesim.cli import main
 from marblesim.errors import MarblesimError
 
@@ -422,6 +422,20 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "XNOR")
         assert code == 1
         assert "neither a file nor a library gate" in err
+
+    def test_library_gate_that_fails_to_elaborate(self, capsys, monkeypatch,
+                                                  tmp_path):
+        # Only an unknown name is "neither a file nor a library gate"; an
+        # error elaborating a known gate is reported as itself.
+        def fail(ast):
+            raise ElaborationError("boom")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "elaborate", fail)
+        code, out, err = run_cli(capsys, "table", "XOR")
+        assert (code, out) == (1, "")
+        assert "boom" in err
+        assert "neither a file" not in err
 
 
 class TestVerify:

@@ -874,6 +874,23 @@ class TestElaborate:
             keys = [ch[:4] for ch in circuit.channels]
             assert keys == sorted(keys), ast.name
 
+    def test_a_repaired_circuit_is_on_schedule_and_compiles(self):
+        # The mask compile, verify_gate and the table's fast path rely on
+        # this: after hold repair no channel is off schedule, so the
+        # circuit compiles rather than falling back to simulation.
+        asts = [macro.expansion for macro in library()]
+        asts += [parse(composer.ripple_adder_source(n)) for n in range(1, 9)]
+        asts += [parse(composer.compose_source(seed)) for seed in range(200)]
+        asts += [parse(composer.primitive_source(seed))
+                 for seed in range(300)]
+        assert len(asts) == 521
+        for ast in asts:
+            circuit = elaborate(ast)
+            assert next(netlist._off_schedule(
+                circuit.nodes, circuit.channels, circuit.phases),
+                None) is None, ast.name
+            assert circuit._mask_order is not None, ast.name
+
 
 def fresh_bodies(monkeypatch):
     """Start the process's built-in templates and validated bodies empty,
